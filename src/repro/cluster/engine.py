@@ -43,7 +43,7 @@ if TYPE_CHECKING:
     from repro.cluster.state import ClusterState
     from repro.power.estimator import JobPowerTable
     from repro.power.model import PowerModel
-    from repro.workload.executor import FinishedJob
+    from repro.workload.executor import FinishedJob, RunningJobTable
     from repro.workload.job import Job
 
 __all__ = [
@@ -177,13 +177,17 @@ class ClusterEngine(abc.ABC):
         util_jitter_std: float,
         node_noise_std: float,
         modulation_factor: float,
+        table: RunningJobTable | None = None,
     ) -> list[FinishedJob]:
         """Advance every job in ``jobs`` (all RUNNING) by one tick.
 
         Mutates job progress and the cluster state's load arrays; the
         RNG is consumed in job-list order (per job: one shared jitter
         draw, then one per-node noise draw per node), identically on
-        both engines.
+        both engines.  ``table`` is the executor's cached
+        :class:`~repro.workload.executor.RunningJobTable` for ``jobs``;
+        an engine may step from it instead of re-deriving the per-job
+        constants.
         """
 
 

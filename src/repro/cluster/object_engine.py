@@ -15,10 +15,12 @@ Bit-identity notes (the equivalence harness asserts all of these):
 * scalar float arithmetic and numpy float64 element-wise arithmetic
   produce identical bits when the association order matches, so each
   scalar expression below brackets exactly like its vector twin;
-* ``numpy.random.Generator`` consumes its stream identically for ``k``
-  scalar ``normal()`` draws and one ``normal(size=k)`` draw, so the
-  per-node noise loop here reads the same stream as the vector
-  engine's batched draw;
+* ``numpy.random.Generator`` consumes its stream identically for ``m``
+  scalar ``normal()`` draws and one size-``m`` draw, and
+  ``normal(0, σ)`` is ``σ·z`` bit for bit, so the per-job jitter and
+  per-node noise draws here read the same stream as the vector
+  engine's one scaled ``standard_normal`` draw per tick
+  (``tests/equivalence/test_batched_draw.py`` pins this);
 * dict accumulation in snapshot order equals ``numpy.bincount``'s
   left-to-right per-bin accumulation.
 """
@@ -32,7 +34,7 @@ import numpy as np
 from repro.cluster.engine import ClusterEngine
 from repro.power.estimator import JobPowerTable
 from repro.telemetry.agent import NodeSample
-from repro.workload.executor import FinishedJob
+from repro.workload.executor import FinishedJob, RunningJobTable
 
 if TYPE_CHECKING:
     from repro.cluster.state import ClusterState
@@ -146,7 +148,11 @@ class ObjectEngine(ClusterEngine):
         util_jitter_std: float,
         node_noise_std: float,
         modulation_factor: float,
+        table: RunningJobTable | None = None,
     ) -> list[FinishedJob]:
+        # ``table`` is ignored: the reference re-derives every per-job
+        # constant from the job itself, which is what makes it an oracle
+        # for the table-driven vector kernel.
         finished: list[FinishedJob] = []
         top_level = state.spec.top_level
         for job in jobs:

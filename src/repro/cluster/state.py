@@ -186,8 +186,9 @@ class ClusterState:
     ) -> None:
         """Set the operating point of a set of nodes (clipped to [0, 1]).
 
-        Uses the fmin/fmax ufuncs directly — this runs once per job per
-        tick and the ``np.clip`` dispatch wrapper is measurable there.
+        Uses the fmin/fmax ufuncs directly — the vector engine calls this
+        once per tick for every running node at once, and the
+        ``np.clip`` dispatch wrapper is measurable there.
         """
         ids = np.asarray(node_ids, dtype=np.int64)
         self.cpu_util[ids] = np.fmin(np.fmax(cpu_util, 0.0), 1.0)

@@ -5,12 +5,17 @@
 :class:`VectorEngine` is the production implementation of
 :class:`~repro.cluster.engine.ClusterEngine`: telemetry sweeps are fancy-
 indexed gathers, Formula (1) is fused array arithmetic, per-job
-aggregation is ``numpy.bincount``, and job stepping batches every
-running job's nodes into one concatenated array walk (one ``speed_of``
-gather, one segmented ``minimum.reduceat`` for the bottleneck rate, one
-combined ``set_load`` write).  No kernel loops over nodes in Python —
-reprolint's RL106 enforces that for every module carrying the hot-path
-marker above.
+aggregation is ``numpy.bincount``, and job stepping is whole-tick array
+work over the executor's cached
+:class:`~repro.workload.executor.RunningJobTable`: one batched RNG
+draw, a vectorised phase lookup, one ``speed_of`` gather with a
+segmented ``minimum.reduceat`` for the bottleneck rates, vectorised
+progress and finish detection, and one combined ``set_load`` write.
+The only per-job Python is moving ``progress_s`` and
+``degraded_exposure_s`` between the jobs and the arrays, since
+:class:`~repro.workload.job.Job` stays their only record.  No kernel
+loops over nodes in Python — reprolint's RL106 enforces that for every
+module carrying the hot-path marker above.
 
 Bit-identity with the object engine is engineered, not hoped for: see
 the module docstring of :mod:`repro.cluster.engine` for the contract,
@@ -25,7 +30,7 @@ import numpy as np
 
 from repro.cluster.engine import ClusterEngine
 from repro.power.estimator import JobPowerTable, NodePowerEstimator
-from repro.workload.executor import FinishedJob
+from repro.workload.executor import FinishedJob, RunningJobTable
 
 if TYPE_CHECKING:
     from repro.cluster.state import ClusterState
@@ -93,82 +98,62 @@ class VectorEngine(ClusterEngine):
         util_jitter_std: float,
         node_noise_std: float,
         modulation_factor: float,
+        table: RunningJobTable | None = None,
     ) -> list[FinishedJob]:
         if not jobs:
             return []
-        n_jobs = len(jobs)
-        betas = np.empty(n_jobs, dtype=np.float64)
-        cpu_sig = np.empty(n_jobs, dtype=np.float64)
-        nic_sig = np.empty(n_jobs, dtype=np.float64)
-        mem = np.empty(n_jobs, dtype=np.float64)
-        jitters = np.empty(n_jobs, dtype=np.float64)
-        counts = np.empty(n_jobs, dtype=np.int64)
-        id_blocks: list[np.ndarray] = []
-        factor_blocks: list[np.ndarray] = []
-        # Pass 1 — cheap per-*job* scalar work.  The RNG draw order is
-        # the contract: per job, one shared jitter scalar then one
-        # per-node noise vector, exactly the stream the object engine
-        # consumes with its per-node scalar draws.
-        for j, job in enumerate(jobs):
-            phase = job.app.schedule.phase_at(job.cycle_position)
-            betas[j] = phase.compute_boundness
-            cpu_sig[j] = phase.cpu_util
-            nic_sig[j] = phase.nic_frac
-            jitter = modulation_factor
-            if util_jitter_std > 0:
-                jitter *= max(0.0, 1.0 + rng.normal(0.0, util_jitter_std))
-            jitters[j] = jitter
-            k = len(job.nodes)
-            counts[j] = k
-            id_blocks.append(job.nodes)
-            if node_noise_std > 0:
-                factor_blocks.append(
-                    np.maximum(0.0, 1.0 + rng.normal(0.0, node_noise_std, size=k))
-                )
-            else:
-                factor_blocks.append(np.ones(k))
-            assert job.start_time is not None
-            ramp = 1.0
-            if job.app.mem_ramp_s > 0:
-                ramp = min(1.0, (now - job.start_time) / job.app.mem_ramp_s)
-            mem[j] = job.app.mem_fraction * ramp
+        if table is None or table.jobs is not jobs:
+            table = RunningJobTable(jobs)
+        ids = table.node_ids
+        progress = np.array([job.progress_s for job in jobs], dtype=float)
 
-        # Pass 2 — one batched array walk over every running node.
-        all_ids = np.concatenate(id_blocks)
-        node_factor = np.concatenate(factor_blocks)
-        offsets = np.zeros(n_jobs, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        speeds = state.speed_of(all_ids)
-        # ``minimum.reduceat`` is an exact segmented min — identical to
-        # the object engine's per-node running min.
-        s_min = np.minimum.reduceat(speeds, offsets)
-        rates = 1.0 / ((1.0 - betas) + betas / s_min)
-        min_levels = np.minimum.reduceat(state.level[all_ids], offsets)
+        # Phase lookup, from the progress at the start of the tick.
+        # ``(p mod c) / c`` rounds to at most the float just below 1.0,
+        # so ``phase_at``'s extra ``% 1.0`` is the identity here.
+        pos = np.remainder(progress, table.cycle) / table.cycle
+        phase = (table.inner_bounds <= pos).sum(axis=0)
+        signature = table.signature.take(table.phase_base + phase, axis=1)
+        beta = signature[0]
+
+        # Bottleneck rate and degradation.  ``minimum.reduceat`` is an
+        # exact segmented min — identical to the object engine's
+        # per-node running min.
+        s_min = np.minimum.reduceat(state.speed_of(ids), table.offsets)
+        rates = 1.0 / ((1.0 - beta) + beta / s_min)
+        min_levels = np.minimum.reduceat(state.level[ids], table.offsets)
         degraded = min_levels < state.spec.top_level
 
-        # Pass 3 — per-job progress bookkeeping (scalar, RNG-free).
+        # Progress and finish detection, written back to the jobs.
+        remaining = np.maximum(0.0, table.nominal - progress)
+        step_work = rates * dt
+        done = step_work >= remaining
+        progress = np.where(done, table.nominal, progress + step_work)
+        for job, value in zip(jobs, progress.tolist()):
+            job.progress_s = value
+        for j in degraded.nonzero()[0].tolist():
+            jobs[j].degraded_exposure_s += dt
         finished: list[FinishedJob] = []
-        for j, job in enumerate(jobs):
-            if degraded[j]:
-                job.degraded_exposure_s += dt
-            rate = float(rates[j])
-            remaining = job.remaining_work_s
-            step_work = rate * dt
-            if step_work >= remaining and remaining >= 0.0:
-                time_to_finish = remaining / rate if rate > 0 else dt
-                job.progress_s = job.nominal_runtime_s
-                finished.append(FinishedJob(job=job, finish_time=now + time_to_finish))
-            else:
-                job.progress_s += step_work
+        for j in done.nonzero()[0].tolist():
+            rate, left = float(rates[j]), float(remaining[j])
+            time_to_finish = left / rate if rate > 0 else dt
+            finished.append(FinishedJob(jobs[j], finish_time=now + time_to_finish))
 
-        # Pass 4 — one combined load write.  Job node sets are disjoint,
-        # so this equals the object engine's per-node writes; the
-        # association ``(signature · jitter) · node_factor`` matches its
-        # scalar product order.
-        cpu_vals = np.repeat(cpu_sig * jitters, counts) * node_factor
-        nic_vals = np.repeat(nic_sig * jitters, counts) * node_factor
-        mem_vals = np.repeat(mem, counts)
-        state.set_load(
-            all_ids, cpu_util=cpu_vals, mem_frac=mem_vals, nic_frac=nic_vals
+        # One combined load write.  Job node sets are disjoint, so this
+        # equals the object engine's per-node writes; the association
+        # ``(signature · jitter) · node_factor`` matches its scalar
+        # product order.  With noise off every node factor is exactly
+        # 1.0, and the product is skipped.
+        jitter_z, noise_z = table.draw(rng, util_jitter_std > 0, node_noise_std > 0)
+        jitter: float | np.ndarray = modulation_factor
+        if jitter_z is not None:
+            jitter_factor = np.maximum(0.0, 1.0 + util_jitter_std * jitter_z)
+            jitter = modulation_factor * jitter_factor
+        load = (signature[1:] * jitter).take(table.node_job, axis=1)
+        if noise_z is not None:
+            load *= np.maximum(0.0, 1.0 + node_noise_std * noise_z)
+        ramp = np.where(
+            table.ramped, np.minimum(1.0, (now - table.start) / table.ramp_s), 1.0
         )
+        mem = (table.mem_fraction * ramp).take(table.node_job)
+        state.set_load(ids, cpu_util=load[0], mem_frac=mem, nic_frac=load[1])
         return finished

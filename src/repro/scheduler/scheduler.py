@@ -4,8 +4,9 @@
 arrivals, starts queued jobs FCFS as soon as enough whole nodes are idle,
 advances running jobs through the :class:`~repro.workload.executor.JobExecutor`,
 and retires completions (releasing their nodes).  It is driven by a single
-``tick(now, dt)`` call per control interval, normally wired to a
-:class:`~repro.sim.process.PeriodicTask` by the experiment harness.
+``tick(now, dt)`` call per control interval; in experiments that call
+comes from the fixed-period loop of ``_World.tick`` in
+:mod:`repro.experiments.common`.
 
 Ordering within one tick matters and is fixed as:
 

@@ -88,6 +88,12 @@ class PhaseSchedule:
         """The phases, in cycle order."""
         return self._phases
 
+    @property
+    def boundaries(self) -> tuple[float, ...]:
+        """Cumulative normalised shares: phase ``i`` ends at
+        ``boundaries[i]``; the last entry is exactly 1.0."""
+        return tuple(self._boundaries)
+
     def __len__(self) -> int:
         return len(self._phases)
 

@@ -5,7 +5,13 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.sim import RandomSource
-from repro.workload import Job, JobExecutor, JobState, get_application
+from repro.workload import (
+    ApplicationProfile,
+    Job,
+    JobExecutor,
+    PhaseSchedule,
+    get_application,
+)
 
 
 def _executor(cluster, deterministic=True, **kwargs):
@@ -151,3 +157,34 @@ def test_phase_progression_changes_load(small_cluster):
         ex.advance([job], now=float(t), dt=1.0)
         seen_utils.add(round(float(small_cluster.state.cpu_util[0]), 3))
     assert len(seen_utils) >= 2  # solve and exchange phases both seen
+
+
+@pytest.mark.parametrize("engine, expect_calls", [("vector", False), ("object", True)])
+def test_steady_ticks_skip_runtime_and_phase_lookups(
+    small_cluster, monkeypatch, engine, expect_calls
+):
+    """Between job state changes the vector engine steps from the
+    executor's cached running-job table: no ``nominal_runtime`` and no
+    ``phase_at`` calls.  The object engine, which re-derives both every
+    tick, shows the counter works."""
+    ex = _executor(small_cluster, deterministic=False, engine=engine)
+    jobs = [
+        _start_job(small_cluster, np.arange(0, 4), app="EP", job_id=0),
+        _start_job(small_cluster, np.arange(4, 10), app="CG", job_id=1),
+    ]
+    ex.advance(jobs, now=0.0, dt=1.0)  # the table is built here
+    calls = []
+    for owner, name in (
+        (ApplicationProfile, "nominal_runtime"),
+        (PhaseSchedule, "phase_at"),
+    ):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for t in range(1, 50):
+        assert ex.advance(jobs, now=float(t), dt=1.0) == []
+    assert bool(calls) is expect_calls
