@@ -22,7 +22,7 @@ Subpackages
 -----------
 
 =====================  ====================================================
-``repro.sim``          deterministic discrete-event kernel
+``repro.sim``          seeded, named random substreams
 ``repro.cluster``      node/DVFS/device machine model
 ``repro.power``        Formula (1) power model, meter, provision
 ``repro.workload``     NPB phase profiles, jobs, generator, executor
@@ -52,7 +52,7 @@ from repro.faults import DegradedModeConfig, FaultInjector, FaultScenario, Fault
 from repro.metrics import RunMetrics, compare_runs
 from repro.obs import Observability, ObsConfig
 from repro.power import PowerModel, PowerProvision, SystemPowerMeter
-from repro.sim import RandomSource, SimulationEngine
+from repro.sim import RandomSource
 
 __version__ = "1.0.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "PowerState",
     "RandomSource",
     "RunMetrics",
-    "SimulationEngine",
     "SystemPowerMeter",
     "ThresholdController",
     "available_policies",

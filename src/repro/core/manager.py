@@ -584,15 +584,11 @@ class PowerManager:
         response's ladder counters are folded in here because the
         manager owns the response object.
         """
-        prov = self._provision
-        if prov is None:
-            return None
-        stats = prov.stats()
         emr = self._emergency
         if emr is None:
-            return stats
+            return None
         return replace(
-            stats,
+            emr.runtime.stats(),
             emergency_red_cycles=emr.emergency_red_cycles,
             envelope_renegotiations=emr.envelope_renegotiations,
             branch_cap_interventions=emr.branch_cap_interventions,
@@ -635,11 +631,12 @@ class PowerManager:
         inj = self._injector
         if inj is not None:
             inj.begin_cycle(now)
-        prov = self._provision
+        # An EmergencyResponse exists exactly when a provision runtime
+        # does, so ``emr`` gates the whole power-delivery domain.
         emr = self._emergency
-        if prov is not None:
-            prov.begin_cycle(now)
-            if emr is not None and emr.defended:
+        if emr is not None:
+            emr.runtime.begin_cycle(now)
+            if emr.defended:
                 # Budget renegotiation: thresholds (and any later
                 # learning) are clamped to the surviving capacity's
                 # envelope the moment delivery changes, both downward on
@@ -767,7 +764,7 @@ class PowerManager:
                 "p_high_w": th.p_high,
                 "forced_red": forced_red,
             }
-            if prov is not None:
+            if emr is not None:
                 sp.attrs["emergency_red"] = emergency_red
             tracer.close_span()
 
@@ -806,8 +803,8 @@ class PowerManager:
             }
             tracer.close_span()
 
-        if prov is not None:
-            self._provision_settle(prov, emr, now, state, decision)
+        if emr is not None:
+            self._provision_settle(emr, now, state, decision)
 
         self._cycles += 1
         self._state_counts[state] += 1
@@ -834,9 +831,27 @@ class PowerManager:
             rec.record(
                 SERIES_METER_DISTRUSTED, now, 1.0 if meter_distrusted else 0.0
             )
-        if prov is not None:
-            rec.record(SERIES_CAPACITY, now, prov.capacity_w)
-            rec.record(SERIES_BRANCH_OVER, now, prov.last_branch_over_w)
+        capacity_w: float | None = None
+        if emr is not None:
+            capacity_w = emr.runtime.capacity_w
+            rec.record(SERIES_CAPACITY, now, capacity_w)
+            rec.record(SERIES_BRANCH_OVER, now, emr.runtime.last_branch_over_w)
+        report = CycleReport(
+            time=now,
+            power_w=power,
+            state=state,
+            decision=decision,
+            p_low=th.p_low,
+            p_high=th.p_high,
+            metered=metered,
+            coverage=snapshot.coverage,
+            forced_red=forced_red,
+            actuation=actuation,
+            quarantined_nodes=quarantined_count,
+            meter_distrusted=meter_distrusted,
+            capacity_w=capacity_w,
+            emergency_red=emergency_red,
+        )
 
         if tracing:
             sp = tracer.open_span("journal")
@@ -850,16 +865,7 @@ class PowerManager:
             self._journal.append(
                 CycleRecord(
                     cycle=self._cycles,
-                    time=now,
-                    power_w=power,
-                    metered=metered,
-                    state=state.value,
-                    forced_red=forced_red,
-                    action=decision.action.value,
-                    node_ids=tuple(int(i) for i in decision.node_ids),
-                    new_levels=tuple(int(l) for l in decision.new_levels),
-                    time_in_green=decision.time_in_green,
-                    coverage=snapshot.coverage,
+                    report=report,
                     blackout_streak=self._blackout_streak,
                     snapshot=snapshot,
                     actuator=self._actuator.state_dict(),
@@ -884,7 +890,7 @@ class PowerManager:
                 "metered": metered,
                 "coverage": snapshot.coverage,
                 "forced_red": forced_red,
-                "degraded": forced_red or not metered,
+                "degraded": report.degraded,
                 "action": decision.action.value,
                 "targets": decision.num_targets,
                 "epoch": self._epoch,
@@ -892,25 +898,10 @@ class PowerManager:
             }
             if self._validator is not None:
                 root.attrs["quarantined_nodes"] = quarantined_count
-            if prov is not None:
-                root.attrs["capacity_w"] = prov.capacity_w
+            if emr is not None:
+                root.attrs["capacity_w"] = capacity_w
                 root.attrs["emergency_red"] = emergency_red
-        return CycleReport(
-            time=now,
-            power_w=power,
-            state=state,
-            decision=decision,
-            p_low=th.p_low,
-            p_high=th.p_high,
-            metered=metered,
-            coverage=snapshot.coverage,
-            forced_red=forced_red,
-            actuation=actuation,
-            quarantined_nodes=quarantined_count,
-            meter_distrusted=meter_distrusted,
-            capacity_w=None if prov is None else prov.capacity_w,
-            emergency_red=emergency_red,
-        )
+        return report
 
     def _true_node_power_w(self) -> np.ndarray:
         """Per-node true power from the full live cluster state, watts.
@@ -943,8 +934,7 @@ class PowerManager:
 
     def _provision_settle(
         self,
-        prov: ProvisionRuntime,
-        emr: EmergencyResponse | None,
+        emr: EmergencyResponse,
         now: Seconds,
         state: PowerState,
         decision: CappingDecision,
@@ -960,7 +950,7 @@ class PowerManager:
         nodes fenced offline and forced idle.
         """
         node_power = self._true_node_power_w()
-        if emr is not None and emr.branch_caps_on:
+        if emr.branch_caps_on:
             ids, new_levels = emr.branch_targets(
                 self._cluster.state.level, node_power
             )
@@ -990,8 +980,8 @@ class PowerManager:
             else float(now) - self._prov_last_settle
         )
         self._prov_last_settle = float(now)
-        tripped = prov.settle(now, dt, node_power)
-        if len(tripped) > 0 and emr is not None:
+        tripped = emr.runtime.settle(now, dt, node_power)
+        if len(tripped) > 0:
             dark = emr.handle_trips(tripped, now)
             if len(dark) > 0:
                 # A dark rack draws nothing: force its nodes to the
@@ -1187,27 +1177,27 @@ class PowerManager:
 
         top = self._cluster.spec.top_level
         for r in recovery.records:
-            if r.metered:
-                self._thresholds.observe(r.power_w)
-                self._last_metered_power = r.power_w
+            report = r.report
+            if report.metered:
+                self._thresholds.observe(report.power_w)
+                self._last_metered_power = report.power_w
                 self._last_metered_snapshot = r.snapshot
             else:
                 self._estimated_cycles += 1
-            self._state_counts[PowerState(r.state)] += 1
-            if r.forced_red:
+            self._state_counts[report.state] += 1
+            if report.forced_red:
                 self._forced_red_cycles += 1
             self._blackout_streak = int(r.blackout_streak)
-            action = CappingAction(r.action)
-            if action is CappingAction.DEGRADE:
-                mask[list(r.node_ids)] = True
-            elif action is CappingAction.UPGRADE:
-                for i, level in zip(r.node_ids, r.new_levels):
-                    if level >= top:
-                        mask[i] = False
-            elif action is CappingAction.EMERGENCY:
+            decision = report.decision
+            ids = decision.node_ids
+            if decision.action is CappingAction.DEGRADE:
+                mask[ids] = True
+            elif decision.action is CappingAction.UPGRADE:
+                mask[ids[decision.new_levels >= top]] = False
+            elif decision.action is CappingAction.EMERGENCY:
                 mask[:] = False
-                mask[list(r.node_ids)] = True
-            time_g = int(r.time_in_green)
+                mask[ids] = True
+            time_g = int(decision.time_in_green)
         self._capping.restore(mask, time_g)
 
         # Collector: the newest journaled sweep is the cache.
@@ -1243,7 +1233,9 @@ class PowerManager:
 
         self._cycles = recovery.last_cycle
         self._last_cycle_time = (
-            records[-1].time if records else (cp.time if cp is not None else 0.0)
+            records[-1].report.time
+            if records
+            else (cp.time if cp is not None else 0.0)
         )
         self._offset_w = 0.0
         self._offset_valid = False

@@ -3,8 +3,8 @@
 Every error raised intentionally by this library derives from
 :class:`ReproError`, so downstream callers can catch the whole family with a
 single ``except`` clause while still distinguishing configuration mistakes
-(:class:`ConfigurationError`), violations of simulator invariants
-(:class:`SimulationError`) and misuse of the power-management API
+(:class:`ConfigurationError`), a batch scheduler driven into an invalid
+state (:class:`SchedulingError`) and misuse of the power-management API
 (:class:`PowerManagementError`).
 """
 
@@ -14,7 +14,6 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "FaultInjectionError",
-    "SimulationError",
     "SchedulingError",
     "AllocationError",
     "PowerManagementError",
@@ -51,14 +50,6 @@ class FaultInjectionError(ConfigurationError):
     the fault models built from it) is constructed with an out-of-range
     rate or duration, so a malformed robustness experiment fails fast
     rather than silently injecting the wrong fault process.
-    """
-
-
-class SimulationError(ReproError, RuntimeError):
-    """An invariant of the discrete-event simulation kernel was violated.
-
-    Examples: scheduling an event in the past, stepping a finished engine,
-    or re-entrant calls into :meth:`repro.sim.engine.SimulationEngine.run`.
     """
 
 

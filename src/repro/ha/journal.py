@@ -11,8 +11,9 @@ telemetry as fresh.
 The journal makes the controller crash-consistent the way databases do:
 
 * every completed control cycle appends one immutable
-  :class:`CycleRecord` — the cycle's *outputs* (classified state,
-  commanded pairs, observed power, post-cycle counters) plus the sweep's
+  :class:`CycleRecord` — the cycle's *outputs* (the manager's
+  :class:`~repro.core.manager.CycleReport`: classified state, commanded
+  pairs, observed power) plus post-cycle counters and the sweep's
   snapshot.  Outputs, not inputs: recovery **replays decisions**, it
   never re-runs policies, so stochastic policies cannot consume RNG
   draws during recovery and diverge from the pre-crash timeline;
@@ -33,9 +34,13 @@ wholly absent, never half-applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import PowerManagementError
 from repro.telemetry.collector import TelemetrySnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.manager import CycleReport
 
 __all__ = ["CycleRecord", "ControllerCheckpoint", "JournalRecovery", "StateJournal"]
 
@@ -46,21 +51,11 @@ class CycleRecord:
 
     Attributes:
         cycle: The manager's 1-based cycle index after this cycle.
-        time: Simulated time of the cycle.
-        power_w: The power the cycle acted on (post-perturbation meter
-            reading, or the Formula (1) estimate when unmetered).
-        metered: Whether ``power_w`` came from the meter; replay feeds
-            only metered readings back into threshold learning, exactly
-            as the live cycle did.
-        state: The classified :class:`~repro.core.states.PowerState`
-            value string (after any forced-red override).
-        forced_red: Whether the blackout rung forced this cycle red.
-        action: The :class:`~repro.core.capping.CappingAction` value.
-        node_ids: The decision's commanded node ids (ordered pairs
-            ``(i, l)`` of Algorithm 1).
-        new_levels: The commanded levels, aligned with ``node_ids``.
-        time_in_green: ``Time_g`` after this cycle.
-        coverage: The sweep's fresh-telemetry fraction.
+        report: The :class:`~repro.core.manager.CycleReport` the cycle
+            returned.  Replay folds its power (only metered readings
+            feed threshold learning, exactly as the live cycle did), its
+            classified state after any forced-red override, and its
+            decision's ordered pairs ``(i, l)`` and ``Time_g``.
         blackout_streak: The manager's sub-coverage streak after this
             cycle (the forced-red rung's latch).
         snapshot: The cycle's telemetry snapshot.  The last record's
@@ -75,16 +70,7 @@ class CycleRecord:
     """
 
     cycle: int
-    time: float
-    power_w: float
-    metered: bool
-    state: str
-    forced_red: bool
-    action: str
-    node_ids: tuple[int, ...]
-    new_levels: tuple[int, ...]
-    time_in_green: int
-    coverage: float
+    report: CycleReport
     blackout_streak: int
     snapshot: TelemetrySnapshot
     actuator: dict

@@ -47,7 +47,6 @@ from repro.obs.trace import (
     AttrValue,
     CycleTracer,
     Span,
-    SpanHandle,
 )
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "ObsConfig",
     "Observability",
     "Span",
-    "SpanHandle",
     "flight_jsonl_lines",
     "jsonl_line",
     "resolve_obs",

@@ -14,9 +14,9 @@ timestamps, which keeps the trace deterministic and free of wall-clock
 reads (reprolint RL102).
 
 A disabled tracer is a shared no-op: :meth:`CycleTracer.begin_cycle`
-returns the null span and :meth:`CycleTracer.span` a reusable null
-context manager, so the instrumented call sites cost one attribute check
-and a handful of no-op method calls per cycle.
+and :meth:`CycleTracer.open_span` return the null span, and the
+instrumented call sites skip every stage span behind one ``enabled``
+check per cycle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Union
 from repro.errors import ObservabilityError
 from repro.types import Seconds
 
-__all__ = ["AttrValue", "Span", "SpanHandle", "CycleTracer", "NULL_SPAN"]
+__all__ = ["AttrValue", "Span", "CycleTracer", "NULL_SPAN"]
 
 #: Values a span attribute may carry (JSON scalars only, so the trace
 #: serializes canonically).
@@ -57,14 +57,6 @@ class Span:
         """Child spans in open order (empty for a leaf)."""
         return self._children if self._children is not None else []
 
-    def set(self, key: str, value: AttrValue) -> None:
-        """Attach one attribute (overwrites a previous value)."""
-        self.attrs[key] = value
-
-    def set_many(self, **attrs: AttrValue) -> None:
-        """Attach several attributes at once."""
-        self.attrs.update(attrs)
-
     def to_dict(self) -> dict[str, object]:
         """The span tree as JSON-ready nested dicts (deterministic order)."""
         record: dict[str, object] = {
@@ -92,62 +84,9 @@ class Span:
         )
 
 
-class _NullSpan(Span):
-    """The shared do-nothing span handed out by a disabled tracer."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("", 0.0, -1)
-        self.open = False
-
-    def set(self, key: str, value: AttrValue) -> None:
-        return None
-
-    def set_many(self, **attrs: AttrValue) -> None:
-        return None
-
-
-#: The span a disabled tracer hands out everywhere.
-NULL_SPAN: Span = _NullSpan()
-
-
-class SpanHandle:
-    """Context manager produced by :meth:`CycleTracer.span`.
-
-    One shared handle per tracer, rebound on every :meth:`CycleTracer.
-    span` call — the hot path allocates nothing per span.  ``__enter__``
-    binds the span that was just opened; ``__exit__`` closes the
-    innermost open span, which under ``with`` discipline (LIFO) is
-    always the right one.  Enter a handle immediately — holding it
-    across another ``span()`` call rebinds it.
-    """
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "CycleTracer | None", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        return self._span
-
-    def __exit__(
-        self, exc_type: object, exc: object, tb: object
-    ) -> None:
-        tracer = self._tracer
-        if tracer is None:
-            return
-        stack = tracer._stack
-        if len(stack) <= 1:
-            raise ObservabilityError(
-                "span exit with no open child span (exited twice?)"
-            )
-        child = stack.pop()
-        child.open = False
-
-
-_NULL_HANDLE = SpanHandle(None, NULL_SPAN)
+#: The span a disabled tracer hands out everywhere (never opened).
+NULL_SPAN = Span("", 0.0, -1)
+NULL_SPAN.open = False
 
 
 class CycleTracer:
@@ -155,7 +94,7 @@ class CycleTracer:
 
     Args:
         enabled: A disabled tracer performs no work and hands out the
-            shared null span / null context manager.
+            shared null span.
         sinks: Callables receiving each completed cycle's root span
             (the flight recorder's ring append, the in-memory whole-run
             trace, ...).  More can be attached with :meth:`add_sink`.
@@ -171,7 +110,6 @@ class CycleTracer:
         self._stack: list[Span] = []
         self._seq = 0
         self._cycles_traced = 0
-        self._handle = SpanHandle(self, NULL_SPAN)
         self._free: list[Span] = []
 
     # ------------------------------------------------------------------
@@ -195,7 +133,7 @@ class CycleTracer:
         """Return a completed cycle tree to the allocation pool.
 
         Steady-state tracing then allocates (almost) nothing per cycle:
-        :meth:`begin_cycle` and :meth:`span` reuse the pooled spans —
+        :meth:`begin_cycle` and :meth:`open_span` reuse the pooled spans —
         and their attrs dicts and children lists — instead of building
         fresh ones, which also keeps the garbage collector quiet (no
         per-cycle promotion churn from trees retained by the flight
@@ -247,24 +185,17 @@ class CycleTracer:
         self._stack.append(root)
         return root
 
-    def span(self, name: str) -> SpanHandle:
-        """Open a child span of the innermost open span (context manager)."""
-        if not self.enabled:
-            return _NULL_HANDLE
-        handle = self._handle
-        handle._span = self.open_span(name)
-        return handle
-
     def open_span(self, name: str) -> Span:
-        """Open a child span without a context manager (hot path).
+        """Open a child span of the innermost open span and return it.
 
-        Identical to :meth:`span` but returns the :class:`Span` itself;
-        the caller closes it with :meth:`close_span`.  The instrumented
-        control loop uses this form — guarded by one ``if tracing:``
-        check — so a disabled tracer costs literally nothing there, and
-        an enabled one skips the ``with``-protocol dispatch.  Exception
-        safety comes from :meth:`abort_cycle` in the loop's handler,
-        not from ``finally`` blocks.
+        The caller closes it with :meth:`close_span`.  The instrumented
+        control loop guards each stage's pair with one ``if tracing:``
+        check, so a disabled tracer costs literally nothing there.
+        Exception safety comes from :meth:`abort_cycle` in the loop's
+        handler, not from ``finally`` blocks.
+
+        Raises:
+            ObservabilityError: if no cycle is open.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -298,22 +229,6 @@ class CycleTracer:
             )
         child = stack.pop()
         child.open = False
-
-    def end_span(self, span: Span) -> None:
-        """Close ``span``; it must be the innermost open span.
-
-        Raises:
-            ObservabilityError: on out-of-order closing.
-        """
-        if not self.enabled:
-            return
-        if not self._stack or self._stack[-1] is not span:
-            raise ObservabilityError(
-                f"end_span({span.name!r}) out of order: innermost open "
-                "span differs"
-            )
-        span.open = False
-        self._stack.pop()
 
     def abort_cycle(self) -> None:
         """Discard the open cycle (exception unwound mid-cycle).

@@ -1,30 +1,11 @@
-"""Discrete-event simulation kernel.
+"""Reproducible random-stream management.
 
-A deliberately small, deterministic event-driven core used by every other
-subsystem:
-
-* :mod:`repro.sim.events` — the event record and the priority queue;
-* :mod:`repro.sim.engine` — the simulation clock and run loop;
-* :mod:`repro.sim.process` — periodic tasks and one-shot timers built on
-  top of the engine (the power-management control cycle is a periodic
-  task, as are telemetry sampling and job-phase advancement);
-* :mod:`repro.sim.random` — reproducible random-stream management.
-
-Determinism contract: two engines driven by the same callbacks, the same
-seeds and the same schedule produce bit-identical traces.  Ties in event
-time are broken by insertion order (FIFO), never by callback identity.
+Every stochastic component draws from a named substream of one
+:class:`~repro.sim.random.RandomSource`, so the same root seed reproduces
+a whole run.  Simulated time belongs to the fixed-period control loop
+of :mod:`repro.experiments.common`: one sampling period τ per tick.
 """
 
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, EventQueue
-from repro.sim.process import OneShotTimer, PeriodicTask
 from repro.sim.random import RandomSource
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "SimulationEngine",
-    "PeriodicTask",
-    "OneShotTimer",
-    "RandomSource",
-]
+__all__ = ["RandomSource"]

@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from repro.cluster import Cluster, NodeSpec
 from repro.power import NodePowerEstimator, PowerModel
-from repro.sim import RandomSource, SimulationEngine
+from repro.sim import RandomSource
 
 # Property-based tests must behave identically on every CI run: the
 # "deterministic" profile derandomises example generation (same examples
@@ -20,12 +20,6 @@ from repro.sim import RandomSource, SimulationEngine
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.register_profile("default", settings.default)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
-
-
-@pytest.fixture
-def engine() -> SimulationEngine:
-    """A fresh simulation engine at t=0."""
-    return SimulationEngine()
 
 
 @pytest.fixture

@@ -10,7 +10,9 @@ Two guarantees stand here:
    names, nesting, attribute keys) matches the checked-in golden file
    ``tests/golden/trace_structure.json``.  Adding, removing or renaming
    a span or attribute is a deliberate, reviewed change: regenerate the
-   golden file and update ``docs/observability.md`` alongside it.
+   golden file and update ``docs/observability.md`` alongside it.  The
+   attributes that appear only when the integrity defense or a
+   provision runtime is attached are pinned by name below.
 """
 
 import json
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro import ExperimentConfig, ObsConfig, run_experiment
+from repro.telemetry import IntegrityConfig
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "trace_structure.json"
 
@@ -27,6 +30,16 @@ SEED = 2012
 TRAINING_S = 60.0
 RUN_S = 120.0
 POLICY = "mpc"
+
+#: ``(span, attribute)`` pairs emitted only when a subsystem is attached:
+#: the integrity defense (first two) or a provision runtime (the rest).
+CONDITIONAL_ATTRS = {
+    ("estimate", "meter_distrusted"),
+    ("cycle", "quarantined_nodes"),
+    ("classify", "emergency_red"),
+    ("cycle", "capacity_w"),
+    ("cycle", "emergency_red"),
+}
 
 
 def _run(tmp_path: Path, tag: str):
@@ -44,6 +57,11 @@ def _run(tmp_path: Path, tag: str):
         ),
     )
     return run_experiment(cfg, POLICY)
+
+
+def _attr_keys(root) -> set[tuple[str, str]]:
+    """Every ``(span name, attribute key)`` pair of one cycle's tree."""
+    return {(span.name, key) for span in root.walk() for key in span.attrs}
 
 
 def _structure(span: dict) -> dict:
@@ -107,3 +125,25 @@ class TestGoldenStructure:
         ]
         for span in res.observability.spans:
             assert [c.name for c in span.children] == stages
+
+
+class TestConditionalAttributes:
+    def test_attached_subsystems_add_exactly_their_attributes(self, twin_runs):
+        _, plain, _ = twin_runs
+        plain_keys = {frozenset(_attr_keys(s)) for s in plain.observability.spans}
+        assert len(plain_keys) == 1
+        (base,) = plain_keys
+        assert not base & CONDITIONAL_ATTRS
+
+        cfg = ExperimentConfig.quick(
+            seed=SEED,
+            training_duration_s=TRAINING_S,
+            run_duration_s=RUN_S,
+            integrity=IntegrityConfig(),
+            attach_provision=True,
+            obs=ObsConfig(trace=True),
+        )
+        spans = run_experiment(cfg, POLICY).observability.spans
+        assert spans
+        for root in spans:
+            assert _attr_keys(root) == base | CONDITIONAL_ATTRS

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import CappingAction, CappingDecision, CycleReport, PowerState
 from repro.errors import PowerManagementError
 from repro.ha import ControllerCheckpoint, CycleRecord, StateJournal
 from repro.telemetry.collector import TelemetrySnapshot
@@ -21,18 +22,19 @@ def _snapshot(t: float) -> TelemetrySnapshot:
 
 
 def _record(cycle: int) -> CycleRecord:
+    empty = np.empty(0, dtype=np.int64)
     return CycleRecord(
         cycle=cycle,
-        time=float(cycle),
-        power_w=1000.0,
-        metered=True,
-        state="green",
-        forced_red=False,
-        action="none",
-        node_ids=(),
-        new_levels=(),
-        time_in_green=0,
-        coverage=1.0,
+        report=CycleReport(
+            time=float(cycle),
+            power_w=1000.0,
+            state=PowerState.GREEN,
+            decision=CappingDecision(
+                PowerState.GREEN, CappingAction.NONE, empty, empty, 0
+            ),
+            p_low=900.0,
+            p_high=1100.0,
+        ),
         blackout_streak=0,
         snapshot=_snapshot(float(cycle)),
         actuator={"cycle": cycle, "pending": (), "counters": {}},

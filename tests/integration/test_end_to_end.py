@@ -7,7 +7,6 @@ observable from the outside.
 """
 
 import numpy as np
-import pytest
 
 from repro.cluster import Cluster
 from repro.core import (
@@ -19,7 +18,7 @@ from repro.core import (
 from repro.core.policies import make_policy
 from repro.power import PowerModel, SystemPowerMeter
 from repro.scheduler import BatchScheduler, KeepQueueFilledFeeder
-from repro.sim import RandomSource, SimulationEngine, PeriodicTask
+from repro.sim import RandomSource
 from repro.workload import JobExecutor, RandomJobGenerator
 
 
@@ -64,6 +63,9 @@ def test_manager_keeps_power_under_control():
         scheduler.tick(float(t), 1.0)
         manager.control_cycle(float(t))
 
+    # One control cycle and one recorded power sample per tick.
+    assert manager.cycles == 600
+    assert manager.recorder.length("power_w") == 600
     power = manager.recorder.values("power_w")
     # Yellow-state control engaged at least once and degraded something.
     assert manager.state_count(PowerState.YELLOW) > 0
@@ -86,34 +88,6 @@ def test_degraded_jobs_actually_slow_down():
     step = victim.progress_s - before
     if victim.state.value == "running":
         assert step < 1.0  # strictly slower than real time
-
-
-def test_event_driven_composition():
-    """Wire scheduler and manager as periodic tasks on the sim engine —
-    the discrete-event composition used by the examples."""
-    cluster, model, scheduler = _build_world(seed=3)
-    engine = SimulationEngine()
-    sets = NodeSets(cluster)
-    meter = SystemPowerMeter(model, cluster.state)
-    thresholds = ThresholdController.fixed(
-        p_low=0.80 * cluster.theoretical_max_power(),
-        p_high=0.90 * cluster.theoretical_max_power(),
-    )
-    manager = PowerManager(cluster, sets, meter, thresholds, make_policy("mpc-c"))
-
-    sched_task = PeriodicTask(
-        engine, 1.0, lambda i: scheduler.tick(engine.now, 1.0), label="sched"
-    )
-    mgmt_task = PeriodicTask(
-        engine, 1.0, lambda i: manager.control_cycle(engine.now), label="mgmt"
-    )
-    sched_task.start()
-    mgmt_task.start()
-    engine.run(until=300.0)
-
-    assert manager.cycles == 300
-    assert scheduler.started_count > 0
-    assert manager.recorder.length("power_w") == 300
 
 
 def test_privileged_nodes_never_touched():

@@ -2,12 +2,12 @@
 
 import time
 
-from repro.sim.engine import SimulationEngine
+from repro.telemetry.collector import TelemetrySnapshot
 
 
 def host_stamp() -> float:
     return time.perf_counter()
 
 
-def sim_now(engine: SimulationEngine) -> float:
-    return engine.now
+def sim_now(snapshot: TelemetrySnapshot) -> float:
+    return snapshot.time

@@ -23,8 +23,8 @@ def _trace_two_cycles():
     tracer.add_sink(spans.append)
     for t in (30.0, 60.0):
         tracer.begin_cycle(t)
-        with tracer.span("collect") as sp:
-            sp.set("size", 128)
+        tracer.open_span("collect").attrs["size"] = 128
+        tracer.close_span()
         tracer.end_cycle()
     return spans
 

@@ -4,14 +4,13 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import NULL_SPAN, CycleTracer, Span
-from repro.obs.trace import _NULL_HANDLE
 
 
 class TestSpan:
     def test_to_dict_orders_keys_deterministically(self):
         span = Span("cycle", 3.0, 0)
-        span.set("b", 1)
-        span.set("a", 2)
+        span.attrs["b"] = 1
+        span.attrs["a"] = 2
         record = span.to_dict()
         assert list(record) == ["name", "t", "seq", "attrs"]
         # Attribute order is insertion order, not alphabetical.
@@ -22,19 +21,15 @@ class TestSpan:
         assert "attrs" not in record
         assert "children" not in record
 
-    def test_set_many_updates_in_order(self):
-        span = Span("x", 0.0, 0)
-        span.set_many(p=1, q=2)
-        assert span.attrs == {"p": 1, "q": 2}
-
     def test_walk_is_depth_first_preorder(self):
         tracer = CycleTracer()
         root = tracer.begin_cycle(0.0)
-        with tracer.span("a"):
-            with tracer.span("a1"):
-                pass
-        with tracer.span("b"):
-            pass
+        tracer.open_span("a")
+        tracer.open_span("a1")
+        tracer.close_span()
+        tracer.close_span()
+        tracer.open_span("b")
+        tracer.close_span()
         tracer.end_cycle()
         assert [s.name for s in root.walk()] == ["cycle", "a", "a1", "b"]
 
@@ -43,8 +38,9 @@ class TestCycleTracer:
     def test_nested_spans_close_and_attach(self):
         tracer = CycleTracer()
         root = tracer.begin_cycle(1.0)
-        with tracer.span("collect") as sp:
-            sp.set("coverage", 1.0)
+        sp = tracer.open_span("collect")
+        sp.attrs["coverage"] = 1.0
+        tracer.close_span()
         assert tracer.depth == 1  # only the root remains open
         done = tracer.end_cycle()
         assert done is root
@@ -57,8 +53,8 @@ class TestCycleTracer:
         seqs = []
         for t in (1.0, 2.0):
             root = tracer.begin_cycle(t)
-            with tracer.span("a") as sp:
-                seqs.append(sp.seq)
+            seqs.append(tracer.open_span("a").seq)
+            tracer.close_span()
             seqs.append(root.seq)
             tracer.end_cycle()
         assert sorted(seqs) == sorted(set(seqs))
@@ -66,8 +62,8 @@ class TestCycleTracer:
     def test_child_spans_share_cycle_time(self):
         tracer = CycleTracer()
         tracer.begin_cycle(7.5)
-        with tracer.span("a") as sp:
-            assert sp.time == pytest.approx(7.5)
+        assert tracer.open_span("a").time == pytest.approx(7.5)
+        tracer.close_span()
         tracer.end_cycle()
 
     def test_sinks_receive_completed_root(self):
@@ -86,20 +82,20 @@ class TestCycleTracer:
     def test_span_outside_cycle_raises(self):
         tracer = CycleTracer()
         with pytest.raises(ObservabilityError):
-            tracer.span("orphan")
+            tracer.open_span("orphan")
 
-    def test_out_of_order_end_raises(self):
+    def test_close_with_only_root_open_raises(self):
         tracer = CycleTracer()
         tracer.begin_cycle(0.0)
-        outer = tracer.span("outer").__enter__()
-        tracer.span("inner").__enter__()
+        tracer.open_span("a")
+        tracer.close_span()
         with pytest.raises(ObservabilityError):
-            tracer.end_span(outer)
+            tracer.close_span()
 
     def test_end_cycle_with_open_children_raises(self):
         tracer = CycleTracer()
         tracer.begin_cycle(0.0)
-        tracer.span("left-open").__enter__()
+        tracer.open_span("left-open")
         with pytest.raises(ObservabilityError):
             tracer.end_cycle()
 
@@ -111,7 +107,7 @@ class TestCycleTracer:
         seen = []
         tracer = CycleTracer(sinks=(seen.append,))
         tracer.begin_cycle(0.0)
-        tracer.span("partial").__enter__()
+        tracer.open_span("partial")
         tracer.abort_cycle()
         assert tracer.depth == 0
         assert seen == []
@@ -126,11 +122,6 @@ class TestDisabledTracer:
     def test_disabled_hands_out_shared_nulls(self):
         tracer = CycleTracer(enabled=False)
         assert tracer.begin_cycle(0.0) is NULL_SPAN
-        assert tracer.span("x") is _NULL_HANDLE
+        assert tracer.open_span("x") is NULL_SPAN
         assert tracer.end_cycle() is None
         assert tracer.cycles_traced == 0
-
-    def test_null_span_ignores_attributes(self):
-        NULL_SPAN.set("k", 1)
-        NULL_SPAN.set_many(a=2)
-        assert NULL_SPAN.attrs == {}

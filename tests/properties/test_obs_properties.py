@@ -35,10 +35,11 @@ def test_spans_properly_nested_and_closed(program, t):
     tracer = CycleTracer()
     root = tracer.begin_cycle(t)
     for i, grandchildren in enumerate(program):
-        with tracer.span(f"s{i}"):
-            for j in range(grandchildren):
-                with tracer.span(f"s{i}.{j}"):
-                    pass
+        tracer.open_span(f"s{i}")
+        for j in range(grandchildren):
+            tracer.open_span(f"s{i}.{j}")
+            tracer.close_span()
+        tracer.close_span()
     tracer.end_cycle()
 
     assert tracer.depth == 0

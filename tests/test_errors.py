@@ -20,7 +20,6 @@ def test_configuration_error_is_value_error():
 
 def test_runtime_family():
     for exc in (
-        errors.SimulationError,
         errors.SchedulingError,
         errors.PowerManagementError,
         errors.TelemetryError,

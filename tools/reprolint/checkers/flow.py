@@ -116,7 +116,6 @@ _HOST_TIME_CALLS = frozenset(
 #: (canonical type, attribute) pairs that read the simulated clock.
 _SIM_TIME_ATTRS = frozenset(
     {
-        ("repro.sim.engine.SimulationEngine", "now"),
         ("repro.telemetry.collector.TelemetrySnapshot", "time"),
     }
 )
