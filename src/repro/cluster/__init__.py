@@ -29,6 +29,7 @@ from repro.cluster.engine import (
     ClusterEngine,
     available_engines,
     canonical_power_sum,
+    canonical_power_sums,
     get_engine,
 )
 from repro.cluster.memory import MemorySpec
@@ -48,5 +49,6 @@ __all__ = [
     "ProcessorSpec",
     "available_engines",
     "canonical_power_sum",
+    "canonical_power_sums",
     "get_engine",
 ]

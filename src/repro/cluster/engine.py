@@ -43,13 +43,14 @@ if TYPE_CHECKING:
     from repro.cluster.state import ClusterState
     from repro.power.estimator import JobPowerTable
     from repro.power.model import PowerModel
-    from repro.workload.executor import FinishedJob, RunningJobTable
+    from repro.workload.executor import LoadModulation, RunningJobTable, StepBlock
     from repro.workload.job import Job
 
 __all__ = [
     "ClusterEngine",
     "available_engines",
     "canonical_power_sum",
+    "canonical_power_sums",
     "get_engine",
 ]
 
@@ -88,6 +89,18 @@ def canonical_power_sum(
         order = np.argsort(ids, kind="stable")
         vals = vals[order]
     return float(np.sum(vals))
+
+
+def canonical_power_sums(rows: np.ndarray) -> np.ndarray:
+    """:func:`canonical_power_sum` of each row of a ``(ticks, N)`` array
+    whose columns are in ascending node id: one total per tick.
+
+    numpy reduces every row of a C-contiguous array along its last axis
+    with the pairwise summation ``np.sum`` applies to that row alone, so
+    each total is the row's :func:`canonical_power_sum` bit for bit
+    (``tests/equivalence/test_block_numpy.py`` pins this).
+    """
+    return np.ascontiguousarray(rows, dtype=np.float64).sum(axis=1)
 
 
 class ClusterEngine(abc.ABC):
@@ -171,20 +184,26 @@ class ClusterEngine(abc.ABC):
         self,
         state: ClusterState,
         jobs: list[Job],
-        now: float,
+        now: np.ndarray,
         dt: float,
         rng: np.random.Generator,
         util_jitter_std: float,
         node_noise_std: float,
-        modulation_factor: float,
+        modulation: LoadModulation,
         table: RunningJobTable | None = None,
-    ) -> list[FinishedJob]:
-        """Advance every job in ``jobs`` (all RUNNING) by one tick.
+    ) -> StepBlock:
+        """Advance every job in ``jobs`` (all RUNNING) tick by tick.
 
-        Mutates job progress and the cluster state's load arrays; the
-        RNG is consumed in job-list order (per job: one shared jitter
-        draw, then one per-node noise draw per node), identically on
-        both engines.  ``table`` is the executor's cached
+        ``now`` holds the start time of each tick of a block of
+        consecutive ticks.  An engine steps at least the first tick,
+        and ends the block after the first tick in which a job
+        finishes; it may end it earlier.  The returned
+        :class:`~repro.workload.executor.StepBlock` says how far it got.
+        Each tick steps ``modulation`` once and then every job: it
+        mutates job progress and the cluster state's load arrays, and
+        consumes the RNG in the same order on both engines — the
+        modulation's innovation, then job by job one shared jitter draw
+        and one noise draw per node.  ``table`` is the executor's cached
         :class:`~repro.workload.executor.RunningJobTable` for ``jobs``;
         an engine may step from it instead of re-deriving the per-job
         constants.

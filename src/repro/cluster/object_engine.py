@@ -17,9 +17,10 @@ Bit-identity notes (the equivalence harness asserts all of these):
   scalar expression below brackets exactly like its vector twin;
 * ``numpy.random.Generator`` consumes its stream identically for ``m``
   scalar ``normal()`` draws and one size-``m`` draw, and
-  ``normal(0, σ)`` is ``σ·z`` bit for bit, so the per-job jitter and
-  per-node noise draws here read the same stream as the vector
-  engine's one scaled ``standard_normal`` draw per tick
+  ``normal(0, σ)`` is ``σ·z`` bit for bit, so the modulation
+  innovation, per-job jitter and per-node noise draws here, one tick
+  per call, read the same stream as the vector engine's one scaled
+  ``standard_normal`` draw per block of ticks
   (``tests/equivalence/test_batched_draw.py`` pins this);
 * dict accumulation in snapshot order equals ``numpy.bincount``'s
   left-to-right per-bin accumulation.
@@ -34,7 +35,12 @@ import numpy as np
 from repro.cluster.engine import ClusterEngine
 from repro.power.estimator import JobPowerTable
 from repro.telemetry.agent import NodeSample
-from repro.workload.executor import FinishedJob, RunningJobTable
+from repro.workload.executor import (
+    FinishedJob,
+    LoadModulation,
+    RunningJobTable,
+    StepBlock,
+)
 
 if TYPE_CHECKING:
     from repro.cluster.state import ClusterState
@@ -142,17 +148,20 @@ class ObjectEngine(ClusterEngine):
         self,
         state: ClusterState,
         jobs: list[Job],
-        now: float,
+        now: np.ndarray,
         dt: float,
         rng: np.random.Generator,
         util_jitter_std: float,
         node_noise_std: float,
-        modulation_factor: float,
+        modulation: LoadModulation,
         table: RunningJobTable | None = None,
-    ) -> list[FinishedJob]:
-        # ``table`` is ignored: the reference re-derives every per-job
-        # constant from the job itself, which is what makes it an oracle
-        # for the table-driven vector kernel.
+    ) -> StepBlock:
+        # One tick per call, whatever the block: the reference steps
+        # tick by tick.  ``table`` is ignored: the reference re-derives
+        # every per-job constant from the job itself, which is what makes
+        # it an oracle for the table-driven vector kernel.
+        start = float(now[0])
+        modulation_factor = modulation.step(dt, rng)
         finished: list[FinishedJob] = []
         top_level = state.spec.top_level
         for job in jobs:
@@ -178,19 +187,27 @@ class ObjectEngine(ClusterEngine):
                 time_to_finish = remaining / rate if rate > 0 else dt
                 job.progress_s = job.nominal_runtime_s
                 self._write_load(
-                    state, job, phase, now, rng,
+                    state, job, phase, start, rng,
                     util_jitter_std, node_noise_std, modulation_factor,
                 )
                 finished.append(
-                    FinishedJob(job=job, finish_time=now + time_to_finish)
+                    FinishedJob(job=job, finish_time=start + time_to_finish)
                 )
                 continue
             job.progress_s += step_work
             self._write_load(
-                state, job, phase, now, rng,
+                state, job, phase, start, rng,
                 util_jitter_std, node_noise_std, modulation_factor,
             )
-        return finished
+        ids = np.concatenate([job.nodes for job in jobs])
+        return StepBlock(
+            1,
+            finished,
+            ids,
+            state.cpu_util[ids][None, :],
+            state.mem_frac[ids][None, :],
+            state.nic_frac[ids][None, :],
+        )
 
     @staticmethod
     def _write_load(

@@ -5,12 +5,14 @@
 :class:`VectorEngine` is the production implementation of
 :class:`~repro.cluster.engine.ClusterEngine`: telemetry sweeps are fancy-
 indexed gathers, Formula (1) is fused array arithmetic, per-job
-aggregation is ``numpy.bincount``, and job stepping is whole-tick array
-work over the executor's cached
-:class:`~repro.workload.executor.RunningJobTable`: one batched RNG
-draw, a vectorised phase lookup, one ``speed_of`` gather with a
-segmented ``minimum.reduceat`` for the bottleneck rates, vectorised
-progress and finish detection, and one combined ``set_load`` write.
+aggregation is ``numpy.bincount``, and job stepping is array work over
+a block of ticks and the executor's cached
+:class:`~repro.workload.executor.RunningJobTable`: one ``speed_of``
+gather with a segmented ``minimum.reduceat`` for the bottleneck rates,
+progress summed tick by tick with ``add.accumulate``, a vectorised
+phase lookup per tick, finish and rate-change detection that end the
+block, one batched RNG draw for the whole block, and one combined load
+write.  A tick is a block of one; the managed window steps those.
 The only per-job Python is moving ``progress_s`` and
 ``degraded_exposure_s`` between the jobs and the arrays, since
 :class:`~repro.workload.job.Job` stays their only record.  No kernel
@@ -30,11 +32,12 @@ import numpy as np
 
 from repro.cluster.engine import ClusterEngine
 from repro.power.estimator import JobPowerTable, NodePowerEstimator
-from repro.workload.executor import FinishedJob, RunningJobTable
+from repro.workload.executor import FinishedJob, RunningJobTable, StepBlock
 
 if TYPE_CHECKING:
     from repro.cluster.state import ClusterState
     from repro.power.model import PowerModel
+    from repro.workload.executor import LoadModulation
     from repro.workload.job import Job
 
 __all__ = ["VectorEngine"]
@@ -92,68 +95,129 @@ class VectorEngine(ClusterEngine):
         self,
         state: ClusterState,
         jobs: list[Job],
-        now: float,
+        now: np.ndarray,
         dt: float,
         rng: np.random.Generator,
         util_jitter_std: float,
         node_noise_std: float,
-        modulation_factor: float,
+        modulation: LoadModulation,
         table: RunningJobTable | None = None,
-    ) -> list[FinishedJob]:
-        if not jobs:
-            return []
+    ) -> StepBlock:
         if table is None or table.jobs is not jobs:
             table = RunningJobTable(jobs)
         ids = table.node_ids
         progress = np.array([job.progress_s for job in jobs], dtype=float)
 
-        # Phase lookup, from the progress at the start of the tick.
-        # ``(p mod c) / c`` rounds to at most the float just below 1.0,
-        # so ``phase_at``'s extra ``% 1.0`` is the identity here.
-        pos = np.remainder(progress, table.cycle) / table.cycle
-        phase = (table.inner_bounds <= pos).sum(axis=0)
-        signature = table.signature.take(table.phase_base + phase, axis=1)
-        beta = signature[0]
-
-        # Bottleneck rate and degradation.  ``minimum.reduceat`` is an
+        # Bottleneck speed and degradation hold for the whole block: no
+        # DVFS level changes between ticks.  ``minimum.reduceat`` is an
         # exact segmented min — identical to the object engine's
         # per-node running min.
         s_min = np.minimum.reduceat(state.speed_of(ids), table.offsets)
-        rates = 1.0 / ((1.0 - beta) + beta / s_min)
         min_levels = np.minimum.reduceat(state.level[ids], table.offsets)
         degraded = min_levels < state.spec.top_level
 
-        # Progress and finish detection, written back to the jobs.
-        remaining = np.maximum(0.0, table.nominal - progress)
+        # The first tick's phase and rate, from the progress at its start.
+        phase = _phases(table, progress)
+        rates = _rates(table, phase, s_min)
+        phase = phase[None, :]
         step_work = rates * dt
+        ticks = len(now)
+        if ticks > 1:
+            # Look only as far as the first finish can be.
+            remaining = np.maximum(0.0, table.nominal - progress)
+            ticks = min(ticks, int(np.min(remaining / step_work)) + 2)
+        if ticks > 1:
+            # Progress at the start of each tick, were every rate to stay
+            # the first tick's.  ``add.accumulate`` adds one row at a
+            # time, so each entry is the tick-by-tick sum bit for bit.
+            path = np.empty((ticks, len(jobs)))
+            path[0] = progress
+            path[1:] = step_work
+            np.add.accumulate(path, axis=0, out=path)
+            phase = _phases(table, path)
+            changed = (_rates(table, phase, s_min) != rates).any(axis=1)
+            finishing = (
+                step_work >= np.maximum(0.0, table.nominal - path)
+            ).any(axis=1)
+            # The block ends before the first tick whose rate differs,
+            # or after the first tick in which a job finishes.
+            stops = np.flatnonzero(changed[1:] | finishing[:-1])
+            if stops.size:
+                ticks = int(stops[0]) + 1
+            phase = phase[:ticks]
+            progress = path[ticks - 1]
+
+        # The last tick: progress and finish detection, written back to
+        # the jobs.
+        remaining = np.maximum(0.0, table.nominal - progress)
         done = step_work >= remaining
         progress = np.where(done, table.nominal, progress + step_work)
         for job, value in zip(jobs, progress.tolist()):
             job.progress_s = value
         for j in degraded.nonzero()[0].tolist():
-            jobs[j].degraded_exposure_s += dt
+            exposure = jobs[j].degraded_exposure_s
+            for _ in range(ticks):
+                exposure += dt
+            jobs[j].degraded_exposure_s = exposure
+        start = float(now[ticks - 1])
         finished: list[FinishedJob] = []
         for j in done.nonzero()[0].tolist():
             rate, left = float(rates[j]), float(remaining[j])
             time_to_finish = left / rate if rate > 0 else dt
-            finished.append(FinishedJob(jobs[j], finish_time=now + time_to_finish))
+            finished.append(FinishedJob(jobs[j], finish_time=start + time_to_finish))
 
-        # One combined load write.  Job node sets are disjoint, so this
-        # equals the object engine's per-node writes; the association
-        # ``(signature · jitter) · node_factor`` matches its scalar
-        # product order.  With noise off every node factor is exactly
-        # 1.0, and the product is skipped.
-        jitter_z, noise_z = table.draw(rng, util_jitter_std > 0, node_noise_std > 0)
-        jitter: float | np.ndarray = modulation_factor
+        # Every tick's load, one row per tick.  Job node sets are
+        # disjoint, so the rows equal the object engine's per-node
+        # writes; the association ``(signature · (modulation · jitter))
+        # · node_factor`` matches its scalar product order.  With noise
+        # off every node factor is exactly 1.0, and the product is
+        # skipped.
+        modulation_z, jitter_z, noise_z = table.draw(
+            rng, ticks, modulation.drawn, util_jitter_std > 0, node_noise_std > 0
+        )
+        scale: float | np.ndarray = modulation.factor
+        if modulation_z is not None:
+            scale = np.array(modulation.advance(dt, modulation_z))[:, None]
         if jitter_z is not None:
-            jitter_factor = np.maximum(0.0, 1.0 + util_jitter_std * jitter_z)
-            jitter = modulation_factor * jitter_factor
-        load = (signature[1:] * jitter).take(table.node_job, axis=1)
+            scale = scale * np.maximum(0.0, 1.0 + util_jitter_std * jitter_z)
+        signature = table.signature.take(table.phase_base + phase, axis=1)
+        load = (signature[1:] * scale).take(table.node_job, axis=2)
         if noise_z is not None:
             load *= np.maximum(0.0, 1.0 + node_noise_std * noise_z)
         ramp = np.where(
-            table.ramped, np.minimum(1.0, (now - table.start) / table.ramp_s), 1.0
+            table.ramped,
+            np.minimum(1.0, (now[:ticks, None] - table.start) / table.ramp_s),
+            1.0,
         )
-        mem = (table.mem_fraction * ramp).take(table.node_job)
-        state.set_load(ids, cpu_util=load[0], mem_frac=mem, nic_frac=load[1])
-        return finished
+        mem = (table.mem_fraction * ramp).take(table.node_job, axis=1)
+        # Clipped as ``ClusterState.set_load`` clips; the state keeps
+        # the last tick.
+        cpu = np.fmin(np.fmax(load[0], 0.0), 1.0)
+        mem = np.fmin(np.fmax(mem, 0.0), 1.0)
+        nic = np.fmin(np.fmax(load[1], 0.0), 1.0)
+        state.cpu_util[ids] = cpu[-1]
+        state.mem_frac[ids] = mem[-1]
+        state.nic_frac[ids] = nic[-1]
+        return StepBlock(ticks, finished, ids, cpu, mem, nic)
+
+
+def _phases(table: RunningJobTable, progress: np.ndarray) -> np.ndarray:
+    """Each job's phase index at ``(n,)`` or ``(ticks, n)`` progress
+    values.
+
+    ``(p mod c) / c`` rounds to at most the float just below 1.0, so
+    ``phase_at``'s extra ``% 1.0`` is the identity here.
+    """
+    pos = np.remainder(progress, table.cycle) / table.cycle
+    bounds = table.inner_bounds
+    if pos.ndim > 1:
+        bounds = bounds[:, None, :]
+    return (bounds <= pos).sum(axis=0)
+
+
+def _rates(
+    table: RunningJobTable, phase: np.ndarray, s_min: np.ndarray
+) -> np.ndarray:
+    """Bulk-synchronous progress rates at the given phase indices."""
+    beta = table.signature[0].take(table.phase_base + phase)
+    return 1.0 / ((1.0 - beta) + beta / s_min)

@@ -26,12 +26,12 @@ simulator's sharper version of the paper's "statistically identical
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.engine import available_engines
+from repro.cluster.engine import available_engines, canonical_power_sums
 from repro.core.manager import PowerManager
 from repro.core.policies.base import SelectionPolicy, make_policy
 from repro.core.sets import CandidateSelector, NodeSets
@@ -227,7 +227,9 @@ class ExperimentConfig:
         """The configuration the benchmark suite runs: 2 h training +
         1.5 h evaluation at quarter-scale runtimes.  This is the smallest
         setting whose results sit inside the paper's reported bands (see
-        EXPERIMENTS.md); ~15 s of wall clock per run."""
+        EXPERIMENTS.md).  One run takes about 0.4 s of wall clock
+        uncapped and 1.8 s under MPC (one core of a 2-vCPU VM, Python
+        3.11, numpy 2.4)."""
         base = cls(
             runtime_scale=0.25,
             training_duration_s=7200.0,
@@ -319,6 +321,11 @@ class ExperimentResult:
     provision_stats: ProvisionStats | None = None
 
 
+#: The most control periods one unmanaged step covers; it bounds the
+#: ``(ticks, N)`` arrays a step holds.
+BLOCK_TICKS = 512
+
+
 class _World:
     """A fresh simulated world: cluster + scheduler + stream + model."""
 
@@ -364,19 +371,80 @@ class _World:
         self.scheduler.tick(self.now, dt)
         return self.now
 
+    def advance(self, end: float) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the unmanaged world by one scheduler step: every
+        control period up to the next job event, at most
+        :data:`BLOCK_TICKS` of them and none past ``end``.
+
+        With no manager attached no DVFS level changes, so while the
+        scheduler is quiet the periods up to the next job finish are
+        one block of the executor's (see
+        :meth:`~repro.scheduler.scheduler.BatchScheduler.tick_block`).
+        The times advance by sequential ``+= dt`` as :meth:`tick` does.
+
+        Returns:
+            The periods' end times ``(ticks,)`` and each period's
+            per-node power ``(ticks, N)``, bit for bit what
+            :meth:`tick` followed by ``model.node_power`` gives.
+        """
+        dt = self.config.control_period_s
+        steps = np.full(BLOCK_TICKS + 1, dt)
+        steps[0] = self.now
+        times = np.add.accumulate(steps)[1:]
+        times = times[: np.count_nonzero(times <= end + 1e-9)]
+        block = self.scheduler.tick_block(times, dt)
+        ticks = block.ticks
+        self.now = float(times[ticks - 1])
+        # The last tick draws what the state now holds (finishers
+        # released, new starts not yet loaded).  Before it, every node
+        # but the block's running ones held that same load.
+        state = self.cluster.state
+        node_power = np.repeat(self.model.node_power(state)[None, :], ticks, 0)
+        if ticks > 1:
+            ids = block.node_ids
+            node_power[:-1, ids] = self.model.evaluate_for_nodes(
+                ids,
+                state.level[ids],
+                block.cpu_util[:-1],
+                block.mem_frac[:-1],
+                block.nic_frac[:-1],
+            )
+        return times[:ticks], node_power
+
     def true_power(self) -> float:
         return self.model.system_power(self.cluster.state)
 
 
+def _run_unmanaged(
+    world: _World,
+    end: float,
+    on_node_power: Callable[[np.ndarray], None] | None = None,
+) -> tuple[list[float], list[float]]:
+    """Run the world with no manager attached until ``end``.
+
+    This is the training period and the uncapped baseline's main window.
+    ``on_node_power`` sees each period's per-node power in turn.
+
+    Returns:
+        Each control period's end time and total power.
+    """
+    dt = world.config.control_period_s
+    times: list[float] = []
+    power: list[float] = []
+    while world.now + dt <= end + 1e-9:
+        ticks, node_power = world.advance(end)
+        times.extend(ticks.tolist())
+        power.extend(canonical_power_sums(node_power).tolist())
+        if on_node_power is not None:
+            for row in node_power:
+                on_node_power(row)
+    return times, power
+
+
 def _run_training(world: _World) -> float:
     """Run the unmanaged training period; return the recorded peak."""
-    cfg = world.config
-    peak = 0.0
-    end = cfg.training_duration_s
-    while world.now + cfg.control_period_s <= end + 1e-9:
-        world.tick()
-        peak = max(peak, world.true_power())
-    return peak
+    _, power = _run_unmanaged(world, world.config.training_duration_s)
+    return max([0.0, *power])
 
 
 def run_experiment(
@@ -534,44 +602,47 @@ def run_experiment(
     jobs_before = {j.job_id for j in world.scheduler.finished_jobs}
     times: list[float] = []
     power: list[float] = []
-    thermal: ThermalModel | None = None
+    track_node_power: Callable[[np.ndarray], None] | None = None
     reliability: ReliabilityTracker | None = None
     if config.track_thermal:
         thermal = ThermalModel(config.num_nodes)
         thermal.settle(world.model.node_power(world.cluster.state))
-        reliability = ReliabilityTracker()
+        tracker = reliability = ReliabilityTracker()
+
+        def step_thermal(node_power: np.ndarray) -> None:
+            temps = thermal.step(node_power, config.control_period_s)
+            tracker.accumulate(temps, config.control_period_s)
+
+        track_node_power = step_thermal
     controlled: list[float] = []
     track_truth = config.corruption.enabled or config.integrity is not None
     truth: list[float] = []
-    while world.now + config.control_period_s <= window_end + 1e-9:
-        now = world.tick()
+    if manager is None:
+        times, power = _run_unmanaged(world, window_end, track_node_power)
         if track_truth:
-            truth.append(world.true_power())
-        if ha_controller is not None:
-            report = ha_controller.control_cycle(now)
-            times.append(now)
-            if report is None:
-                # Controller down: nobody sensed, so the recorded value
-                # is the ground truth the dead manager never saw.
-                power.append(world.true_power())
-                controlled.append(0.0)
+            truth = list(power)
+    else:
+        while world.now + config.control_period_s <= window_end + 1e-9:
+            now = world.tick()
+            if track_truth:
+                truth.append(world.true_power())
+            if ha_controller is not None:
+                report = ha_controller.control_cycle(now)
+                times.append(now)
+                if report is None:
+                    # Controller down: nobody sensed, so the recorded value
+                    # is the ground truth the dead manager never saw.
+                    power.append(world.true_power())
+                    controlled.append(0.0)
+                else:
+                    power.append(report.power_w)
+                    controlled.append(1.0)
             else:
+                report = manager.control_cycle(now)
+                times.append(now)
                 power.append(report.power_w)
-                controlled.append(1.0)
-        elif manager is not None:
-            report = manager.control_cycle(now)
-            times.append(now)
-            power.append(report.power_w)
-        else:
-            times.append(now)
-            power.append(world.true_power())
-        if thermal is not None:
-            temps = thermal.step(
-                world.model.node_power(world.cluster.state),
-                config.control_period_s,
-            )
-            assert reliability is not None
-            reliability.accumulate(temps, config.control_period_s)
+            if track_node_power is not None:
+                track_node_power(world.model.node_power(world.cluster.state))
 
     if world.obs is not None:
         # End-of-run trigger: the flight recorder's last-N window, then

@@ -68,6 +68,10 @@ class NodeAllocator:
             return None
         return idle[:needed]
 
-    def free_nodes(self) -> int:
-        """Current number of idle nodes."""
-        return int(self._cluster.state.idle_mask().sum())
+    def free_nodes(self, blocked: np.ndarray | None = None) -> int:
+        """Current number of idle nodes, leaving out ``blocked`` ones
+        (the mask :meth:`try_allocate` takes)."""
+        mask = self._cluster.state.idle_mask()
+        if blocked is not None:
+            mask &= ~np.asarray(blocked, dtype=bool)
+        return int(mask.sum())

@@ -19,7 +19,11 @@ Implementation notes:
   estimated completion ``now + estimate`` does not exceed the head's
   reservation time, **or** it uses only nodes the head won't need
   (the standard spare-node condition collapses to a count comparison on
-  a homogeneous whole-node machine).
+  a homogeneous whole-node machine);
+* nodes fenced offline by the power-emergency ladder (see
+  :meth:`~repro.scheduler.scheduler.BatchScheduler.take_offline`) are
+  never counted idle, never allocated, and not counted as freed when
+  the job holding them ends.
 
 The class is a drop-in replacement for
 :class:`~repro.scheduler.scheduler.BatchScheduler` (same ``tick``
@@ -66,6 +70,11 @@ class BackfillScheduler(BatchScheduler):
     # ------------------------------------------------------------------
     # Scheduling override
     # ------------------------------------------------------------------
+    def quiet(self) -> bool:
+        """Never: a backfill pass may start a later job at any tick, so
+        :meth:`tick_block` runs one interval per call."""
+        return False
+
     def _start_fcfs(self, now: float) -> None:
         # First run the plain FCFS pass (starts the head while it fits).
         super()._start_fcfs(now)
@@ -80,7 +89,7 @@ class BackfillScheduler(BatchScheduler):
         # Try to backfill the remaining queued jobs in FIFO order.
         for job in list(self._queue)[1:]:
             needed = self._allocator.nodes_needed(job.nprocs)
-            idle = self._allocator.free_nodes()
+            idle = self._allocator.free_nodes(blocked=self._offline)
             if needed > idle:
                 continue
             spare_now = idle - head_nodes_needed
@@ -96,13 +105,17 @@ class BackfillScheduler(BatchScheduler):
         """Earliest time the head is guaranteed its nodes.
 
         Walks running jobs in estimated-completion order, releasing
-        their nodes onto the idle pool until the head fits.
+        their nodes onto the idle pool until the head fits.  Nodes
+        fenced offline count as neither idle nor freed.
         """
-        idle = self._allocator.free_nodes()
+        idle = self._allocator.free_nodes(blocked=self._offline)
         if idle >= head_nodes_needed:
             return now
         completions = sorted(
-            (self._estimated_completion(job, now), len(job.nodes))
+            (
+                self._estimated_completion(job, now),
+                int((~self._offline[job.nodes]).sum()),
+            )
             for job in self._running.values()
         )
         freed = idle
@@ -118,7 +131,7 @@ class BackfillScheduler(BatchScheduler):
         return now + job.remaining_work_s
 
     def _start_out_of_order(self, job: Job, now: float) -> None:
-        nodes = self._allocator.try_allocate(job.nprocs)
+        nodes = self._allocator.try_allocate(job.nprocs, blocked=self._offline)
         if nodes is None:  # raced with another backfill in this pass
             return
         self._queue.remove(job.job_id)

@@ -6,7 +6,9 @@ advances running jobs through the :class:`~repro.workload.executor.JobExecutor`,
 and retires completions (releasing their nodes).  It is driven by a single
 ``tick(now, dt)`` call per control interval; in experiments that call
 comes from the fixed-period loop of ``_World.tick`` in
-:mod:`repro.experiments.common`.
+:mod:`repro.experiments.common`.  Where no manager is attached, that
+loop calls :meth:`BatchScheduler.tick_block` instead, which runs the
+quiet intervals up to the next job finish in one call.
 
 Ordering within one tick matters and is fixed as:
 
@@ -40,9 +42,9 @@ from repro.cluster.state import ClusterState
 from repro.errors import SchedulingError
 from repro.obs.facade import Observability, resolve_obs
 from repro.scheduler.allocator import NodeAllocator
-from repro.scheduler.feeder import Feeder
+from repro.scheduler.feeder import Feeder, KeepQueueFilledFeeder
 from repro.scheduler.queue import JobQueue
-from repro.workload.executor import JobExecutor
+from repro.workload.executor import JobExecutor, StepBlock
 from repro.workload.job import Job, JobState
 
 __all__ = ["BatchScheduler"]
@@ -213,23 +215,62 @@ class BatchScheduler:
         Returns:
             Jobs that finished during this interval.
         """
-        finished_now = self._advance_and_retire(now, dt)
-        self._feeder.poll(now, self._queue)
-        self._start_fcfs(now)
-        return finished_now
+        block = self._executor.advance(list(self._running.values()), now - dt, dt)
+        return self._close_interval(now, block)
 
-    def _advance_and_retire(self, now: float, dt: float) -> list[Job]:
-        notices = self._executor.advance(
-            list(self._running.values()), now - dt, dt
+    def tick_block(self, times: np.ndarray, dt: float) -> StepBlock:
+        """Run consecutive scheduling intervals ending at ``times``, as
+        many as one job-stepping call covers while nothing can start.
+
+        While the scheduler is quiet (see :meth:`quiet`) the intervals
+        before the next job finish cannot start, retire or enqueue
+        anything, so they are the executor's alone: it steps a block of
+        them in one call, ending with the first interval in which a job
+        finishes (or earlier; at least one).  That last interval is
+        closed as :meth:`tick` closes one.  Otherwise only the first
+        interval runs.  The result equals that many :meth:`tick` calls
+        bit for bit.
+
+        Returns:
+            The executor's :class:`~repro.workload.executor.StepBlock`;
+            its ``ticks`` intervals ran, the last ending at
+            ``times[ticks - 1]``.
+        """
+        if not self.quiet():
+            times = times[:1]
+        block = self._executor.advance(
+            list(self._running.values()), times - dt, dt
         )
+        self._close_interval(float(times[block.ticks - 1]), block)
+        return block
+
+    def quiet(self) -> bool:
+        """Whether no job can start or arrive before the next finish.
+
+        Strict FCFS with the keep-filled feeder: the queue is not empty
+        (so the feeder adds nothing) and its head does not fit the idle
+        nodes outside the offline fence (so nothing starts).  Within one
+        :meth:`tick_block` call neither can change before a job
+        finishes and frees its nodes.
+        """
+        if not self._queue or not isinstance(self._feeder, KeepQueueFilledFeeder):
+            return False
+        needed = self._allocator.nodes_needed(self._queue.peek().nprocs)
+        return needed > self._allocator.free_nodes(blocked=self._offline)
+
+    def _close_interval(self, now: float, block: StepBlock) -> list[Job]:
+        """Retire the finishers of the interval ending at ``now``, then
+        poll the feeder and start what fits."""
         finished_now: list[Job] = []
-        for notice in notices:
+        for notice in block.finished:
             job = notice.job
             job.finish(notice.finish_time)
             self._cluster.state.release_job(job.nodes)
             del self._running[job.job_id]
             self._finished.append(job)
             finished_now.append(job)
+        self._feeder.poll(now, self._queue)
+        self._start_fcfs(now)
         return finished_now
 
     def _start_fcfs(self, now: float) -> None:

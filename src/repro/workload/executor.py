@@ -1,9 +1,9 @@
-"""Advances running jobs each control tick and drives the cluster state.
+"""Advances running jobs tick by tick and drives the cluster state.
 
 # reprolint: hot-path
 
 The executor is the bridge between the workload models and the machine
-model.  Once per tick (``dt`` seconds, normally the telemetry/control
+model.  Each tick (``dt`` seconds, normally the telemetry/control
 interval τ) every running job:
 
 1. looks up its current :class:`~repro.workload.phases.Phase` from its
@@ -19,14 +19,22 @@ interval τ) every running job:
    jitter, shared across the job's nodes plus per-node noise) and the
    ramping memory footprint into the structure-of-arrays cluster state.
 
+Before the jobs move, the cluster-wide :class:`LoadModulation` takes
+its own step.
+
 The stepping itself is delegated to a
-:class:`~repro.cluster.engine.ClusterEngine`.  The vector engine does
-all four steps for every running job at once, as array work over a
-:class:`RunningJobTable`: the per-job constants (nominal runtime, cycle
-length, phase rows, memory ramp, node layout), which the executor builds
-once per distinct ordered set of running jobs and reuses on every tick
-until a job starts, finishes, is suspended, resumed or killed.  The
-object engine re-derives everything job by job and node by node.  Both
+:class:`~repro.cluster.engine.ClusterEngine`.  One call may cover a
+block of consecutive ticks (:meth:`JobExecutor.advance` takes one start
+time per tick) and reports what it did as a :class:`StepBlock`.  The
+vector engine does all four steps for every running job and every tick
+of the block at once, as array work over a :class:`RunningJobTable`:
+the per-job constants (nominal runtime, cycle length, phase rows, memory
+ramp, node layout), which the executor builds once per distinct ordered
+set of running jobs and reuses until a job starts, finishes, is
+suspended, resumed or killed.  It ends a block after the first tick in
+which a job finishes, or before the first tick whose progress rates
+would differ from the first tick's.  The object engine steps one tick
+per call and re-derives everything job by job and node by node.  Both
 consume the executor's RNG stream identically, so the engines are
 interchangeable bit for bit.
 
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +57,13 @@ from repro.errors import WorkloadError
 from repro.workload.job import Job, JobState
 from repro.workload.phases import PhaseSchedule
 
-__all__ = ["JobExecutor", "FinishedJob", "RunningJobTable"]
+__all__ = [
+    "JobExecutor",
+    "FinishedJob",
+    "LoadModulation",
+    "RunningJobTable",
+    "StepBlock",
+]
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,79 @@ class FinishedJob:
 
     job: Job
     finish_time: float
+
+
+class StepBlock(NamedTuple):
+    """What one call of the job-stepping kernel did.
+
+    ``ticks`` consecutive ticks (at least one) of every running job;
+    ``finished`` holds the completion notices, which only the last tick
+    can carry.  ``cpu_util``, ``mem_frac`` and ``nic_frac`` are
+    ``(ticks, m)``: the load each tick wrote to ``node_ids`` (every
+    running job's nodes, in table order), clipped to [0, 1] as the
+    cluster state holds it.  The state is left with the last tick's load.
+    """
+
+    ticks: int
+    finished: list[FinishedJob]
+    node_ids: np.ndarray
+    cpu_util: np.ndarray
+    mem_frac: np.ndarray
+    nic_frac: np.ndarray
+
+
+class LoadModulation:
+    """The cluster-wide AR(1) load multiplier shared by every job.
+
+    Each tick the zero-mean state steps ``x ← ρ·x + √(1−ρ²)·σ·z`` with
+    ``ρ = exp(−dt/τ)`` and ``z`` one standard-normal draw; the
+    multiplier is ``1 + x`` clamped to [0.55, 1.45].  With ``σ = 0``
+    nothing is drawn and the multiplier stays 1.0.
+
+    Args:
+        std: Stationary std-dev ``σ``.
+        tau_s: Correlation time ``τ``, seconds.
+    """
+
+    def __init__(self, std: float, tau_s: float) -> None:
+        self.std = std
+        self.tau_s = tau_s
+        self.value = 0.0
+
+    @property
+    def drawn(self) -> bool:
+        """Whether each tick consumes a draw."""
+        return self.std != 0.0
+
+    @property
+    def factor(self) -> float:
+        """The current multiplier (≈ 1.0 on average)."""
+        return min(1.45, max(0.55, 1.0 + self.value))
+
+    def step(self, dt: float, rng: np.random.Generator) -> float:
+        """One tick, drawing its innovation as ``rng.normal(0, σ)``;
+        returns the new multiplier."""
+        if self.drawn:
+            rho = float(np.exp(-dt / self.tau_s))
+            innovation = rng.normal(0.0, self.std)
+            self.value = rho * self.value + (1.0 - rho * rho) ** 0.5 * innovation
+        return self.factor
+
+    def advance(self, dt: float, z: np.ndarray) -> list[float]:
+        """One tick per standard-normal draw in ``z``; returns each
+        tick's multiplier.  ``σ·z`` is the ``normal(0, σ)`` draw bit for
+        bit (``tests/equivalence/test_block_numpy.py`` pins it), and the
+        recurrence runs tick by tick, in the float operations of
+        :meth:`step`."""
+        rho = float(np.exp(-dt / self.tau_s))
+        gain = (1.0 - rho * rho) ** 0.5
+        value = self.value
+        factors: list[float] = []
+        for innovation in (self.std * z).tolist():
+            value = rho * value + gain * innovation
+            factors.append(min(1.45, max(0.55, 1.0 + value)))
+        self.value = value
+        return factors
 
 
 class RunningJobTable:
@@ -87,7 +175,7 @@ class RunningJobTable:
       ``node_job`` — ``(m,)`` the job index of each entry.
 
     The table also keeps where each job's jitter and each node's noise
-    sit in a tick's one random draw (see :meth:`draw`).
+    sit in a tick's row of the one random draw (see :meth:`draw`).
     """
 
     def __init__(self, jobs: list[Job]) -> None:
@@ -141,27 +229,48 @@ class RunningJobTable:
         self._noise_slots = np.arange(len(self.node_ids)) + self.node_job + 1
 
     def draw(
-        self, rng: np.random.Generator, jitter: bool, noise: bool
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """One tick's standard-normal draws: ``(per job, per node)``.
+        self,
+        rng: np.random.Generator,
+        ticks: int,
+        modulation: bool,
+        jitter: bool,
+        noise: bool,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """The standard-normal draws of ``ticks`` ticks: ``(per tick,
+        per tick and job, per tick and node)``, shaped ``(ticks,)``,
+        ``(ticks, n)`` and ``(ticks, m)``.
 
-        The stream order is the object engine's: job by job, the job's
-        jitter draw (if ``jitter``), then one draw per node (if
-        ``noise``).  It comes from one ``standard_normal`` call, split
-        into the two kinds of slot.  ``Generator`` fills a size-k draw
-        from the same stream k scalar draws consume, and ``normal(0, σ)``
-        is ``σ · z`` bit for bit, so scaling these by σ replays the
-        per-job draws exactly (``tests/equivalence/test_batched_draw.py``
-        pins both facts).  A kind that is off is not drawn (``None``).
+        The stream order is the object engine's, tick by tick: the load
+        modulation's innovation (if ``modulation``), then job by job the
+        job's jitter draw (if ``jitter``) and one draw per node (if
+        ``noise``).  It comes from one ``standard_normal`` call, one row
+        per tick, split into the kinds of slot.  ``Generator`` fills a
+        size-k draw from the same stream k scalar draws consume, and
+        ``normal(0, σ)`` is ``σ · z`` bit for bit, so scaling these by σ
+        replays the per-tick, per-job draws exactly
+        (``tests/equivalence/test_batched_draw.py`` pins both facts).  A
+        kind that is off is not drawn (``None``).  One row per tick is
+        the per-tick order again (``tests/equivalence/test_block_numpy.py``
+        pins the block layout).
         """
+        lead = int(modulation)
+        width = lead + len(self.jobs) * jitter + len(self.node_ids) * noise
+        if width == 0:
+            return None, None, None
+        z = rng.standard_normal(ticks * width).reshape(ticks, width)
+        innovations = z[:, 0] if modulation else None
+        body = z[:, lead:]
         if jitter and noise:
-            z = rng.standard_normal(len(self.jobs) + len(self.node_ids))
-            return z[self._jitter_slots], z[self._noise_slots]
+            return (
+                innovations,
+                body.take(self._jitter_slots, axis=1),
+                body.take(self._noise_slots, axis=1),
+            )
         if jitter:
-            return rng.standard_normal(len(self.jobs)), None
+            return innovations, body, None
         if noise:
-            return None, rng.standard_normal(len(self.node_ids))
-        return None, None
+            return innovations, None, body
+        return innovations, None, None
 
     def holds(self, jobs: list[Job]) -> bool:
         """Whether ``jobs`` are this table's jobs, in the same order."""
@@ -215,9 +324,9 @@ class JobExecutor:
         self._rng = rng
         self._util_jitter = float(util_jitter_std)
         self._node_noise = float(node_noise_std)
-        self._modulation_std = float(modulation_std)
-        self._modulation_tau = float(modulation_tau_s)
-        self._modulation = 0.0  # AR(1) state, zero-mean
+        self._modulation = LoadModulation(
+            float(modulation_std), float(modulation_tau_s)
+        )
         self._engine = get_engine(engine)
         self._table: RunningJobTable | None = None
 
@@ -229,51 +338,48 @@ class JobExecutor:
     @property
     def modulation_factor(self) -> float:
         """Current cluster-wide load multiplier (≈ 1.0 on average)."""
-        return min(1.45, max(0.55, 1.0 + self._modulation))
+        return self._modulation.factor
 
-    def advance(self, jobs: list[Job], now: float, dt: float) -> list[FinishedJob]:
-        """Advance every RUNNING job in ``jobs`` by one tick.
+    def advance(
+        self, jobs: list[Job], now: float | np.ndarray, dt: float
+    ) -> StepBlock:
+        """Advance every RUNNING job in ``jobs`` by one or more ticks.
 
         Args:
             jobs: Jobs to advance (non-running entries are skipped).
-            now: Simulated time at the *start* of the tick.
+            now: Simulated time at the *start* of the tick, or one start
+                time per tick of a block of consecutive ticks.  The
+                engine steps at least the first and may stop early (see
+                :meth:`~repro.cluster.engine.ClusterEngine.step_jobs`).
             dt: Tick length, seconds.
 
         Returns:
-            Completion notices for jobs whose work finished during this
-            tick, with interpolated finish instants in ``(now, now+dt]``.
-            The executor does **not** transition job state or release
-            nodes — the scheduler owns those side effects.
+            The :class:`StepBlock`: how many ticks were stepped, and the
+            completion notices of the last one, with interpolated finish
+            instants in ``(start, start+dt]`` of that tick.  The executor
+            does **not** transition job state or release nodes — the
+            scheduler owns those side effects.
         """
         if dt <= 0:
             raise WorkloadError("tick length must be positive")
-        self._step_modulation(dt)
         running_state = JobState.RUNNING  # the enum lookup per job shows here
         running = [job for job in jobs if job.state is running_state]
         if not running:
-            return []
+            # A tick of the modulation alone.
+            self._modulation.step(dt, self._rng)
+            none = np.empty((1, 0))
+            return StepBlock(1, [], np.empty(0, dtype=np.int64), none, none, none)
         table = self._table
         if table is None or not table.holds(running):
             table = self._table = RunningJobTable(running)
         return self._engine.step_jobs(
             self._state,
             table.jobs,
-            now,
+            np.atleast_1d(now),
             dt,
             self._rng,
             self._util_jitter,
             self._node_noise,
-            self.modulation_factor,
+            self._modulation,
             table=table,
         )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _step_modulation(self, dt: float) -> None:
-        """Advance the cluster-wide AR(1) load modulation by ``dt``."""
-        if self._modulation_std == 0.0:
-            return
-        rho = float(np.exp(-dt / self._modulation_tau))
-        innovation = self._rng.normal(0.0, self._modulation_std)
-        self._modulation = rho * self._modulation + (1.0 - rho * rho) ** 0.5 * innovation

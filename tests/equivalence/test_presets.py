@@ -5,7 +5,9 @@ Each preset runs the identical seeded experiment on the vector and the
 object engine and compares every ``ExperimentResult`` field (power
 series, metrics, fault/provision/HA statistics, per-job outcomes) by
 exact digest; the journal test compares the raw ``CycleRecord`` decision
-traces of a manually-driven manager.
+traces of a manually-driven manager.  The uncapped cells run the main
+window unmanaged, where the vector engine steps blocks of ticks and the
+object engine ticks, so they check the block path end to end.
 """
 
 from __future__ import annotations
@@ -26,6 +28,19 @@ from tests.equivalence.harness import (
 def test_preset_results_bit_identical(preset: str) -> None:
     vector, obj = run_pair(policy="mpc", seed=2012, preset=preset)
     assert_results_equal(vector, obj, context=preset)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_uncapped_results_bit_identical(preset: str) -> None:
+    vector, obj = run_pair(policy=None, seed=2012, preset=preset)
+    assert_results_equal(vector, obj, context=f"{preset}/uncapped")
+
+
+def test_uncapped_thermal_tracking_bit_identical() -> None:
+    # Thermal tracking steps on each tick's node-power row of a block.
+    vector, obj = run_pair(policy=None, seed=2012, track_thermal=True)
+    assert vector.peak_temperature_c is not None
+    assert_results_equal(vector, obj, context="clean/uncapped/thermal")
 
 
 def test_clean_preset_across_policies() -> None:

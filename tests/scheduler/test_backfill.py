@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.scheduler import BackfillScheduler, JobQueue, ListFeeder
+from repro.cluster import Cluster
+from repro.scheduler import (
+    BackfillScheduler,
+    BatchScheduler,
+    JobQueue,
+    KeepQueueFilledFeeder,
+    ListFeeder,
+)
 from repro.sim import RandomSource
-from repro.workload import Job, JobExecutor, get_application
+from repro.workload import Job, JobExecutor, RandomJobGenerator, get_application
 
 
 def _executor(cluster):
@@ -82,6 +89,44 @@ def test_backfill_blocked_head_spare_rule(small_cluster):
     sched.tick(1.0, 1.0)
     assert spare.state.value == "running"
     assert sched.backfilled_count == 1
+
+
+def test_backfill_respects_the_offline_fence(small_cluster):
+    """Fenced idle nodes are neither counted idle nor allocated: a short
+    job that would backfill onto them waits, as it does under FCFS."""
+    long_job = _job(0, nprocs=10 * 12)
+    head = _job(1, nprocs=10 * 12)
+    short = _job(2, nprocs=2 * 12)
+    short.progress_s = short.nominal_runtime_s - 1.0
+    sched = _scheduler(small_cluster, [long_job, head, short])
+    sched.take_offline(np.arange(10, 16), now=0.0)
+    sched.tick(1.0, 1.0)
+    assert long_job.nodes.tolist() == list(range(10))
+    assert head.state.value == "pending"
+    assert short.state.value == "pending"
+    assert sched.backfilled_count == 0
+    # Two nodes back in the pool: now the short job fits beside the
+    # fence, and finishes before the head's reservation.
+    sched.bring_online(np.arange(10, 12))
+    sched.tick(2.0, 1.0)
+    assert short.nodes.tolist() == [10, 11]
+    assert sched.backfilled_count == 1
+
+
+def test_backfill_scheduler_ticks_one_interval_per_block():
+    """A backfill pass may start a later job at any tick, so the
+    scheduler is never quiet and ``tick_block`` runs one interval where
+    strict FCFS, blocked behind the same wide head, runs a block."""
+    ticks = {}
+    for cls in (BatchScheduler, BackfillScheduler):
+        cluster = Cluster.tianhe_1a(num_nodes=16)
+        generator = RandomJobGenerator(
+            RandomSource(seed=3).stream("gen"), nprocs_choices=(10 * 12,)
+        )
+        sched = cls(cluster, _executor(cluster), KeepQueueFilledFeeder(generator))
+        sched.tick(1.0, 1.0)  # one 10-node job runs, the next one waits
+        ticks[cls] = sched.tick_block(np.arange(2.0, 10.0), 1.0).ticks
+    assert ticks == {BatchScheduler: 8, BackfillScheduler: 1}
 
 
 def test_fifo_restored_after_backfill(small_cluster):

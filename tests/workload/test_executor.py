@@ -1,4 +1,4 @@
-"""Unit tests for the job executor (per-tick advancement)."""
+"""Unit tests for the job executor (per-tick and block advancement)."""
 
 import numpy as np
 import pytest
@@ -76,7 +76,7 @@ def test_completion_interpolated_exactly(small_cluster):
     job = _start_job(small_cluster, np.arange(4))
     nominal = job.nominal_runtime_s
     job.progress_s = nominal - 0.25  # quarter of a second of work left
-    notices = ex.advance([job], now=100.0, dt=1.0)
+    notices = ex.advance([job], now=100.0, dt=1.0).finished
     assert len(notices) == 1
     assert notices[0].finish_time == pytest.approx(100.25)
     assert job.remaining_work_s == 0.0
@@ -86,17 +86,17 @@ def test_completion_not_issued_twice(small_cluster):
     ex = _executor(small_cluster)
     job = _start_job(small_cluster, np.arange(4))
     job.progress_s = job.nominal_runtime_s - 0.5
-    notices = ex.advance([job], now=0.0, dt=1.0)
+    notices = ex.advance([job], now=0.0, dt=1.0).finished
     assert len(notices) == 1
     job.finish(notices[0].finish_time)
     # Finished jobs are skipped on later ticks.
-    assert ex.advance([job], now=1.0, dt=1.0) == []
+    assert ex.advance([job], now=1.0, dt=1.0).finished == []
 
 
 def test_non_running_jobs_skipped(small_cluster):
     ex = _executor(small_cluster)
     pending = Job(job_id=5, app=get_application("EP"), nprocs=8, submit_time=0.0)
-    assert ex.advance([pending], now=0.0, dt=1.0) == []
+    assert ex.advance([pending], now=0.0, dt=1.0).finished == []
     assert pending.progress_s == 0.0
 
 
@@ -186,5 +186,55 @@ def test_steady_ticks_skip_runtime_and_phase_lookups(
 
         monkeypatch.setattr(owner, name, counted)
     for t in range(1, 50):
-        assert ex.advance(jobs, now=float(t), dt=1.0) == []
+        assert ex.advance(jobs, now=float(t), dt=1.0).finished == []
     assert bool(calls) is expect_calls
+
+
+def _block_starts(first: float, ticks: int) -> np.ndarray:
+    """Start times of ``ticks`` one-second ticks, summed one at a time."""
+    return np.add.accumulate(np.r_[first, np.ones(ticks - 1)])
+
+
+def test_block_ends_with_the_first_finish(small_cluster):
+    ex = _executor(small_cluster, engine="vector")
+    job = _start_job(small_cluster, np.arange(4))
+    job.progress_s = job.nominal_runtime_s - 10.5
+    block = ex.advance([job], now=_block_starts(0.0, 64), dt=1.0)
+    assert block.ticks == 11
+    assert [n.job for n in block.finished] == [job]
+    assert block.finished[0].finish_time == pytest.approx(10.5)
+    assert block.cpu_util.shape == (11, 4)
+
+
+def test_block_runs_to_its_last_tick_without_a_finish(small_cluster):
+    ex = _executor(small_cluster, engine="vector")
+    job = _start_job(small_cluster, np.arange(4))
+    block = ex.advance([job], now=_block_starts(0.0, 20), dt=1.0)
+    assert (block.ticks, block.finished) == (20, [])
+    assert job.progress_s == 20.0
+    np.testing.assert_array_equal(small_cluster.state.cpu_util[:4], block.cpu_util[-1])
+
+
+def test_block_ends_before_the_rate_changes(small_cluster):
+    """Below the top level a job's rate depends on its phase's
+    compute-boundness, so a phase change ends the block early."""
+    ex = _executor(small_cluster, engine="vector")
+    job = _start_job(small_cluster, np.arange(4), app="SP", nprocs=64)
+    small_cluster.state.set_levels(np.arange(4), 2)
+    done = 0
+    cuts = 0
+    while done < 400:
+        block = ex.advance([job], now=_block_starts(float(done), 64), dt=1.0)
+        assert block.finished == []
+        cuts += block.ticks < 64
+        done += block.ticks
+    assert cuts >= 2
+    assert job.degraded_exposure_s == float(done)
+
+
+def test_object_engine_steps_one_tick_per_call(small_cluster):
+    ex = _executor(small_cluster, engine="object")
+    job = _start_job(small_cluster, np.arange(4))
+    block = ex.advance([job], now=_block_starts(0.0, 8), dt=1.0)
+    assert block.ticks == 1
+    assert job.progress_s == 1.0
