@@ -79,12 +79,12 @@ def main() -> None:
         make_policy("mpc"),
     )
     print("[managed] 900 s under MPC...")
+    power = []
     for t in range(601, 1501):
         scheduler.tick(float(t), 1.0)
-        manager.control_cycle(float(t))
+        power.append(manager.control_cycle(float(t)).power_w)
 
-    power = manager.recorder.values("power_w")
-    print(f"\ncapped P_max: {fmt_power(power.max())} "
+    print(f"\ncapped P_max: {fmt_power(max(power))} "
           f"(vs training peak {fmt_power(peak)})")
     print(f"cycles: green {manager.state_count(PowerState.GREEN)}, "
           f"yellow {manager.state_count(PowerState.YELLOW)}, "

@@ -58,10 +58,11 @@ def main() -> None:
     print(f"\n[managed] {RUN_S}s under MPC; thresholds re-checked every "
           f"{T_P} cycles...")
     adjustments = []
+    reports = []
     for t in range(TRAINING_S + 1, TRAINING_S + RUN_S + 1):
         scheduler.tick(float(t), 1.0)
         before = thresholds.adjustments
-        manager.control_cycle(float(t))
+        reports.append(manager.control_cycle(float(t)))
         if thresholds.adjustments != before:
             adjustments.append((t, thresholds.p_low, thresholds.p_high))
 
@@ -72,9 +73,10 @@ def main() -> None:
     else:
         print("  no adjustments — the training peak was never exceeded.")
 
-    times, power = manager.recorder.arrays("power_w")
-    _, p_low_series = manager.recorder.arrays("p_low_w")
-    _, p_high_series = manager.recorder.arrays("p_high_w")
+    times = np.array([r.time for r in reports])
+    power = np.array([r.power_w for r in reports])
+    p_low_series = np.array([r.p_low for r in reports])
+    p_high_series = np.array([r.p_high for r in reports])
     stride = max(1, len(times) // 120)
     print()
     print(

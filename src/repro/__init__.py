@@ -27,7 +27,7 @@ Subpackages
 ``repro.power``        Formula (1) power model, meter, provision
 ``repro.workload``     NPB phase profiles, jobs, generator, executor
 ``repro.scheduler``    FCFS queue, first-fit allocator, feeders
-``repro.telemetry``    profiling agents, collector, cost model, recorder
+``repro.telemetry``    profiling agents, collector, cost model, integrity
 ``repro.core``         THE PAPER: sets, thresholds, Algorithm 1, policies
 ``repro.faults``       seeded fault injection + degraded-mode config
 ``repro.ha``           controller crash-recovery: journal, failover, fencing

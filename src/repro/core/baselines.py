@@ -27,22 +27,15 @@ accounting, determinism) applies unchanged.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from repro.cluster.cluster import Cluster
 from repro.core.capping import CappingAction, CappingDecision
 from repro.core.manager import PowerManager
-from repro.core.policies.base import PolicyContext, SelectionPolicy
-from repro.core.sets import NodeSets
+from repro.core.policies.base import PolicyContext
 from repro.core.states import PowerState
-from repro.core.thresholds import ThresholdController
 from repro.errors import ConfigurationError
-from repro.faults.degraded import DegradedModeConfig
-from repro.faults.injector import FaultInjector
-from repro.obs.facade import Observability
-from repro.power.meter import SystemPowerMeter
-from repro.telemetry.cost import ManagementCostModel
-from repro.telemetry.recorder import TimeSeriesRecorder
 
 __all__ = ["MimoFeedbackManager", "BudgetPartitionManager"]
 
@@ -69,33 +62,12 @@ class MimoFeedbackManager(PowerManager):
 
     def __init__(
         self,
-        cluster: Cluster,
-        sets: NodeSets,
-        meter: SystemPowerMeter,
-        thresholds: ThresholdController,
-        policy: SelectionPolicy,
-        steady_green_cycles: int = 10,
-        cost_model: ManagementCostModel | None = None,
-        recorder: TimeSeriesRecorder | None = None,
+        *args: Any,
         gain: float = 0.6,
         release_margin_fraction: float = 0.03,
-        fault_injector: FaultInjector | None = None,
-        degraded: DegradedModeConfig | None = None,
-        obs: Observability | None = None,
+        **kwargs: Any,
     ) -> None:
-        super().__init__(
-            cluster,
-            sets,
-            meter,
-            thresholds,
-            policy,
-            steady_green_cycles=steady_green_cycles,
-            cost_model=cost_model,
-            recorder=recorder,
-            fault_injector=fault_injector,
-            degraded=degraded,
-            obs=obs,
-        )
+        super().__init__(*args, **kwargs)
         if not 0.0 < gain <= 1.0:
             raise ConfigurationError("gain must lie in (0, 1]")
         if release_margin_fraction < 0:
@@ -184,36 +156,10 @@ class BudgetPartitionManager(PowerManager):
         ``policy`` is accepted but unused.)
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        sets: NodeSets,
-        meter: SystemPowerMeter,
-        thresholds: ThresholdController,
-        policy: SelectionPolicy,
-        steady_green_cycles: int = 10,
-        cost_model: ManagementCostModel | None = None,
-        recorder: TimeSeriesRecorder | None = None,
-        proportional: bool = True,
-        fault_injector: FaultInjector | None = None,
-        degraded: DegradedModeConfig | None = None,
-        obs: Observability | None = None,
-    ) -> None:
-        super().__init__(
-            cluster,
-            sets,
-            meter,
-            thresholds,
-            policy,
-            steady_green_cycles=steady_green_cycles,
-            cost_model=cost_model,
-            recorder=recorder,
-            fault_injector=fault_injector,
-            degraded=degraded,
-            obs=obs,
-        )
+    def __init__(self, *args: Any, proportional: bool = True, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self._proportional = bool(proportional)
-        self._num_levels = cluster.spec.num_levels
+        self._num_levels = self._cluster.spec.num_levels
 
     def _decide(self, state: PowerState, ctx: PolicyContext) -> CappingDecision:
         snapshot = ctx.snapshot

@@ -6,8 +6,8 @@ the candidate set's telemetry collector, the Formula (1) estimator, the
 threshold controller, Algorithm 1, a target-selection policy and the DVFS
 actuator.  The experiment harness calls :meth:`PowerManager.control_cycle`
 once per control period (normally equal to the sampling interval τ) and
-gets back a :class:`CycleReport`; the manager also appends the standard
-series (power, state, targets) to its recorder for the metrics layer.
+gets back a :class:`CycleReport`, the cycle's one record: the journal,
+the cycle's span tree and the experiment result are projections of it.
 
 When a :class:`~repro.faults.injector.FaultInjector` is attached, the
 manager runs a **degraded-mode fail-safe ladder** on top of Algorithm 1
@@ -86,7 +86,7 @@ from repro.ha.journal import (
     StateJournal,
 )
 from repro.obs.facade import Observability, resolve_obs
-from repro.obs.trace import CycleTracer, Span
+from repro.obs.trace import AttrValue
 from repro.power.estimator import NodePowerEstimator
 from repro.power.hetero import make_power_model
 from repro.power.meter import SystemPowerMeter
@@ -100,34 +100,12 @@ from repro.telemetry.integrity import (
     TelemetryValidator,
     screen_metered_power,
 )
-from repro.telemetry.recorder import TimeSeriesRecorder
 from repro.types import Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduler.scheduler import BatchScheduler
 
 __all__ = ["PowerManager", "CycleReport"]
-
-#: Standard recorder series names written by the manager.
-SERIES_POWER = "power_w"
-SERIES_STATE = "state_severity"
-SERIES_TARGETS = "targets"
-SERIES_P_LOW = "p_low_w"
-SERIES_P_HIGH = "p_high_w"
-#: Degraded-mode series, recorded only when a fault injector is attached
-#: (so fault-free runs keep the exact seed recorder content).
-SERIES_COVERAGE = "telemetry_coverage"
-SERIES_DEGRADED = "degraded_sensing"
-#: Telemetry-integrity series, recorded only when the integrity defense
-#: is configured (so fault-only and fault-free runs are untouched).
-SERIES_QUARANTINED = "quarantined_nodes"
-SERIES_TRUST_MIN = "trust_min"
-SERIES_METER_DISTRUSTED = "meter_distrusted"
-#: Power-delivery series, recorded only when a provision runtime is
-#: attached (fault-free and fault-only runs keep the seed content).
-SERIES_CAPACITY = "capacity_w"
-SERIES_BRANCH_OVER = "branch_over_w"
-
 
 @dataclass(frozen=True)
 class CycleReport:
@@ -180,7 +158,6 @@ class PowerManager:
         policy: Target-set selection policy for yellow cycles.
         steady_green_cycles: ``T_g`` for Algorithm 1 (paper: 10).
         cost_model: Management-cost accounting (Figure 5); optional.
-        recorder: Series recorder; a fresh one is created if omitted.
         fault_injector: Optional fault injector; attaching one arms the
             degraded-mode fail-safe ladder.
         degraded: Ladder thresholds (defaults when omitted).
@@ -231,7 +208,6 @@ class PowerManager:
         policy: SelectionPolicy,
         steady_green_cycles: int = 10,
         cost_model: ManagementCostModel | None = None,
-        recorder: TimeSeriesRecorder | None = None,
         fault_injector: FaultInjector | None = None,
         degraded: DegradedModeConfig | None = None,
         actuator: DvfsActuator | None = None,
@@ -286,7 +262,6 @@ class PowerManager:
             else DvfsActuator(cluster.state, fault_injector, obs=obs)
         )
         self._journal = journal
-        self.recorder = recorder if recorder is not None else TimeSeriesRecorder()
         self._cycles = 0
         self._state_counts = {s: 0 for s in PowerState}
         # Degraded-mode ladder state.
@@ -603,31 +578,13 @@ class PowerManager:
     # The control cycle
     # ------------------------------------------------------------------
     def control_cycle(self, now: Seconds) -> CycleReport:
-        """Sense → classify → decide → actuate, and record the series.
+        """Sense → classify → decide → actuate → journal, once.
 
-        When tracing is on, each cycle emits one span tree (``cycle`` →
-        ``collect`` / ``estimate`` / ``classify`` / ``select_targets``
-        / ``actuate`` / ``journal``); an exception unwinding mid-cycle
-        aborts the open tree so the tracer stays usable.
+        The returned :class:`CycleReport` is the cycle's one record:
+        the journal stores it, and when tracing is on the cycle's span
+        tree is projected from it (:meth:`_trace_cycle`).  A cycle that
+        raises emits no tree.
         """
-        tracer = self._obs.tracer
-        root = tracer.begin_cycle(now)
-        try:
-            report = self._traced_cycle(now, tracer, root)
-        except BaseException:
-            tracer.abort_cycle()
-            raise
-        tracer.end_cycle()
-        if report.state is PowerState.RED and self._last_state is not PowerState.RED:
-            # Trip after end_cycle so the dump includes the red cycle.
-            self._obs.trip("red_state_entry", now)
-        self._last_state = report.state
-        return report
-
-    def _traced_cycle(
-        self, now: Seconds, tracer: CycleTracer, root: Span
-    ) -> CycleReport:
-        tracing = tracer.enabled
         inj = self._injector
         if inj is not None:
             inj.begin_cycle(now)
@@ -644,11 +601,6 @@ class PowerManager:
                 if self._thresholds.set_envelope(emr.envelope_w()):
                     emr.envelope_renegotiations += 1
 
-        # Stages open/close spans directly (no ``with`` dispatch) under a
-        # single ``tracing`` guard; an exception unwinding mid-stage is
-        # cleaned up by ``abort_cycle`` in the caller's handler.
-        if tracing:
-            sp = tracer.open_span("collect")
         snapshot = self._collector.collect(now)
         if self._recovery_pending:
             # Recovery hold: tick off candidates that have reported
@@ -683,20 +635,11 @@ class PowerManager:
         # raises are clamped against this cycle's staleness; their
         # effect shows in the next sweep.
         self._actuator.begin_cycle(raise_ok=self._upgradable)
-        if tracing:
-            sp.attrs = {
-                "size": snapshot.size,
-                "coverage": snapshot.coverage,
-                "recovery_pending": len(self._recovery_pending),
-            }
-            tracer.close_span()
 
         quarantine_active = (
             self._validator is not None and self._validator.any_quarantined
         )
         meter_distrusted = False
-        if tracing:
-            sp = tracer.open_span("estimate")
         if metered:
             raw_power = self._meter.read()
             if inj is not None:
@@ -726,14 +669,7 @@ class PowerManager:
         else:
             power = self._estimate_system_power(snapshot)
             self._estimated_cycles += 1
-        if tracing:
-            sp.attrs = {"metered": metered, "power_w": power}
-            if self._meter_monitor is not None:
-                sp.attrs["meter_distrusted"] = meter_distrusted
-            tracer.close_span()
 
-        if tracing:
-            sp = tracer.open_span("classify")
         th = self._thresholds.thresholds
         state = classify_power_state(power, th.p_low, th.p_high)
         forced_red = False
@@ -757,19 +693,7 @@ class PowerManager:
             # are for budget *management*, not for physics.
             emergency_red = True
             state = PowerState.RED
-        if tracing:
-            sp.attrs = {
-                "state": state.value,
-                "p_low_w": th.p_low,
-                "p_high_w": th.p_high,
-                "forced_red": forced_red,
-            }
-            if emr is not None:
-                sp.attrs["emergency_red"] = emergency_red
-            tracer.close_span()
 
-        if tracing:
-            sp = tracer.open_span("select_targets")
         ctx = PolicyContext(
             snapshot=snapshot,
             previous=self._collector.previous,
@@ -778,64 +702,15 @@ class PowerManager:
             thresholds=th,
         )
         decision = self._decide(state, ctx)
-        if tracing:
-            sp.attrs = {
-                "action": decision.action.value,
-                "targets": decision.num_targets,
-                "time_in_green": decision.time_in_green,
-            }
-            tracer.close_span()
-
-        if tracing:
-            sp = tracer.open_span("actuate")
         actuation = self._actuator.apply(
             decision, raise_ok=self._upgradable, epoch=self._epoch
         )
-        if tracing:
-            sp.attrs = {
-                "commands": actuation.commands,
-                "effective": actuation.effective,
-                "noop": actuation.noop,
-                "suppressed": actuation.suppressed,
-                "lost": actuation.lost,
-                "delayed": actuation.delayed,
-                "fenced": actuation.fenced,
-            }
-            tracer.close_span()
-
         if emr is not None:
             self._provision_settle(emr, now, state, decision)
 
         self._cycles += 1
         self._state_counts[state] += 1
         self._last_cycle_time = now
-        rec = self.recorder
-        rec.record(SERIES_POWER, now, power)
-        rec.record(SERIES_STATE, now, state.severity)
-        rec.record(SERIES_TARGETS, now, decision.num_targets)
-        rec.record(SERIES_P_LOW, now, th.p_low)
-        rec.record(SERIES_P_HIGH, now, th.p_high)
-        if inj is not None:
-            rec.record(SERIES_COVERAGE, now, snapshot.coverage)
-            rec.record(
-                SERIES_DEGRADED, now, 1.0 if (forced_red or not metered) else 0.0
-            )
-        quarantined_count = 0
-        if self._validator is not None:
-            quarantined_count = int(self._validator.quarantined.sum())
-            trust = self._validator.trust
-            rec.record(SERIES_QUARANTINED, now, float(quarantined_count))
-            rec.record(
-                SERIES_TRUST_MIN, now, float(trust.min()) if len(trust) else 1.0
-            )
-            rec.record(
-                SERIES_METER_DISTRUSTED, now, 1.0 if meter_distrusted else 0.0
-            )
-        capacity_w: float | None = None
-        if emr is not None:
-            capacity_w = emr.runtime.capacity_w
-            rec.record(SERIES_CAPACITY, now, capacity_w)
-            rec.record(SERIES_BRANCH_OVER, now, emr.runtime.last_branch_over_w)
         report = CycleReport(
             time=now,
             power_w=power,
@@ -847,14 +722,16 @@ class PowerManager:
             coverage=snapshot.coverage,
             forced_red=forced_red,
             actuation=actuation,
-            quarantined_nodes=quarantined_count,
+            quarantined_nodes=(
+                0
+                if self._validator is None
+                else int(self._validator.quarantined.sum())
+            ),
             meter_distrusted=meter_distrusted,
-            capacity_w=capacity_w,
+            capacity_w=None if emr is None else emr.runtime.capacity_w,
             emergency_red=emergency_red,
         )
 
-        if tracing:
-            sp = tracer.open_span("journal")
         # Journal the completed cycle — unless this incarnation has
         # been deposed: fencing guards the log exactly like the
         # actuator, so a zombie primary cannot interleave its
@@ -874,34 +751,106 @@ class PowerManager:
             if self._journal.should_compact():
                 self._journal.compact(self.checkpoint())
                 compacted = True
-        if tracing:
-            sp.attrs = {"journaled": journaled, "compacted": compacted}
-            tracer.close_span()
 
         if self._metrics_on:
             self._last_power_w = power
             self._targets_hist.observe(float(decision.num_targets))
-        if tracing:
-            root.attrs = {
-                "cycle": self._cycles,
-                "power_w": power,
-                "ratio_high": (power / th.p_high) if th.p_high > 0.0 else None,
-                "state": state.value,
-                "metered": metered,
-                "coverage": snapshot.coverage,
-                "forced_red": forced_red,
-                "degraded": report.degraded,
-                "action": decision.action.value,
-                "targets": decision.num_targets,
-                "epoch": self._epoch,
-                "recovery_hold": bool(self._recovery_pending),
-            }
-            if self._validator is not None:
-                root.attrs["quarantined_nodes"] = quarantined_count
-            if emr is not None:
-                root.attrs["capacity_w"] = capacity_w
-                root.attrs["emergency_red"] = emergency_red
+        if self._obs.tracing:
+            self._trace_cycle(report, snapshot.size, journaled, compacted)
+        if state is PowerState.RED and self._last_state is not PowerState.RED:
+            # Trip after the tree is delivered so the dump includes the
+            # red cycle.
+            self._obs.trip("red_state_entry", now)
+        self._last_state = state
         return report
+
+    def _trace_cycle(
+        self, report: CycleReport, size: int, journaled: bool, compacted: bool
+    ) -> None:
+        """Project a finished cycle into its span tree and deliver it.
+
+        The tree is ``cycle`` → ``collect`` / ``estimate`` /
+        ``classify`` / ``select_targets`` / ``actuate`` / ``journal``.
+        Every attribute comes from the report, the snapshot size, the
+        recovery hold and the journal outcome; the attributes of an
+        unattached subsystem (integrity, provision) are left out.
+        """
+        decision = report.decision
+        act = report.actuation
+        assert act is not None  # every cycle this manager runs actuates
+        estimate: dict[str, AttrValue] = {
+            "metered": report.metered,
+            "power_w": report.power_w,
+        }
+        if self._meter_monitor is not None:
+            estimate["meter_distrusted"] = report.meter_distrusted
+        classify: dict[str, AttrValue] = {
+            "state": report.state.value,
+            "p_low_w": report.p_low,
+            "p_high_w": report.p_high,
+            "forced_red": report.forced_red,
+        }
+        if self._emergency is not None:
+            classify["emergency_red"] = report.emergency_red
+        stages: tuple[tuple[str, dict[str, AttrValue]], ...] = (
+            (
+                "collect",
+                {
+                    "size": size,
+                    "coverage": report.coverage,
+                    "recovery_pending": len(self._recovery_pending),
+                },
+            ),
+            ("estimate", estimate),
+            ("classify", classify),
+            (
+                "select_targets",
+                {
+                    "action": decision.action.value,
+                    "targets": decision.num_targets,
+                    "time_in_green": decision.time_in_green,
+                },
+            ),
+            (
+                "actuate",
+                {
+                    "commands": act.commands,
+                    "effective": act.effective,
+                    "noop": act.noop,
+                    "suppressed": act.suppressed,
+                    "lost": act.lost,
+                    "delayed": act.delayed,
+                    "fenced": act.fenced,
+                },
+            ),
+            ("journal", {"journaled": journaled, "compacted": compacted}),
+        )
+        tracer = self._obs.tracer
+        root = tracer.begin_cycle(report.time)
+        for name, attrs in stages:
+            tracer.open_span(name).attrs = attrs
+            tracer.close_span()
+        p_high = report.p_high
+        root.attrs = {
+            "cycle": self._cycles,
+            "power_w": report.power_w,
+            "ratio_high": (report.power_w / p_high) if p_high > 0.0 else None,
+            "state": report.state.value,
+            "metered": report.metered,
+            "coverage": report.coverage,
+            "forced_red": report.forced_red,
+            "degraded": report.degraded,
+            "action": decision.action.value,
+            "targets": decision.num_targets,
+            "epoch": self._epoch,
+            "recovery_hold": bool(self._recovery_pending),
+        }
+        if self._validator is not None:
+            root.attrs["quarantined_nodes"] = report.quarantined_nodes
+        if self._emergency is not None:
+            root.attrs["capacity_w"] = report.capacity_w
+            root.attrs["emergency_red"] = report.emergency_red
+        tracer.end_cycle()
 
     def _true_node_power_w(self) -> np.ndarray:
         """Per-node true power from the full live cluster state, watts.

@@ -62,7 +62,6 @@ from repro.scheduler.scheduler import BatchScheduler
 from repro.sim.random import RandomSource
 from repro.telemetry.cost import ManagementCostModel
 from repro.telemetry.integrity import IntegrityConfig
-from repro.telemetry.recorder import TimeSeriesRecorder
 from repro.workload.executor import JobExecutor
 from repro.workload.generator import RandomJobGenerator
 from repro.workload.job import Job
@@ -476,8 +475,9 @@ def run_experiment(
     # Sanity: the provision must satisfy the §II.D assumptions.
     PowerProvision(capability_w=provision_w).check_assumptions(world.cluster)
 
+    injected = config.faults.enabled or config.corruption.enabled
     manager: PowerManager | None = None
-    ha_controller: HaController | None = None
+    ha: HaController | None = None
     if policy is not None:
         if isinstance(policy, str):
             kwargs = {}
@@ -504,15 +504,9 @@ def run_experiment(
             noise_std_fraction=config.meter_noise_fraction,
             rng=world.rng.stream("meter.noise"),
         )
-        thresholds = ThresholdController.from_training(
-            training_peak,
-            margin_high=config.margin_high,
-            margin_low=config.margin_low,
-            adjust_every_cycles=config.adjust_every_cycles,
-        )
         factory = PowerManager if manager_factory is None else manager_factory
         manager_kwargs: dict[str, Any] = {"obs": world.obs}
-        if config.faults.enabled or config.corruption.enabled:
+        if injected:
             manager_kwargs["fault_injector"] = FaultInjector(
                 config.faults,
                 world.rng,
@@ -543,65 +537,50 @@ def run_experiment(
                 obs=world.obs,
             )
             manager_kwargs["scheduler"] = world.scheduler
+        journal: StateJournal | None = None
         if config.ha.enabled:
             # HA wiring: the actuator and journal outlive any single
             # manager incarnation (in-flight commands are in the
-            # network; the journal is the recovery source), and every
-            # incarnation appends to the same recorder so the series
-            # stay continuous across failovers.  Each incarnation gets
-            # a *fresh* threshold controller and collector — their
-            # learned state comes from the journal, not the factory.
+            # network; the journal is the recovery source).
             journal = StateJournal(config.ha.journal_compact_every)
-            actuator = DvfsActuator(
+            manager_kwargs["actuator"] = DvfsActuator(
                 world.cluster.state,
                 manager_kwargs.get("fault_injector"),
                 obs=world.obs,
             )
-            recorder = TimeSeriesRecorder()
+            manager_kwargs["journal"] = journal
 
-            def _make_manager() -> PowerManager:
-                return factory(
-                    world.cluster,
-                    sets,
-                    meter,
-                    ThresholdController.from_training(
-                        training_peak,
-                        margin_high=config.margin_high,
-                        margin_low=config.margin_low,
-                        adjust_every_cycles=config.adjust_every_cycles,
-                    ),
-                    policy_obj,
-                    steady_green_cycles=config.steady_green_cycles,
-                    cost_model=config.cost_model,
-                    recorder=recorder,
-                    actuator=actuator,
-                    journal=journal,
-                    **manager_kwargs,
-                )
-
-            manager = _make_manager()
-            ha_controller = HaController(
-                manager, _make_manager, journal, config.ha, obs=world.obs
-            )
-        else:
-            ha_controller = None
-            manager = factory(
+        def make_manager() -> PowerManager:
+            # Every incarnation gets a *fresh* threshold controller and
+            # collector: a successor's learned state comes from the
+            # journal, not from here.
+            return factory(
                 world.cluster,
                 sets,
                 meter,
-                thresholds,
+                ThresholdController.from_training(
+                    training_peak,
+                    margin_high=config.margin_high,
+                    margin_low=config.margin_low,
+                    adjust_every_cycles=config.adjust_every_cycles,
+                ),
                 policy_obj,
                 steady_green_cycles=config.steady_green_cycles,
                 cost_model=config.cost_model,
                 **manager_kwargs,
             )
 
+        manager = make_manager()
+        if journal is not None:
+            ha = HaController(
+                manager, make_manager, journal, config.ha, obs=world.obs
+            )
+    controller = manager if ha is None else ha
+
     # Main window.
     window_start = world.now
     window_end = window_start + config.run_duration_s
     jobs_before = {j.job_id for j in world.scheduler.finished_jobs}
-    times: list[float] = []
-    power: list[float] = []
     track_node_power: Callable[[np.ndarray], None] | None = None
     reliability: ReliabilityTracker | None = None
     if config.track_thermal:
@@ -614,33 +593,30 @@ def run_experiment(
             tracker.accumulate(temps, config.control_period_s)
 
         track_node_power = step_thermal
-    controlled: list[float] = []
     track_truth = config.corruption.enabled or config.integrity is not None
     truth: list[float] = []
-    if manager is None:
+    degraded: list[float] = []
+    controlled: list[float] = []
+    if controller is None:
         times, power = _run_unmanaged(world, window_end, track_node_power)
-        if track_truth:
-            truth = list(power)
+        truth = power
     else:
+        times, power = [], []
         while world.now + config.control_period_s <= window_end + 1e-9:
             now = world.tick()
             if track_truth:
                 truth.append(world.true_power())
-            if ha_controller is not None:
-                report = ha_controller.control_cycle(now)
-                times.append(now)
-                if report is None:
-                    # Controller down: nobody sensed, so the recorded value
-                    # is the ground truth the dead manager never saw.
-                    power.append(world.true_power())
-                    controlled.append(0.0)
-                else:
-                    power.append(report.power_w)
-                    controlled.append(1.0)
+            report = controller.control_cycle(now)
+            times.append(now)
+            if report is None:
+                # Controller down: nobody sensed, so the recorded value
+                # is the ground truth the dead manager never saw.
+                power.append(world.true_power())
+                controlled.append(0.0)
             else:
-                report = manager.control_cycle(now)
-                times.append(now)
                 power.append(report.power_w)
+                controlled.append(1.0)
+                degraded.append(1.0 if report.degraded else 0.0)
             if track_node_power is not None:
                 track_node_power(world.model.node_power(world.cluster.state))
 
@@ -657,9 +633,8 @@ def run_experiment(
     ]
     t_arr = np.asarray(times)
     p_arr = np.asarray(power)
-    truth_arr = np.asarray(truth) if track_truth else None
     run_label = label or (
-        "uncapped" if policy is None else getattr(manager.policy, "name", "custom")
+        "uncapped" if manager is None else getattr(manager.policy, "name", "custom")
     )
     # Corruption runs are graded on ground truth: ``p_arr`` is whatever
     # the (possibly lied-to) controller acted on, and a byzantine meter
@@ -667,59 +642,15 @@ def run_experiment(
     metrics = RunMetrics.evaluate(
         run_label,
         t_arr,
-        p_arr if truth_arr is None else truth_arr,
+        np.asarray(truth) if track_truth else p_arr,
         finished,
         provision_w,
     )
-    peak_temp = reliability.peak_temperature_c if reliability is not None else None
-    failures = reliability.expected_failures if reliability is not None else None
-
-    if manager is not None:
-        if ha_controller is not None:
-            # Failovers may have replaced the primary; report the
-            # incarnation that finished the run (its counters include
-            # everything the journal carried across takeovers).
-            manager = ha_controller.manager
-        state_cycles = {
-            s.value: manager.state_count(s) for s in PowerState
-        }
-        fault_stats = manager.fault_report()
-        degraded_flags = None
-        if manager.fault_injector is not None and "degraded_sensing" in manager.recorder:
-            degraded_flags = manager.recorder.values("degraded_sensing")
-            if len(degraded_flags) != len(t_arr):
-                # Downtime cycles record no sensing flags; the series
-                # cannot be aligned with the run's time axis.
-                degraded_flags = None
-        ha_stats = ha_controller.stats() if ha_controller is not None else None
-        controlled_flags = (
-            np.asarray(controlled) if ha_controller is not None else None
-        )
-        return ExperimentResult(
-            label=run_label,
-            config=config,
-            training_peak_w=training_peak,
-            provision_w=provision_w,
-            times=t_arr,
-            power_w=p_arr,
-            finished_jobs=finished,
-            metrics=metrics,
-            p_low_w=manager.thresholds.p_low,
-            p_high_w=manager.thresholds.p_high,
-            state_cycles=state_cycles,
-            management_cpu=manager.collector.management_cpu_utilization(),
-            commands_sent=manager.actuator.commands_sent,
-            entered_red=manager.ever_entered_red(),
-            peak_temperature_c=peak_temp,
-            expected_failures=failures,
-            fault_stats=fault_stats,
-            degraded_flags=degraded_flags,
-            ha_stats=ha_stats,
-            controlled_flags=controlled_flags,
-            true_power_w=np.asarray(truth) if track_truth else None,
-            observability=world.obs,
-            provision_stats=manager.provision_report(),
-        )
+    if ha is not None:
+        # Failovers may have replaced the primary; report the
+        # incarnation that finished the run (its counters include
+        # everything the journal carried across takeovers).
+        manager = ha.manager
     return ExperimentResult(
         label=run_label,
         config=config,
@@ -729,14 +660,45 @@ def run_experiment(
         power_w=p_arr,
         finished_jobs=finished,
         metrics=metrics,
-        p_low_w=(1.0 - config.margin_low) * training_peak,
-        p_high_w=(1.0 - config.margin_high) * training_peak,
-        state_cycles={},
-        management_cpu=0.0,
-        commands_sent=0,
-        entered_red=False,
-        peak_temperature_c=peak_temp,
-        expected_failures=failures,
+        p_low_w=(
+            (1.0 - config.margin_low) * training_peak
+            if manager is None
+            else manager.thresholds.p_low
+        ),
+        p_high_w=(
+            (1.0 - config.margin_high) * training_peak
+            if manager is None
+            else manager.thresholds.p_high
+        ),
+        state_cycles=(
+            {}
+            if manager is None
+            else {s.value: manager.state_count(s) for s in PowerState}
+        ),
+        management_cpu=(
+            0.0
+            if manager is None
+            else manager.collector.management_cpu_utilization()
+        ),
+        commands_sent=0 if manager is None else manager.actuator.commands_sent,
+        entered_red=manager is not None and manager.ever_entered_red(),
+        peak_temperature_c=(
+            None if reliability is None else reliability.peak_temperature_c
+        ),
+        expected_failures=(
+            None if reliability is None else reliability.expected_failures
+        ),
+        fault_stats=None if manager is None else manager.fault_report(),
+        # Downtime cycles sense nothing, so their flags cannot be
+        # aligned with the run's time axis.
+        degraded_flags=(
+            np.asarray(degraded)
+            if injected and len(degraded) == len(times)
+            else None
+        ),
+        ha_stats=None if ha is None else ha.stats(),
+        controlled_flags=None if ha is None else np.asarray(controlled),
         true_power_w=np.asarray(truth) if track_truth else None,
         observability=world.obs,
+        provision_stats=None if manager is None else manager.provision_report(),
     )

@@ -14,11 +14,11 @@ with the crash/recovery lifecycle:
   managers could act in one cycle) and ``restart_cycles`` for a cold
   restart;
 * at takeover the successor is built by the caller's ``manager_factory``
-  (sharing the cluster, node sets, meter, policy, fault injector,
-  recorder and — crucially — the **live actuator**, because in-flight
-  DVFS commands are in the network, not in the dead process), restored
-  from the :class:`~repro.ha.journal.StateJournal`, and fenced in by
-  advancing the actuator's epoch.  Anything the deposed primary still
+  (sharing the cluster, node sets, meter, policy, fault injector and —
+  crucially — the **live actuator**, because in-flight DVFS commands
+  are in the network, not in the dead process), restored from the
+  :class:`~repro.ha.journal.StateJournal`, and fenced in by advancing
+  the actuator's epoch.  Anything the deposed primary still
   has in flight is rejected at the fence, so no cycle is ever acted on
   by two managers — the invariant :attr:`DvfsActuator.epoch_conflicts`
   counts violations of (and the failover benchmark asserts stays zero).
@@ -83,8 +83,8 @@ class HaController:
         manager: The initial primary (already wired to the journal).
         manager_factory: Zero-argument callable building a successor
             manager that shares the primary's world — cluster, sets,
-            meter, policy, injector, recorder, journal and the same
-            actuator object — with *fresh* controller-internal state
+            meter, policy, injector, journal and the same actuator
+            object — with *fresh* controller-internal state
             (thresholds, collector, Algorithm 1).  The controller
             restores that state from the journal; the factory must not.
         journal: The shared state journal.

@@ -1,15 +1,18 @@
 """Telemetry-integrity metrics: quarantine exposure and estimate error.
 
-Companion of :mod:`repro.telemetry.integrity`.  A corruption run records
-three extra series (see :mod:`repro.core.manager`):
+Companion of :mod:`repro.telemetry.integrity`.  Each cycle of a
+defended run reports two integrity fields on its
+:class:`~repro.core.manager.CycleReport`:
 
-* ``quarantined_nodes`` — per-cycle count of quarantined candidates;
-* ``trust_min`` — the lowest per-node trust score that cycle;
-* ``meter_distrusted`` — 1.0 while the meter cross-check is rejecting
+* ``quarantined_nodes`` — the count of quarantined candidates;
+* ``meter_distrusted`` — whether the meter cross-check is rejecting
   the system meter.
 
-These functions grade a defended run from those series plus the
-simulator's ground-truth power trace:
+The lowest per-node trust score (``trust_min``) is no longer recorded
+per cycle; read it from
+:attr:`~repro.telemetry.integrity.TelemetryValidator.trust` after each
+cycle when needed.  These functions grade a defended run from series of
+those fields plus the simulator's ground-truth power trace:
 
 * :func:`quarantine_seconds` — wall-clock with at least one node in
   quarantine (how long the controller ran on the conservative
@@ -69,7 +72,7 @@ def _validate_series(
 def quarantine_seconds(times: np.ndarray, quarantined: np.ndarray) -> Seconds:
     """Wall-clock seconds with at least one node in quarantine.
 
-    ``quarantined`` is the recorded per-cycle quarantined-node count.
+    ``quarantined`` is the per-cycle quarantined-node count.
     Sample-and-hold: each inter-sample interval counts when its left
     sample has a positive count.  A single-sample trace has zero
     duration and therefore zero quarantine seconds.
@@ -102,7 +105,7 @@ def quarantine_node_seconds(times: np.ndarray, quarantined: np.ndarray) -> float
 def meter_distrust_seconds(times: np.ndarray, distrusted: np.ndarray) -> Seconds:
     """Wall-clock seconds the meter cross-check rejected the system meter.
 
-    ``distrusted`` is the recorded 0/1 ``meter_distrusted`` series.
+    ``distrusted`` is the per-cycle 0/1 ``meter_distrusted`` series.
     Sample-and-hold like the other episode metrics.
     """
     t, d = _validate_series(times, distrusted)

@@ -1,15 +1,16 @@
 """Power-delivery metrics: capacity shortfall and branch overload.
 
-Companion of :mod:`repro.provision`.  A provision-attached run records
-two extra series (see :mod:`repro.core.manager`):
+Companion of :mod:`repro.provision`.  Each cycle of a
+provision-attached run reports the surviving delivery capacity on its
+:class:`~repro.core.manager.CycleReport` (``capacity_w``: design
+capacity minus lost feeds, PDU derates and operator cap orders).  The
+branch overload (``branch_over_w``: the watts by which the worst branch
+circuit exceeds its surviving rating, 0.0 while every breaker is
+comfortable) is no longer recorded per cycle; read it from
+:attr:`~repro.provision.runtime.ProvisionRuntime.last_branch_over_w`
+after each cycle when needed.
 
-* ``capacity_w`` — the surviving delivery capacity each cycle (design
-  capacity minus lost feeds, PDU derates and operator cap orders);
-* ``branch_over_w`` — the summed watts by which branch circuits exceed
-  their surviving ratings that cycle (0.0 while every breaker is
-  comfortable).
-
-These functions grade a run from those series plus the power trace:
+These functions grade a run from such series plus the power trace:
 
 * :func:`capacity_shortfall_w_seconds` — ``∫ max(0, P − C) dt``, the
   over-capacity power-time integral.  This is the delivery-side analogue
@@ -22,7 +23,7 @@ These functions grade a run from those series plus the power trace:
   sample until draw first falls back under the recovery band (how long
   renegotiation plus the ladder took to chase a shrunken budget);
 * :func:`branch_overload_w_seconds` — the ``∫ branch_over dt``
-  integral (watt-seconds of local breaker abuse, summed over branches).
+  integral (watt-seconds of local breaker abuse).
 
 Series conventions match :mod:`repro.metrics.power`: aligned 1-D
 arrays, sample-and-hold episode accounting (an interval belongs to its
@@ -139,7 +140,7 @@ def branch_overload_w_seconds(
 ) -> float:
     """``∫ branch_over(t) dt``: watt-seconds of local breaker abuse.
 
-    ``branch_over_w`` is the recorded per-cycle sum of branch excesses;
+    ``branch_over_w`` is a per-cycle series of branch excesses;
     the integral distinguishes a brief deep overload from sustained
     simmering just above a rating — the latter is what actually trips
     thermal breakers.

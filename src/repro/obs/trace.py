@@ -1,12 +1,13 @@
 """Cycle tracing: nested spans with deterministic sim-time timestamps.
 
-Each control cycle the instrumented :class:`~repro.core.manager.
-PowerManager` opens one root ``cycle`` span and a child span per phase
-(``collect`` → ``estimate`` → ``classify`` → ``select_targets`` →
-``actuate`` → ``journal``).  Spans carry *simulated* timestamps only —
-never the host wall clock — plus explicit attributes (power, state,
-thresholds, target-set size, fencing epoch, degraded flags), so two runs
-from the same seed emit byte-identical traces.
+After each control cycle the :class:`~repro.core.manager.PowerManager`
+projects the cycle's finished :class:`~repro.core.manager.CycleReport`
+into one root ``cycle`` span with a child span per phase (``collect`` →
+``estimate`` → ``classify`` → ``select_targets`` → ``actuate`` →
+``journal``).  Spans carry *simulated* timestamps only — never the host
+wall clock — plus explicit attributes (power, state, thresholds,
+target-set size, fencing epoch, degraded flags), so two runs from the
+same seed emit byte-identical traces.
 
 Within one cycle every span shares the cycle's sim time; ordering is
 carried by a monotone per-tracer sequence number instead of sub-cycle
@@ -14,9 +15,8 @@ timestamps, which keeps the trace deterministic and free of wall-clock
 reads (reprolint RL102).
 
 A disabled tracer is a shared no-op: :meth:`CycleTracer.begin_cycle`
-and :meth:`CycleTracer.open_span` return the null span, and the
-instrumented call sites skip every stage span behind one ``enabled``
-check per cycle.
+and :meth:`CycleTracer.open_span` return the null span, and the manager
+skips building the tree behind one ``enabled`` check per cycle.
 """
 
 from __future__ import annotations
@@ -188,11 +188,7 @@ class CycleTracer:
     def open_span(self, name: str) -> Span:
         """Open a child span of the innermost open span and return it.
 
-        The caller closes it with :meth:`close_span`.  The instrumented
-        control loop guards each stage's pair with one ``if tracing:``
-        check, so a disabled tracer costs literally nothing there.
-        Exception safety comes from :meth:`abort_cycle` in the loop's
-        handler, not from ``finally`` blocks.
+        The caller closes it with :meth:`close_span`.
 
         Raises:
             ObservabilityError: if no cycle is open.
@@ -229,18 +225,6 @@ class CycleTracer:
             )
         child = stack.pop()
         child.open = False
-
-    def abort_cycle(self) -> None:
-        """Discard the open cycle (exception unwound mid-cycle).
-
-        Closes every open span without delivering anything to sinks and
-        without counting the cycle, so the next :meth:`begin_cycle`
-        starts clean.  A no-op when no cycle is open.
-        """
-        if not self.enabled:
-            return
-        while self._stack:
-            self._stack.pop().open = False
 
     def end_cycle(self) -> Span | None:
         """Close the root span and deliver the tree to every sink.

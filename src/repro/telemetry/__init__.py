@@ -13,8 +13,6 @@ sample and estimates per-node and per-job power.  We expose both views:
 * :class:`~repro.telemetry.cost.ManagementCostModel` — the CPU cost of
   central monitoring as a function of candidate-set size, the quantity
   Figure 5 plots to argue that monitoring must be restricted to a subset;
-* :class:`~repro.telemetry.recorder.TimeSeriesRecorder` — lightweight
-  append-only recording of power/metric series for post-processing;
 * :mod:`repro.telemetry.integrity` — the telemetry-integrity defense:
   per-sample validation, per-node trust scores and quarantine, and the
   meter-residual cross-check (counterpart of
@@ -30,7 +28,6 @@ from repro.telemetry.integrity import (
     TelemetryValidator,
     ValidationResult,
 )
-from repro.telemetry.recorder import TimeSeriesRecorder
 
 __all__ = [
     "AgentPool",
@@ -42,6 +39,5 @@ __all__ = [
     "TelemetryCollector",
     "TelemetrySnapshot",
     "TelemetryValidator",
-    "TimeSeriesRecorder",
     "ValidationResult",
 ]

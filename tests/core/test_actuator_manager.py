@@ -171,15 +171,12 @@ def test_manager_red_cycle_emergency(busy_cluster):
 
 
 def test_manager_records_series(busy_cluster):
+    """Each cycle's report is its record; collected, they are the series."""
     mgr = _manager(busy_cluster)
-    mgr.control_cycle(1.0)
-    mgr.control_cycle(2.0)
-    assert mgr.recorder.length("power_w") == 2
-    assert mgr.recorder.length("state_severity") == 2
-    assert mgr.recorder.length("targets") == 2
-    times, power = mgr.recorder.arrays("power_w")
-    np.testing.assert_array_equal(times, [1.0, 2.0])
-    assert np.all(power > 0)
+    reports = [mgr.control_cycle(1.0), mgr.control_cycle(2.0)]
+    assert mgr.cycles == 2
+    assert [r.time for r in reports] == [1.0, 2.0]
+    assert all(r.power_w > 0 for r in reports)
 
 
 def test_manager_full_loop_degrade_then_recover(busy_cluster):

@@ -228,20 +228,15 @@ def test_fault_free_manager_reports_nothing(busy_cluster):
     assert not report.forced_red and not report.degraded
     assert manager.fault_report() is None
     assert manager.fault_injector is None
-    # Degraded-mode series are not recorded on fault-free runs.
-    assert "telemetry_coverage" not in manager.recorder
-    assert "degraded_sensing" not in manager.recorder
 
 
-def test_recorder_gains_degraded_series_with_injector(busy_cluster):
+def test_reports_flag_degraded_sensing_with_injector(busy_cluster):
     inj = _FakeInjector(16)
     model = PowerModel(busy_cluster.spec)
     p_ref = model.system_power(busy_cluster.state)
     manager, _ = _manager(busy_cluster, p_ref * 1.2, p_ref * 1.5, inj)
-    manager.control_cycle(1.0)
+    first = manager.control_cycle(1.0)
     inj.meter_up = False
-    manager.control_cycle(2.0)
-    assert "telemetry_coverage" in manager.recorder
-    np.testing.assert_array_equal(
-        manager.recorder.values("degraded_sensing"), [0.0, 1.0]
-    )
+    second = manager.control_cycle(2.0)
+    assert [first.degraded, second.degraded] == [False, True]
+    assert first.coverage == 1.0

@@ -5,7 +5,8 @@ Reusable machinery for proving the vector and object engines are
 
 * :func:`run_pair` — one full ``run_experiment`` per engine from the
   same seed, compared field by field with :func:`assert_results_equal`
-  (exact digests, not tolerances);
+  (exact digests, not tolerances), or failing with the same
+  ``MetricError`` on both;
 * :func:`run_decision_trace` — a manually-driven
   :class:`~repro.core.manager.PowerManager` wired to a
   :class:`~repro.ha.StateJournal`, returning the journaled
@@ -30,6 +31,7 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.core import NodeSets, PowerManager, ThresholdController
 from repro.core.policies import make_policy
+from repro.errors import MetricError
 from repro.experiments.common import ExperimentConfig, ExperimentResult, run_experiment
 from repro.faults import CorruptionScenario, FaultScenario
 from repro.ha import HaConfig, StateJournal
@@ -89,14 +91,31 @@ def run_pair(
     seed: int = 2012,
     preset: str = "clean",
     **overrides: Any,
-) -> tuple[ExperimentResult, ExperimentResult]:
-    """One identical seeded run per engine; returns (vector, object)."""
+) -> tuple[ExperimentResult, ExperimentResult] | None:
+    """One identical seeded run per engine; returns (vector, object).
+
+    A world whose main window cannot be evaluated (``RunMetrics``
+    raises ``MetricError``, e.g. when no job finished) is agreement
+    only if both engines raise the same message; the pair then
+    returns ``None``.  One engine raising, or two different messages,
+    fails.
+    """
     kwargs = dict(PRESETS[preset])
     kwargs.update(overrides)
     results = []
+    errors = []
     for engine in ENGINES:
         config = make_config(engine, seed=seed, **kwargs)
-        results.append(run_experiment(config, policy=policy))
+        try:
+            results.append(run_experiment(config, policy=policy))
+        except MetricError as exc:
+            errors.append(str(exc))
+    if errors:
+        assert len(errors) == len(ENGINES) and len(set(errors)) == 1, (
+            f"engines disagree on a failed run: {len(results)} result(s), "
+            f"errors {errors}"
+        )
+        return None
     return results[0], results[1]
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.faults import FaultScenario, FaultStats
+from repro.ha import HaConfig
+from repro.telemetry import IntegrityConfig
 
 from tests.experiments.test_common import tiny_config
 
@@ -50,13 +52,31 @@ def test_heavy_scenario_exercises_degraded_sensing():
 
 
 def test_baselines_accept_fault_scenarios():
+    """Baselines take every optional subsystem a PowerManager takes."""
     from repro.core.baselines import BudgetPartitionManager, MimoFeedbackManager
 
-    cfg = tiny_config(faults=FaultScenario.light())
     for factory in (MimoFeedbackManager, BudgetPartitionManager):
-        result = run_experiment(cfg, "mpc", manager_factory=factory)
-        assert result.fault_stats is not None
-        assert np.all(np.isfinite(result.power_w))
+        faulted = run_experiment(
+            tiny_config(faults=FaultScenario.light()), "mpc", manager_factory=factory
+        )
+        assert faulted.fault_stats is not None
+        defended = run_experiment(
+            tiny_config(integrity=IntegrityConfig()), "mpc", manager_factory=factory
+        )
+        assert defended.true_power_w is not None
+        provisioned = run_experiment(
+            tiny_config(attach_provision=True), "mpc", manager_factory=factory
+        )
+        assert provisioned.provision_stats is not None
+        failed_over = run_experiment(
+            tiny_config(ha=HaConfig.warm(crash_at_cycles=(100,))),
+            "mpc",
+            manager_factory=factory,
+        )
+        assert failed_over.ha_stats is not None
+        assert failed_over.ha_stats.failovers == 1
+        for result in (faulted, defended, provisioned, failed_over):
+            assert np.all(np.isfinite(result.power_w))
 
 
 def test_invalid_scenario_probability_rejected():

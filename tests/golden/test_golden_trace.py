@@ -1,6 +1,6 @@
 """Golden-trace regression tests.
 
-Two guarantees stand here:
+Three guarantees stand here:
 
 1. **Bit-stable exporters** — the same seed and config produce
    byte-identical trace and flight-recorder JSONL files across two
@@ -12,7 +12,10 @@ Two guarantees stand here:
    a span or attribute is a deliberate, reviewed change: regenerate the
    golden file and update ``docs/observability.md`` alongside it.  The
    attributes that appear only when the integrity defense or a
-   provision runtime is attached are pinned by name below.
+   provision runtime is attached are pinned by name below;
+3. **One record, two projections** — the spans and the
+   ``ExperimentResult`` are both projected from each cycle's
+   ``CycleReport``, so they agree value for value.
 """
 
 import json
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro import ExperimentConfig, ObsConfig, run_experiment
+from repro.faults import FaultScenario
 from repro.telemetry import IntegrityConfig
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "trace_structure.json"
@@ -147,3 +151,26 @@ class TestConditionalAttributes:
         assert spans
         for root in spans:
             assert _attr_keys(root) == base | CONDITIONAL_ATTRS
+
+
+class TestSpansMatchResult:
+    def test_root_spans_project_the_result_series(self, twin_runs):
+        _, res, _ = twin_runs
+        spans = res.observability.spans
+        assert [s.time for s in spans] == res.times.tolist()
+        assert [s.attrs["power_w"] for s in spans] == res.power_w.tolist()
+        states = [s.attrs["state"] for s in spans]
+        assert {k: states.count(k) for k in res.state_cycles} == res.state_cycles
+
+    def test_root_degraded_flags_match_the_result(self):
+        cfg = ExperimentConfig.quick(
+            seed=SEED,
+            training_duration_s=TRAINING_S,
+            run_duration_s=RUN_S,
+            faults=FaultScenario.heavy(),
+            obs=ObsConfig(trace=True),
+        )
+        res = run_experiment(cfg, POLICY)
+        degraded = [s.attrs["degraded"] for s in res.observability.spans]
+        assert any(degraded)
+        assert degraded == [bool(f) for f in res.degraded_flags]

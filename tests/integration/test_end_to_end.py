@@ -59,19 +59,19 @@ def test_manager_keeps_power_under_control():
     manager = PowerManager(
         cluster, sets, meter, thresholds, make_policy("mpc"), steady_green_cycles=5
     )
+    power = []
     for t in range(201, 801):
         scheduler.tick(float(t), 1.0)
-        manager.control_cycle(float(t))
+        power.append(manager.control_cycle(float(t)).power_w)
 
-    # One control cycle and one recorded power sample per tick.
+    # One control cycle and one reported power sample per tick.
     assert manager.cycles == 600
-    assert manager.recorder.length("power_w") == 600
-    power = manager.recorder.values("power_w")
+    assert len(power) == 600
     # Yellow-state control engaged at least once and degraded something.
     assert manager.state_count(PowerState.YELLOW) > 0
     assert manager.actuator.levels_lowered > 0
     # The capped trajectory respects physics.
-    assert power.max() <= cluster.theoretical_max_power()
+    assert max(power) <= cluster.theoretical_max_power()
 
 
 def test_degraded_jobs_actually_slow_down():

@@ -103,20 +103,6 @@ class TestCycleTracer:
         with pytest.raises(ObservabilityError):
             CycleTracer().end_cycle()
 
-    def test_abort_cycle_discards_and_recovers(self):
-        seen = []
-        tracer = CycleTracer(sinks=(seen.append,))
-        tracer.begin_cycle(0.0)
-        tracer.open_span("partial")
-        tracer.abort_cycle()
-        assert tracer.depth == 0
-        assert seen == []
-        assert tracer.cycles_traced == 0
-        # The tracer is usable again after the abort.
-        tracer.begin_cycle(1.0)
-        tracer.end_cycle()
-        assert len(seen) == 1
-
 
 class TestDisabledTracer:
     def test_disabled_hands_out_shared_nulls(self):

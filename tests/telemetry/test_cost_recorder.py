@@ -1,10 +1,10 @@
-"""Unit tests for the management-cost model and the series recorder."""
+"""Unit tests for the management-cost model."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, MetricError
-from repro.telemetry import ManagementCostModel, TimeSeriesRecorder
+from repro.errors import ConfigurationError
+from repro.telemetry import ManagementCostModel
 
 
 # ----------------------------------------------------------------------
@@ -64,61 +64,6 @@ def test_cost_validation():
         ManagementCostModel(cycle_period_s=0.0)
     with pytest.raises(ConfigurationError):
         ManagementCostModel().cycle_cost_s(-1)
-
-
-# ----------------------------------------------------------------------
-# TimeSeriesRecorder
-# ----------------------------------------------------------------------
-def test_record_and_read_back():
-    rec = TimeSeriesRecorder()
-    rec.record("p", 0.0, 10.0)
-    rec.record("p", 1.0, 20.0)
-    times, values = rec.arrays("p")
-    np.testing.assert_array_equal(times, [0.0, 1.0])
-    np.testing.assert_array_equal(values, [10.0, 20.0])
-
-
-def test_multiple_series():
-    rec = TimeSeriesRecorder()
-    rec.record("a", 0.0, 1.0)
-    rec.record("b", 0.0, 2.0)
-    assert rec.series_names() == ["a", "b"]
-    assert "a" in rec and "c" not in rec
-    assert rec.length("a") == 1
-    assert rec.length("missing") == 0
-
-
-def test_times_must_be_monotone():
-    rec = TimeSeriesRecorder()
-    rec.record("p", 5.0, 1.0)
-    with pytest.raises(MetricError):
-        rec.record("p", 4.0, 1.0)
-    rec.record("p", 5.0, 2.0)  # equal times allowed
-
-
-def test_missing_series_raises():
-    rec = TimeSeriesRecorder()
-    with pytest.raises(MetricError):
-        rec.arrays("nope")
-    with pytest.raises(MetricError):
-        rec.last("nope")
-
-
-def test_last_and_maximum():
-    rec = TimeSeriesRecorder()
-    for t, v in [(0.0, 3.0), (1.0, 7.0), (2.0, 5.0)]:
-        rec.record("p", t, v)
-    assert rec.last("p") == 5.0
-    assert rec.maximum("p") == 7.0
-
-
-def test_cache_invalidated_on_append():
-    rec = TimeSeriesRecorder()
-    rec.record("p", 0.0, 1.0)
-    first = rec.values("p")
-    assert len(first) == 1
-    rec.record("p", 1.0, 2.0)
-    assert len(rec.values("p")) == 2
 
 
 def test_cost_rejects_negative_node_counts():
