@@ -7,7 +7,9 @@ reproduction is drivable without writing Python:
 * ``compare``  — baseline + several policies on the identical stream;
 * ``fig5`` / ``fig6`` / ``fig7`` — regenerate a paper figure;
 * ``zoo``      — the full policy ablation;
-* ``policies`` — list registered selection policies.
+* ``report``   — a Markdown report of the baseline and chosen policies;
+* ``policies`` — list registered selection policies;
+* ``list-presets`` — the fault, corruption and provision presets.
 """
 
 from repro.cli.main import build_parser, main

@@ -1,11 +1,19 @@
 """Argument parsing and command dispatch for ``python -m repro``.
 
-Every command accepts ``--preset quick|calibrated|paper`` plus explicit
-overrides of the most common :class:`~repro.experiments.common.
-ExperimentConfig` fields, builds the configuration once, runs the
+Every config-taking command accepts ``--preset quick|calibrated|paper``
+plus explicit overrides of the most common :class:`~repro.experiments.
+common.ExperimentConfig` fields, builds the configuration once, runs the
 corresponding harness and prints the same tables the benchmark suite
 prints.  ``--json`` switches the output to machine-readable JSON (used
 by the CLI tests and handy for piping into other tools).
+
+The options those commands share are declared once, in the option
+table :data:`_OPTIONS`: one loop registers its rows, and
+:func:`_section` reads one config section's flags back as field
+overrides (``--nodes`` sets ``ExperimentConfig.num_nodes``,
+``--cold-restart`` sets ``HaConfig.warm_standby=False``).  A knob whose
+section switch is off (``--corruption PRESET``, ``--provision PRESET``,
+``--quarantine``, ``--ha``) is refused rather than silently ignored.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments import (
     ExperimentConfig,
     ExperimentResult,
+    Fig7Result,
     ResultCache,
     run_experiment,
     run_fig5,
@@ -33,7 +42,6 @@ from repro.experiments.ablations import policy_zoo
 from repro.experiments.sweep import SweepCell, baseline_cell, run_sweep, validate_jobs
 from repro.faults import CorruptionScenario, FaultScenario
 from repro.ha import HaConfig
-from repro.metrics import compare_runs
 from repro.obs import ObsConfig
 from repro.provision import ProvisionScenario
 from repro.telemetry import IntegrityConfig
@@ -47,184 +55,245 @@ _PRESETS: dict[str, Callable[..., ExperimentConfig]] = {
     "paper": ExperimentConfig.paper,
 }
 
+_Row = tuple[str, str | None, str | None, dict[str, Any]]
+
+#: The options every config-taking command shares, by help group
+#: (``None``: the parser's own options).  A row is ``(flag, section,
+#: field, add_argument kwargs)``; a row without a section is read from
+#: the parsed arguments by name.
+_OPTIONS: tuple[tuple[str | None, tuple[_Row, ...]], ...] = (
+    ("experiment configuration", (
+        ("--preset", None, None, dict(
+            choices=sorted(_PRESETS), default="quick",
+            help="base configuration (default: quick)")),
+        ("--seed", None, None, dict(type=int, default=2012, help="root seed")),
+        ("--nodes", "experiment", "num_nodes", dict(type=int, help="cluster size")),
+        ("--candidate-size", "experiment", "candidate_size",
+         dict(type=int, help="|A_candidate|")),
+        ("--runtime-scale", "experiment", "runtime_scale",
+         dict(type=float, help="job runtime compression")),
+        ("--training", "experiment", "training_duration_s",
+         dict(type=float, help="training window, seconds")),
+        ("--duration", "experiment", "run_duration_s",
+         dict(type=float, help="evaluation window, seconds")),
+        ("--steady-green", "experiment", "steady_green_cycles",
+         dict(type=int, help="T_g in control cycles")),
+        ("--engine", "experiment", "engine", dict(
+            choices=available_engines(),
+            help="hot-path engine: 'vector' (SoA fast path, default) or "
+            "'object' (paper-literal per-node reference; bit-identical)")),
+    )),
+    ("fault injection", (
+        ("--faults", None, None, dict(
+            default="none", metavar="PRESET",
+            help="fault scenario preset (default: none; available: "
+            + ", ".join(FaultScenario.preset_names()) + ")")),
+        ("--telemetry-dropout", "faults", "telemetry_dropout", dict(
+            type=float,
+            help="per-node per-cycle telemetry sample loss probability")),
+        ("--command-loss", "faults", "command_loss",
+         dict(type=float, help="per-command DVFS loss probability")),
+        ("--meter-outage", "faults", "meter_outage_rate", dict(
+            type=float, help="per-cycle system-meter outage onset probability")),
+        ("--no-faults", None, None, dict(
+            action="store_true",
+            help="assert the paper's fault-free setting; errors out if a "
+            "fault or corruption scenario is also configured")),
+    )),
+    ("power delivery", (
+        ("--provision", None, None, dict(
+            metavar="PRESET",
+            help="power-delivery scenario preset; 'none' attaches a healthy "
+            "topology (available: "
+            + ", ".join(ProvisionScenario.preset_names()) + ")")),
+        ("--feed-loss-at", "provision", "feed_loss_at_cycle", dict(
+            type=int, metavar="CYCLE",
+            help="managed cycle at which a utility feed drops")),
+        ("--feed-restore-after", "provision", "feed_restore_after_cycles", dict(
+            type=int, metavar="CYCLES",
+            help="cycles until lost feeds return (default: permanent)")),
+        ("--cap-order-at", "provision", "cap_order_at_cycle", dict(
+            type=int, metavar="CYCLE",
+            help="managed cycle at which an operator cap order arrives")),
+        ("--nodes-per-rack", "provision", "nodes_per_rack", dict(
+            type=int, metavar="N", help="nodes per branch circuit (default: 8)")),
+        ("--no-defense", "provision", "defend", dict(
+            action="store_const", const=False,
+            help="disable the emergency response (no renegotiation, no "
+            "ladder) — the undefended comparison arm")),
+        ("--no-branch-caps", "provision", "branch_caps", dict(
+            action="store_const", const=False,
+            help="disable per-branch capping while keeping the global defense")),
+    )),
+    ("telemetry integrity", (
+        ("--corruption", None, None, dict(
+            default="none", metavar="PRESET",
+            help="sensor-corruption preset (default: none; available: "
+            + ", ".join(CorruptionScenario.preset_names()) + ")")),
+        ("--corruption-onset", "corruption", "onset_cycle", dict(
+            type=int, metavar="CYCLE",
+            help="control cycle at which corruption switches on (default: 0)")),
+        ("--quarantine", None, None, dict(
+            action="store_true",
+            help="enable the telemetry-integrity defense "
+            "(validation + trust/quarantine + meter cross-check)")),
+        ("--trust-quarantine", "integrity", "quarantine_trust", dict(
+            type=float, metavar="T",
+            help="trust below which a node is quarantined (default: 0.30)")),
+        ("--trust-release", "integrity", "release_trust", dict(
+            type=float, metavar="T",
+            help="trust a quarantined node must recover to (default: 0.90)")),
+        ("--trust-recovery", "integrity", "trust_recovery", dict(
+            type=float, metavar="T",
+            help="trust restored per clean fresh sample (default: 0.02)")),
+    )),
+    ("controller high availability", (
+        ("--ha", None, None, dict(
+            action="store_true",
+            help="enable the crash-recovery layer (journal + failover + fencing)")),
+        ("--crash-at", "ha", "crash_at_cycles", dict(
+            type=int, nargs="+", metavar="CYCLE",
+            help="crash the controller at these 1-based control cycles")),
+        ("--crash-rate", "faults", "controller_crash_rate", dict(
+            type=float, help="per-cycle stochastic controller-crash probability")),
+        ("--lease-timeout", "ha", "lease_timeout_cycles",
+         dict(type=int, help="warm-standby lease timeout, control cycles")),
+        ("--restart-cycles", "ha", "restart_cycles",
+         dict(type=int, help="cold-restart downtime, control cycles")),
+        ("--cold-restart", "ha", "warm_standby", dict(
+            action="store_const", const=False,
+            help="no warm standby: every crash costs a full restart")),
+    )),
+    ("observability", (
+        ("--trace-out", None, None, dict(
+            metavar="PATH",
+            help="write the whole-run cycle trace as JSON lines to PATH")),
+        ("--metrics-out", None, None, dict(
+            metavar="PATH",
+            help="write end-of-run metrics in Prometheus text format to PATH")),
+        ("--flight-recorder", None, None, dict(
+            type=int, metavar="N",
+            help="arm a flight recorder holding the last N control cycles, "
+            "dumped on fault onset, crash, failover, red-state entry "
+            "and run end")),
+        ("--flight-out", None, None, dict(
+            metavar="PATH",
+            help="flight-recorder dump path (default: flight.jsonl)")),
+    )),
+    ("parallel execution and caching", (
+        ("--jobs", None, None, dict(
+            metavar="N",
+            help="worker processes for experiment grids (default: serial; "
+            "results are bit-identical for every N)")),
+        ("--cache-dir", None, None, dict(
+            metavar="PATH",
+            help="content-addressed result cache: unchanged cells are "
+            "replayed from PATH instead of re-simulated")),
+        ("--no-cache", None, None, dict(
+            action="store_true",
+            help="assert no result caching (conflicts with --cache-dir)")),
+    )),
+    (None, (
+        ("--json", None, None,
+         dict(action="store_true", help="emit JSON instead of tables")),
+    )),
+)
+
+#: The switch a section's knobs need, as ``<flag> requires <switch>``
+#: names it; the experiment and fault sections are always on.
+_SWITCHES = {
+    "corruption": "--corruption PRESET",
+    "provision": "--provision PRESET",
+    "integrity": "--quarantine",
+    "ha": "--ha",
+}
+
+
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    for title, rows in _OPTIONS:
+        group = parser if title is None else parser.add_argument_group(title)
+        for flag, _, _, kwargs in rows:
+            group.add_argument(flag, **kwargs)
+
+
+def _section(
+    args: argparse.Namespace, section: str, armed: bool
+) -> dict[str, Any]:
+    """The flags given for ``section``, as ``{field: value}`` overrides.
+
+    A knob given while its section is not ``armed`` would be silently
+    ignored; refuse it, so a run the user believes is corrupted,
+    stressed, defended or crashing actually is.
+    """
+    overrides: dict[str, Any] = {}
+    for _, rows in _OPTIONS:
+        for flag, row_section, field, _ in rows:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if row_section != section or value is None:
+                continue
+            if not armed:
+                raise ConfigurationError(f"{flag} requires {_SWITCHES[section]}")
+            # nargs="+" parses to a list; config fields hold tuples.
+            overrides[field] = tuple(value) if isinstance(value, list) else value
+    return overrides
+
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     config = _PRESETS[args.preset](seed=args.seed)
-    overrides: dict[str, Any] = {}
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.candidate_size is not None:
-        overrides["candidate_size"] = args.candidate_size
-    if args.runtime_scale is not None:
-        overrides["runtime_scale"] = args.runtime_scale
-    if args.training is not None:
-        overrides["training_duration_s"] = args.training
-    if args.duration is not None:
-        overrides["run_duration_s"] = args.duration
-    if args.steady_green is not None:
-        overrides["steady_green_cycles"] = args.steady_green
-    if args.engine is not None:
-        overrides["engine"] = args.engine
-    scenario = _scenario_from_args(args)
-    corruption = _corruption_from_args(args)
-    if getattr(args, "no_faults", False):
+    overrides = _section(args, "experiment", True)
+    # The scenario presets reject unknown names with the list of
+    # available presets; main() turns that into a friendly exit.
+    scenario = replace(
+        FaultScenario.preset(args.faults), **_section(args, "faults", True)
+    )
+    corruption = CorruptionScenario.preset(args.corruption)
+    corruption = replace(
+        corruption, **_section(args, "corruption", corruption.enabled)
+    )
+    if args.no_faults:
         # --no-faults is the explicit "paper setting" assertion; a fault
         # or corruption scenario alongside it is a contradiction, not a
         # precedence question.
         if scenario.enabled:
             raise ConfigurationError(
                 "--no-faults conflicts with the configured fault scenario "
-                f"(--faults {getattr(args, 'faults', 'none')!r} or a fault-rate "
+                f"(--faults {args.faults!r} or a fault-rate "
                 "override); drop one of the two"
             )
         if corruption.enabled:
             raise ConfigurationError(
                 "--no-faults conflicts with --corruption "
-                f"{getattr(args, 'corruption', 'none')!r}; drop one of the two"
+                f"{args.corruption!r}; drop one of the two"
             )
     if scenario.enabled:
         overrides["faults"] = scenario
     if corruption.enabled:
         overrides["corruption"] = corruption
-    provision, attach_provision = _provision_from_args(args)
-    if getattr(args, "no_faults", False) and provision.enabled:
+    # ``--provision none`` is meaningful: it attaches a healthy delivery
+    # topology, proving the attachment itself changes nothing.
+    attach = args.provision is not None
+    provision = replace(
+        ProvisionScenario.preset(args.provision if attach else "none"),
+        **_section(args, "provision", attach),
+    )
+    if args.no_faults and provision.enabled:
         raise ConfigurationError(
             "--no-faults conflicts with --provision "
-            f"{getattr(args, 'provision', 'none')!r}; drop one of the two"
+            f"{args.provision!r}; drop one of the two"
         )
-    if attach_provision:
+    if attach:
         overrides["provision"] = provision
         overrides["attach_provision"] = True
-    integrity = _integrity_from_args(args)
-    if integrity is not None:
-        overrides["integrity"] = integrity
-    ha = _ha_from_args(args)
-    if ha is not None:
-        overrides["ha"] = ha
+    integrity = _section(args, "integrity", args.quarantine)
+    if args.quarantine:
+        overrides["integrity"] = IntegrityConfig(**integrity)
+    ha = _section(args, "ha", args.ha)
+    if args.ha:
+        overrides["ha"] = HaConfig.warm(**ha)
     obs = _obs_from_args(args)
     if obs is not None:
         overrides["obs"] = obs
     return replace(config, **overrides) if overrides else config
-
-
-def _scenario_from_args(args: argparse.Namespace) -> FaultScenario:
-    # FaultScenario.preset rejects unknown names with the list of
-    # available presets; main() turns that into a friendly exit.
-    scenario = FaultScenario.preset(getattr(args, "faults", "none"))
-    overrides: dict[str, Any] = {}
-    if getattr(args, "telemetry_dropout", None) is not None:
-        overrides["telemetry_dropout"] = args.telemetry_dropout
-    if getattr(args, "command_loss", None) is not None:
-        overrides["command_loss"] = args.command_loss
-    if getattr(args, "meter_outage", None) is not None:
-        overrides["meter_outage_rate"] = args.meter_outage
-    if getattr(args, "crash_rate", None) is not None:
-        overrides["controller_crash_rate"] = args.crash_rate
-    return replace(scenario, **overrides) if overrides else scenario
-
-
-def _corruption_from_args(args: argparse.Namespace) -> CorruptionScenario:
-    # CorruptionScenario.preset rejects unknown names with the list of
-    # available presets; main() turns that into a friendly exit.
-    corruption = CorruptionScenario.preset(getattr(args, "corruption", "none"))
-    onset = getattr(args, "corruption_onset", None)
-    if onset is not None:
-        if not corruption.enabled:
-            raise ConfigurationError(
-                "--corruption-onset requires --corruption PRESET"
-            )
-        corruption = replace(corruption, onset_cycle=onset)
-    return corruption
-
-
-def _provision_from_args(
-    args: argparse.Namespace,
-) -> tuple[ProvisionScenario, bool]:
-    """The power-delivery scenario plus whether to attach the topology.
-
-    ``--provision none`` is meaningful: it attaches a healthy delivery
-    topology (proving the attachment itself changes nothing), so the
-    second element distinguishes "explicitly requested" from the
-    default.
-    """
-    raw = getattr(args, "provision", None)
-    explicit = raw is not None
-    # ProvisionScenario.preset rejects unknown names with the list of
-    # available presets; main() turns that into a friendly exit.
-    scenario = ProvisionScenario.preset(raw if explicit else "none")
-    knobs: tuple[tuple[str, str, str], ...] = (
-        ("feed_loss_at", "--feed-loss-at", "feed_loss_at_cycle"),
-        ("feed_restore_after", "--feed-restore-after", "feed_restore_after_cycles"),
-        ("cap_order_at", "--cap-order-at", "cap_order_at_cycle"),
-        ("nodes_per_rack", "--nodes-per-rack", "nodes_per_rack"),
-    )
-    overrides: dict[str, Any] = {}
-    for attr, flag, field_name in knobs:
-        value = getattr(args, attr, None)
-        if value is not None:
-            if not explicit:
-                raise ConfigurationError(f"{flag} requires --provision PRESET")
-            overrides[field_name] = value
-    if getattr(args, "no_defense", False):
-        if not explicit:
-            raise ConfigurationError("--no-defense requires --provision PRESET")
-        overrides["defend"] = False
-    if getattr(args, "no_branch_caps", False):
-        if not explicit:
-            raise ConfigurationError(
-                "--no-branch-caps requires --provision PRESET"
-            )
-        overrides["branch_caps"] = False
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return scenario, explicit
-
-
-def _integrity_from_args(args: argparse.Namespace) -> IntegrityConfig | None:
-    if not getattr(args, "quarantine", False):
-        # Trust knobs without --quarantine would be silently ignored;
-        # refuse so a run the user believes is defended actually is.
-        for flag, name in (
-            ("trust_quarantine", "--trust-quarantine"),
-            ("trust_release", "--trust-release"),
-            ("trust_recovery", "--trust-recovery"),
-        ):
-            if getattr(args, flag, None) is not None:
-                raise ConfigurationError(f"{name} requires --quarantine")
-        return None
-    overrides: dict[str, Any] = {}
-    if getattr(args, "trust_quarantine", None) is not None:
-        overrides["quarantine_trust"] = args.trust_quarantine
-    if getattr(args, "trust_release", None) is not None:
-        overrides["release_trust"] = args.trust_release
-    if getattr(args, "trust_recovery", None) is not None:
-        overrides["trust_recovery"] = args.trust_recovery
-    return IntegrityConfig(**overrides)
-
-
-def _ha_from_args(args: argparse.Namespace) -> HaConfig | None:
-    if not getattr(args, "ha", False):
-        # HA knobs without --ha would be silently ignored; refuse so a
-        # run the user believes is crashing actually is.
-        for flag, name in (
-            ("crash_at", "--crash-at"),
-            ("lease_timeout", "--lease-timeout"),
-            ("restart_cycles", "--restart-cycles"),
-            ("cold_restart", "--cold-restart"),
-        ):
-            if getattr(args, flag, None):
-                raise ConfigurationError(f"{name} requires --ha")
-        return None
-    overrides: dict[str, Any] = {}
-    if getattr(args, "crash_at", None):
-        overrides["crash_at_cycles"] = tuple(args.crash_at)
-    if getattr(args, "lease_timeout", None) is not None:
-        overrides["lease_timeout_cycles"] = args.lease_timeout
-    if getattr(args, "restart_cycles", None) is not None:
-        overrides["restart_cycles"] = args.restart_cycles
-    if getattr(args, "cold_restart", False):
-        return HaConfig.restart_only(**overrides)
-    return HaConfig.warm(**overrides)
 
 
 def _obs_from_args(args: argparse.Namespace) -> ObsConfig | None:
@@ -245,273 +314,6 @@ def _obs_from_args(args: argparse.Namespace) -> ObsConfig | None:
         trace_path=trace_out,
         metrics_path=metrics_out,
         flight_path=flight_out,
-    )
-
-
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("experiment configuration")
-    group.add_argument(
-        "--preset",
-        choices=sorted(_PRESETS),
-        default="quick",
-        help="base configuration (default: quick)",
-    )
-    group.add_argument("--seed", type=int, default=2012, help="root seed")
-    group.add_argument("--nodes", type=int, default=None, help="cluster size")
-    group.add_argument(
-        "--candidate-size", type=int, default=None, help="|A_candidate|"
-    )
-    group.add_argument(
-        "--runtime-scale", type=float, default=None, help="job runtime compression"
-    )
-    group.add_argument(
-        "--training", type=float, default=None, help="training window, seconds"
-    )
-    group.add_argument(
-        "--duration", type=float, default=None, help="evaluation window, seconds"
-    )
-    group.add_argument(
-        "--steady-green", type=int, default=None, help="T_g in control cycles"
-    )
-    group.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help=(
-            "hot-path engine: 'vector' (SoA fast path, default) or "
-            "'object' (paper-literal per-node reference; bit-identical)"
-        ),
-    )
-    faults = parser.add_argument_group("fault injection")
-    faults.add_argument(
-        "--faults",
-        default="none",
-        metavar="PRESET",
-        help=(
-            "fault scenario preset (default: none; available: "
-            + ", ".join(FaultScenario.preset_names())
-            + ")"
-        ),
-    )
-    faults.add_argument(
-        "--telemetry-dropout",
-        type=float,
-        default=None,
-        help="per-node per-cycle telemetry sample loss probability",
-    )
-    faults.add_argument(
-        "--command-loss",
-        type=float,
-        default=None,
-        help="per-command DVFS loss probability",
-    )
-    faults.add_argument(
-        "--meter-outage",
-        type=float,
-        default=None,
-        help="per-cycle system-meter outage onset probability",
-    )
-    faults.add_argument(
-        "--no-faults",
-        action="store_true",
-        help=(
-            "assert the paper's fault-free setting; errors out if a "
-            "fault or corruption scenario is also configured"
-        ),
-    )
-    delivery = parser.add_argument_group("power delivery")
-    delivery.add_argument(
-        "--provision",
-        default=None,
-        metavar="PRESET",
-        help=(
-            "power-delivery scenario preset; 'none' attaches a healthy "
-            "topology (available: "
-            + ", ".join(ProvisionScenario.preset_names())
-            + ")"
-        ),
-    )
-    delivery.add_argument(
-        "--feed-loss-at",
-        type=int,
-        default=None,
-        metavar="CYCLE",
-        help="managed cycle at which a utility feed drops",
-    )
-    delivery.add_argument(
-        "--feed-restore-after",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="cycles until lost feeds return (default: permanent)",
-    )
-    delivery.add_argument(
-        "--cap-order-at",
-        type=int,
-        default=None,
-        metavar="CYCLE",
-        help="managed cycle at which an operator cap order arrives",
-    )
-    delivery.add_argument(
-        "--nodes-per-rack",
-        type=int,
-        default=None,
-        metavar="N",
-        help="nodes per branch circuit (default: 8)",
-    )
-    delivery.add_argument(
-        "--no-defense",
-        action="store_true",
-        help=(
-            "disable the emergency response (no renegotiation, no "
-            "ladder) — the undefended comparison arm"
-        ),
-    )
-    delivery.add_argument(
-        "--no-branch-caps",
-        action="store_true",
-        help="disable per-branch capping while keeping the global defense",
-    )
-    integrity = parser.add_argument_group("telemetry integrity")
-    integrity.add_argument(
-        "--corruption",
-        default="none",
-        metavar="PRESET",
-        help=(
-            "sensor-corruption preset (default: none; available: "
-            + ", ".join(CorruptionScenario.preset_names())
-            + ")"
-        ),
-    )
-    integrity.add_argument(
-        "--corruption-onset",
-        type=int,
-        default=None,
-        metavar="CYCLE",
-        help="control cycle at which corruption switches on (default: 0)",
-    )
-    integrity.add_argument(
-        "--quarantine",
-        action="store_true",
-        help=(
-            "enable the telemetry-integrity defense "
-            "(validation + trust/quarantine + meter cross-check)"
-        ),
-    )
-    integrity.add_argument(
-        "--trust-quarantine",
-        type=float,
-        default=None,
-        metavar="T",
-        help="trust below which a node is quarantined (default: 0.30)",
-    )
-    integrity.add_argument(
-        "--trust-release",
-        type=float,
-        default=None,
-        metavar="T",
-        help="trust a quarantined node must recover to (default: 0.90)",
-    )
-    integrity.add_argument(
-        "--trust-recovery",
-        type=float,
-        default=None,
-        metavar="T",
-        help="trust restored per clean fresh sample (default: 0.02)",
-    )
-    ha = parser.add_argument_group("controller high availability")
-    ha.add_argument(
-        "--ha",
-        action="store_true",
-        help="enable the crash-recovery layer (journal + failover + fencing)",
-    )
-    ha.add_argument(
-        "--crash-at",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="CYCLE",
-        help="crash the controller at these 1-based control cycles",
-    )
-    ha.add_argument(
-        "--crash-rate",
-        type=float,
-        default=None,
-        help="per-cycle stochastic controller-crash probability",
-    )
-    ha.add_argument(
-        "--lease-timeout",
-        type=int,
-        default=None,
-        help="warm-standby lease timeout, control cycles",
-    )
-    ha.add_argument(
-        "--restart-cycles",
-        type=int,
-        default=None,
-        help="cold-restart downtime, control cycles",
-    )
-    ha.add_argument(
-        "--cold-restart",
-        action="store_true",
-        help="no warm standby: every crash costs a full restart",
-    )
-    obs = parser.add_argument_group("observability")
-    obs.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write the whole-run cycle trace as JSON lines to PATH",
-    )
-    obs.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write end-of-run metrics in Prometheus text format to PATH",
-    )
-    obs.add_argument(
-        "--flight-recorder",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "arm a flight recorder holding the last N control cycles, "
-            "dumped on fault onset, crash, failover, red-state entry "
-            "and run end"
-        ),
-    )
-    obs.add_argument(
-        "--flight-out",
-        default=None,
-        metavar="PATH",
-        help="flight-recorder dump path (default: flight.jsonl)",
-    )
-    sweep = parser.add_argument_group("parallel execution and caching")
-    sweep.add_argument(
-        "--jobs",
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for experiment grids (default: serial; "
-            "results are bit-identical for every N)"
-        ),
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help=(
-            "content-addressed result cache: unchanged cells are "
-            "replayed from PATH instead of re-simulated"
-        ),
-    )
-    sweep.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="assert no result caching (conflicts with --cache-dir)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit JSON instead of tables"
     )
 
 
@@ -710,9 +512,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     jobs, cache = _sweep_from_args(args)
-    result = run_fig7(
-        config, policies=tuple(args.policies), jobs=jobs, cache=cache
+    return _print_fig7(
+        args,
+        run_fig7(config, policies=tuple(args.policies), jobs=jobs, cache=cache),
     )
+
+
+def _print_fig7(args: argparse.Namespace, result: Fig7Result) -> int:
+    """Print a baseline-plus-policies comparison as a table or JSON rows."""
     if args.json:
         rows = [
             {
@@ -792,9 +599,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 def _cmd_zoo(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     jobs, cache = _sweep_from_args(args)
-    result = policy_zoo(config, jobs=jobs, cache=cache)
-    print(format_fig7_table(result))
-    return 0
+    return _print_fig7(args, policy_zoo(config, jobs=jobs, cache=cache))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -802,6 +607,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     from repro.analysis import render_run_report
 
+    if args.json:
+        raise ConfigurationError(
+            "report writes Markdown, not JSON; use -o - to print it to stdout"
+        )
     config = _config_from_args(args)
     if args.thermal:
         config = replace(config, track_thermal=True)

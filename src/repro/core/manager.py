@@ -93,7 +93,6 @@ from repro.power.meter import SystemPowerMeter
 from repro.provision.emergency import EmergencyResponse
 from repro.provision.runtime import ProvisionRuntime, ProvisionStats
 from repro.telemetry.collector import TelemetryCollector, TelemetrySnapshot
-from repro.telemetry.cost import ManagementCostModel
 from repro.telemetry.integrity import (
     IntegrityConfig,
     MeterIntegrityMonitor,
@@ -157,7 +156,6 @@ class PowerManager:
         thresholds: Threshold controller (learning or fixed).
         policy: Target-set selection policy for yellow cycles.
         steady_green_cycles: ``T_g`` for Algorithm 1 (paper: 10).
-        cost_model: Management-cost accounting (Figure 5); optional.
         fault_injector: Optional fault injector; attaching one arms the
             degraded-mode fail-safe ladder.
         degraded: Ladder thresholds (defaults when omitted).
@@ -207,7 +205,6 @@ class PowerManager:
         thresholds: ThresholdController,
         policy: SelectionPolicy,
         steady_green_cycles: int = 10,
-        cost_model: ManagementCostModel | None = None,
         fault_injector: FaultInjector | None = None,
         degraded: DegradedModeConfig | None = None,
         actuator: DvfsActuator | None = None,
@@ -225,7 +222,6 @@ class PowerManager:
         self._policy = policy
         self._injector = fault_injector
         self._degraded_cfg = degraded if degraded is not None else DegradedModeConfig()
-        self._cost_model = cost_model
         self._obs = resolve_obs(obs)
         self._engine = get_engine(
             engine if engine is not None else getattr(cluster, "engine", None)
@@ -247,7 +243,6 @@ class PowerManager:
         self._collector = TelemetryCollector(
             cluster.state,
             sets.candidates,
-            cost_model,
             fault_injector,
             obs=obs,
             validator=self._validator,
@@ -1072,7 +1067,6 @@ class PowerManager:
             snapshot=self._collector.current,
             collections=self._collector.collections,
             dropped_samples=self._collector.dropped_samples,
-            accumulated_cost_s=self._collector.accumulated_cost_s,
             last_metered_power=self._last_metered_power,
             last_metered_snapshot=self._last_metered_snapshot,
             actuator=self._actuator.state_dict(),
@@ -1156,21 +1150,14 @@ class PowerManager:
         )
         base_collections = cp.collections if cp is not None else 0
         base_dropped = cp.dropped_samples if cp is not None else 0
-        base_cost = cp.accumulated_cost_s if cp is not None else 0.0
         folded_dropped = sum(
             int(np.count_nonzero(np.asarray(r.snapshot.age) > 0.0))
             for r in records
         )
-        folded_cost = 0.0
-        if self._cost_model is not None and records:
-            folded_cost = len(records) * float(
-                self._cost_model.cycle_cost_s(self._collector.size)
-            )
         self._collector.restore_state(
             snapshot,
             collections=base_collections + len(records),
             dropped_samples=base_dropped + folded_dropped,
-            accumulated_cost_s=base_cost + folded_cost,
         )
 
         if restore_actuator:

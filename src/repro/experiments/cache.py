@@ -13,7 +13,9 @@ Robustness contract:
 
 * **Invalidation is structural.**  Changing any config field, the
   policy, the encoding schema or the :data:`CODE_VERSION` salt changes
-  the address; stale blobs are never consulted, only orphaned.
+  the address; stale blobs are never consulted, only orphaned.  The
+  salt is derived from the package's source files, so any code edit
+  orphans every blob the old code computed.
 * **Corruption degrades to a miss.**  A blob that fails to parse,
   fails dataclass validation or names an unknown type is deleted
   (best effort) and the cell recomputes.  The cache can never turn a
@@ -25,6 +27,7 @@ Robustness contract:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -42,11 +45,22 @@ from repro.experiments.serialize import (
 
 __all__ = ["CODE_VERSION", "CacheStats", "ResultCache"]
 
-#: The code-version salt folded into every cache address.  Bump this
-#: whenever a change alters what :func:`run_experiment` computes for an
-#: unchanged configuration (simulator semantics, metric definitions,
-#: result fields) so every old blob silently misses.
-CODE_VERSION = "2026.08-1"
+
+def _source_digest(root: Path) -> str:
+    """SHA-256 over the ``*.py`` files under ``root``: each file's
+    relative path and the digest of its bytes, in path order."""
+    digest = hashlib.sha256()
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py"))
+    for rel, path in files:
+        digest.update(rel.encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+#: The code-version salt folded into every cache address: the digest of
+#: the ``repro`` package's sources, computed once at import.  A comment
+#: edit over-invalidates too, which only costs a cold sweep.
+CODE_VERSION = _source_digest(Path(__file__).resolve().parent.parent)
 
 
 @dataclass

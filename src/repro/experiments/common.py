@@ -566,7 +566,6 @@ def run_experiment(
                 ),
                 policy_obj,
                 steady_green_cycles=config.steady_green_cycles,
-                cost_model=config.cost_model,
                 **manager_kwargs,
             )
 
@@ -678,7 +677,7 @@ def run_experiment(
         management_cpu=(
             0.0
             if manager is None
-            else manager.collector.management_cpu_utilization()
+            else float(config.cost_model.cpu_utilization(manager.collector.size))
         ),
         commands_sent=0 if manager is None else manager.actuator.commands_sent,
         entered_red=manager is not None and manager.ever_entered_red(),

@@ -252,8 +252,8 @@ def config_hash(
 
     The hash covers the full canonical config encoding, the policy name,
     the optional report label (it lands verbatim in the result) and two
-    version strings: ``salt`` (the cache's code-version, bumped when run
-    semantics change) and the encoding :data:`SCHEMA_VERSION`.  Any
+    version strings: ``salt`` (the cache's code-version, a digest of
+    the package sources) and the encoding :data:`SCHEMA_VERSION`.  Any
     drift in any of them changes the address, so a stale cache can only
     ever miss — never serve a wrong result.
     """

@@ -94,8 +94,7 @@ class ControllerCheckpoint:
             degraded-mode ladder's counters and latch.
         snapshot: The collector's current snapshot (None before the
             first sweep).
-        collections / dropped_samples / accumulated_cost_s: Collector
-            accounting.
+        collections / dropped_samples: Collector accounting.
         last_metered_power / last_metered_snapshot: The estimation
             anchor for meter-outage cycles.
         actuator: :meth:`DvfsActuator.state_dict` section — counters and
@@ -121,7 +120,6 @@ class ControllerCheckpoint:
     snapshot: TelemetrySnapshot | None
     collections: int
     dropped_samples: int
-    accumulated_cost_s: float
     last_metered_power: float | None
     last_metered_snapshot: TelemetrySnapshot | None
     actuator: dict

@@ -9,7 +9,7 @@ sample and estimates per-node and per-job power.  We expose both views:
   the paper describes (reads one node's ``/proc``-equivalent state);
 * :class:`~repro.telemetry.collector.TelemetryCollector` — the central
   collection step, which samples *all* candidate agents in one vectorised
-  snapshot and charges the management-cost model;
+  snapshot;
 * :class:`~repro.telemetry.cost.ManagementCostModel` — the CPU cost of
   central monitoring as a function of candidate-set size, the quantity
   Figure 5 plots to argue that monitoring must be restricted to a subset;

@@ -4,9 +4,8 @@ Each control cycle, the global power manager "collects information about
 the runtime behaviors and the power consumptions of all nodes in the
 candidate set" (§V.D).  :class:`TelemetryCollector` performs that sweep:
 it samples the agent pool, packages the result as an immutable
-:class:`TelemetrySnapshot`, remembers the previous snapshot (change-based
-policies need ``P^t`` *and* ``P^{t−1}``), and charges the
-:class:`~repro.telemetry.cost.ManagementCostModel` for the sweep.
+:class:`TelemetrySnapshot` and remembers the previous snapshot
+(change-based policies need ``P^t`` *and* ``P^{t−1}``).
 
 On a real machine agents fail to report: daemons hang, packets drop,
 nodes go dark.  The collector therefore keeps a **last-known-good
@@ -33,7 +32,6 @@ from repro.errors import TelemetryError
 from repro.faults.injector import FaultInjector
 from repro.obs.facade import Observability, resolve_obs
 from repro.telemetry.agent import AgentPool
-from repro.telemetry.cost import ManagementCostModel
 from repro.telemetry.integrity import TelemetryValidator
 
 __all__ = ["TelemetrySnapshot", "TelemetryCollector"]
@@ -130,8 +128,6 @@ class TelemetryCollector:
     Args:
         state: The cluster state to sample.
         candidate_ids: The candidate set ``A_candidate`` to monitor.
-        cost_model: Accounting model for central management cost; pass
-            ``None`` to skip accounting.
         fault_injector: Optional fault injector; when present, each
             sweep asks it which samples were lost and serves those nodes
             from the last-known-good cache.  When the injector carries a
@@ -156,19 +152,16 @@ class TelemetryCollector:
         self,
         state: ClusterState,
         candidate_ids: np.ndarray,
-        cost_model: ManagementCostModel | None = None,
         fault_injector: FaultInjector | None = None,
         obs: Observability | None = None,
         validator: TelemetryValidator | None = None,
         engine: ClusterEngine | str | None = None,
     ) -> None:
         self._pool = AgentPool(state, candidate_ids, engine=engine)
-        self._cost_model = cost_model
         self._injector = fault_injector
         self._validator = validator
         self._current: TelemetrySnapshot | None = None
         self._previous: TelemetrySnapshot | None = None
-        self._accumulated_cost_s = 0.0
         self._collections = 0
         self._dropped_samples = 0
         # Last-known-good cache, primed at deploy time (each agent reads
@@ -212,11 +205,6 @@ class TelemetryCollector:
             "Samples served from the last-known-good cache",
             lambda: float(self._dropped_samples),
         )
-        reg.gauge_func(
-            "repro_management_cost_seconds",
-            "Modelled management-node CPU time spent, seconds",
-            lambda: float(self._accumulated_cost_s),
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -255,17 +243,6 @@ class TelemetryCollector:
     def validator(self) -> TelemetryValidator | None:
         """The attached integrity validator (None when undefended)."""
         return self._validator
-
-    @property
-    def accumulated_cost_s(self) -> float:
-        """Total modelled management-node CPU time spent, seconds."""
-        return self._accumulated_cost_s
-
-    def management_cpu_utilization(self) -> float:
-        """Modelled CPU utilisation of the management node (Figure 5 y-axis)."""
-        if self._cost_model is None:
-            return 0.0
-        return float(self._cost_model.cpu_utilization(self.size))
 
     # ------------------------------------------------------------------
     # Collection
@@ -359,8 +336,6 @@ class TelemetryCollector:
         self._previous = self._current
         self._current = snapshot
         self._collections += 1
-        if self._cost_model is not None:
-            self._accumulated_cost_s += float(self._cost_model.cycle_cost_s(self.size))
         if self._metrics_on and snapshot.size > 0:
             if self._injector is None:
                 # Fault-free sweeps have age ≡ 0 by construction; skip
@@ -380,7 +355,6 @@ class TelemetryCollector:
         snapshot: TelemetrySnapshot | None,
         collections: int = 0,
         dropped_samples: int = 0,
-        accumulated_cost_s: float = 0.0,
     ) -> None:
         """Rebuild the collector of a crashed manager from its journal.
 
@@ -398,7 +372,6 @@ class TelemetryCollector:
                 cache priming then stands).
             collections: Journaled sweep count.
             dropped_samples: Journaled cache-substitution count.
-            accumulated_cost_s: Journaled management-cost integral.
 
         Raises:
             TelemetryError: if the snapshot does not cover exactly this
@@ -407,7 +380,6 @@ class TelemetryCollector:
         """
         self._collections = int(collections)
         self._dropped_samples = int(dropped_samples)
-        self._accumulated_cost_s = float(accumulated_cost_s)
         self._previous = None
         if snapshot is None:
             self._current = None

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cli.main import _config_from_args
 
 
 def _tiny(*extra):
@@ -126,6 +127,20 @@ def test_report_command_stdout(capsys):
     assert "## Normalised against `uncapped`" in out
 
 
+def test_report_refuses_json(capsys):
+    assert main(["report", "mpc", "--json"] + _tiny()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-o -" in err
+
+
+def test_zoo_json_prints_compare_rows(capsys):
+    assert main(["zoo", "--json"] + _tiny("--nodes", "32")) == 0
+    zoo = json.loads(capsys.readouterr().out)
+    assert len(zoo) == 10
+    assert main(["compare", zoo[-1]["policy"], "--json"] + _tiny("--nodes", "32")) == 0
+    assert json.loads(capsys.readouterr().out) == zoo[-1:]
+
+
 def test_report_command_thermal_section(tmp_path):
     out = tmp_path / "thermal.md"
     args = ["report", "mpc", "--thermal", "-o", str(out)] + _tiny()
@@ -234,6 +249,77 @@ def test_trust_flags_require_quarantine(capsys):
     )
     assert code == 2
     assert "--quarantine" in capsys.readouterr().err
+
+
+#: Every knob that only applies behind its section's switch.
+SWITCHED_KNOBS = [
+    ("--corruption-onset 10", "--corruption PRESET"),
+    ("--feed-loss-at 5", "--provision PRESET"),
+    ("--feed-restore-after 10", "--provision PRESET"),
+    ("--cap-order-at 7", "--provision PRESET"),
+    ("--nodes-per-rack 4", "--provision PRESET"),
+    ("--no-defense", "--provision PRESET"),
+    ("--no-branch-caps", "--provision PRESET"),
+    ("--trust-quarantine 0.2", "--quarantine"),
+    ("--trust-release 0.8", "--quarantine"),
+    ("--trust-recovery 0.05", "--quarantine"),
+    ("--crash-at 5", "--ha"),
+    ("--lease-timeout 0", "--ha"),
+    ("--restart-cycles 0", "--ha"),
+    ("--cold-restart", "--ha"),
+]
+
+
+@pytest.mark.parametrize(
+    ("knob", "switch"), SWITCHED_KNOBS, ids=[k for k, _ in SWITCHED_KNOBS]
+)
+def test_switched_knob_requires_its_switch(capsys, knob, switch):
+    # Zero-valued knobs included: each would otherwise be silently ignored.
+    assert main(["run", "--policy", "mpc", *knob.split()] + _tiny()) == 2
+    assert f"{knob.split()[0]} requires {switch}" in capsys.readouterr().err
+
+
+#: Every field-override flag: ``(argv, config section, field, value)``,
+#: with a value that differs from the field's default.
+OVERRIDE_FLAGS = [
+    ("--nodes 32", None, "num_nodes", 32),
+    ("--candidate-size 16", None, "candidate_size", 16),
+    ("--runtime-scale 0.5", None, "runtime_scale", 0.5),
+    ("--training 100", None, "training_duration_s", 100.0),
+    ("--duration 200", None, "run_duration_s", 200.0),
+    ("--steady-green 5", None, "steady_green_cycles", 5),
+    ("--engine object", None, "engine", "object"),
+    ("--telemetry-dropout 0.2", "faults", "telemetry_dropout", 0.2),
+    ("--command-loss 0.1", "faults", "command_loss", 0.1),
+    ("--meter-outage 0.05", "faults", "meter_outage_rate", 0.05),
+    ("--ha --crash-rate 0.01", "faults", "controller_crash_rate", 0.01),
+    ("--corruption drift --corruption-onset 10", "corruption", "onset_cycle", 10),
+    ("--provision none --feed-loss-at 5", "provision", "feed_loss_at_cycle", 5),
+    ("--provision none --feed-restore-after 10",
+     "provision", "feed_restore_after_cycles", 10),
+    ("--provision none --cap-order-at 7", "provision", "cap_order_at_cycle", 7),
+    ("--provision none --nodes-per-rack 4", "provision", "nodes_per_rack", 4),
+    ("--provision none --no-defense", "provision", "defend", False),
+    ("--provision none --no-branch-caps", "provision", "branch_caps", False),
+    ("--quarantine --trust-quarantine 0.2", "integrity", "quarantine_trust", 0.2),
+    ("--quarantine --trust-release 0.8", "integrity", "release_trust", 0.8),
+    ("--quarantine --trust-recovery 0.05", "integrity", "trust_recovery", 0.05),
+    ("--ha --crash-at 5 7", "ha", "crash_at_cycles", (5, 7)),
+    ("--ha --lease-timeout 2", "ha", "lease_timeout_cycles", 2),
+    ("--ha --restart-cycles 10", "ha", "restart_cycles", 10),
+    ("--ha --cold-restart", "ha", "warm_standby", False),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "section", "field", "value"),
+    OVERRIDE_FLAGS,
+    ids=[argv for argv, *_ in OVERRIDE_FLAGS],
+)
+def test_override_flag_sets_its_field(argv, section, field, value):
+    config = _config_from_args(build_parser().parse_args(["run", *argv.split()]))
+    target = config if section is None else getattr(config, section)
+    assert getattr(target, field) == value
 
 
 def test_corruption_onset_requires_corruption(capsys):

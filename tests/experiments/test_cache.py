@@ -1,11 +1,15 @@
 """Tests for the content-addressed result cache."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
-from repro.experiments import ResultCache, run_experiment
+from repro.experiments import CODE_VERSION, ResultCache, run_experiment
+from repro.experiments.cache import _source_digest
 from repro.experiments.serialize import canonical_json, result_to_dict
 
 from .test_common import tiny_config
@@ -56,6 +60,19 @@ def test_salt_change_invalidates(tmp_path, computed):
     old.put(old.key(config, "mpc"), result)
     new = ResultCache(tmp_path, salt="v2")
     assert new.get(new.key(config, "mpc")) is None
+
+
+def test_salt_is_derived_from_the_package_sources(tmp_path):
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent,
+        copy,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    assert _source_digest(copy) == CODE_VERSION
+    module = copy / "cluster" / "engine.py"
+    module.write_text(module.read_text() + "# edited\n")
+    assert _source_digest(copy) != CODE_VERSION
 
 
 def test_corrupted_blob_is_a_miss_and_removed(tmp_path, computed):

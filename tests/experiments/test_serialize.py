@@ -138,7 +138,7 @@ def test_golden_config_hash_pin():
 
     and paste the output into ``tests/golden/config_hash.json`` — the
     diff then documents the drift in review.  (The pin deliberately uses
-    a fixed salt so CODE_VERSION bumps don't touch it.)
+    a fixed salt: CODE_VERSION changes with every code edit.)
     """
     pin = json.loads(GOLDEN.read_text(encoding="utf-8"))
     config = ExperimentConfig.quick(seed=2012)

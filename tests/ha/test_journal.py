@@ -55,7 +55,6 @@ def _checkpoint(cycle: int) -> ControllerCheckpoint:
         snapshot=_snapshot(float(cycle)),
         collections=cycle,
         dropped_samples=0,
-        accumulated_cost_s=0.0,
         last_metered_power=1000.0,
         last_metered_snapshot=None,
         actuator={"cycle": cycle, "pending": (), "counters": {}},

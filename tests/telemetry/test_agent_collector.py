@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import (
-    AgentPool,
-    ManagementCostModel,
-    ProfilingAgent,
-    TelemetryCollector,
-)
+from repro.telemetry import AgentPool, ProfilingAgent, TelemetryCollector
 
 
 # ----------------------------------------------------------------------
@@ -106,26 +101,6 @@ def test_snapshot_index_of_missing(busy_cluster):
     snap = collector.collect(0.0)
     with pytest.raises(TelemetryError):
         snap.index_of(9)
-
-
-def test_collector_cost_accounting(busy_cluster):
-    cost = ManagementCostModel()
-    collector = TelemetryCollector(busy_cluster.state, np.arange(16), cost)
-    collector.collect(0.0)
-    collector.collect(1.0)
-    assert collector.collections == 2
-    expected = 2 * cost.cycle_cost_s(16)
-    assert collector.accumulated_cost_s == pytest.approx(expected)
-    assert collector.management_cpu_utilization() == pytest.approx(
-        cost.cpu_utilization(16)
-    )
-
-
-def test_collector_without_cost_model(busy_cluster):
-    collector = TelemetryCollector(busy_cluster.state, np.arange(4))
-    collector.collect(0.0)
-    assert collector.accumulated_cost_s == 0.0
-    assert collector.management_cpu_utilization() == 0.0
 
 
 def test_empty_candidate_set(busy_cluster):

@@ -26,7 +26,7 @@ class _ScriptedDrops:
 
 def _collector(cluster, injector=None):
     sets = NodeSets(cluster)
-    return TelemetryCollector(cluster.state, sets.candidates, None, injector)
+    return TelemetryCollector(cluster.state, sets.candidates, injector)
 
 
 def test_snapshot_defaults_are_fault_free():
@@ -102,7 +102,6 @@ def test_empty_candidate_set_has_full_coverage_under_faults(busy_cluster):
     collector = TelemetryCollector(
         busy_cluster.state,
         np.array([], dtype=np.int64),
-        None,
         _ForbiddenDrops(),
     )
     for t in (1.0, 2.0, 3.0):
@@ -204,7 +203,6 @@ def test_restore_state_rebuilds_lkg_cache(busy_cluster):
         last,
         collections=primary.collections,
         dropped_samples=primary.dropped_samples,
-        accumulated_cost_s=primary.accumulated_cost_s,
     )
     assert successor.collections == 2
     assert successor.dropped_samples == 1
@@ -225,7 +223,7 @@ def test_restore_state_rejects_foreign_candidate_set(busy_cluster):
     last = primary.collect(1.0)
     sets = NodeSets(busy_cluster)
     other = TelemetryCollector(
-        busy_cluster.state, sets.candidates[:4], None, _ScriptedDrops([])
+        busy_cluster.state, sets.candidates[:4], _ScriptedDrops([])
     )
     with pytest.raises(TelemetryError):
         other.restore_state(last)
