@@ -88,7 +88,9 @@ def canonical_power_sum(
             )
         order = np.argsort(ids, kind="stable")
         vals = vals[order]
-    return float(np.sum(vals))
+    # ``add.reduce`` is the pairwise reduction ``np.sum`` dispatches to,
+    # without its Python wrapper.
+    return float(np.add.reduce(vals))
 
 
 def canonical_power_sums(rows: np.ndarray) -> np.ndarray:

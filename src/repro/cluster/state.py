@@ -140,7 +140,9 @@ class ClusterState:
         ids = np.asarray(node_ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
             raise ConfigurationError("node id out of range in set_levels")
-        lv = np.broadcast_to(np.asarray(levels, dtype=np.int64), ids.shape)
+        lv = np.asarray(levels, dtype=np.int64)
+        if lv.shape != ids.shape:
+            lv = np.broadcast_to(lv, ids.shape)
         if lv.size and (lv.min() < 0 or lv.max() > self.spec.top_level):
             raise ConfigurationError("DVFS level out of range in set_levels")
         self.level[ids] = lv

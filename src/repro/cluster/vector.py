@@ -52,14 +52,14 @@ class VectorEngine(ClusterEngine):
     def sample_telemetry(
         self, state: ClusterState, node_ids: np.ndarray, now: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sweep every agent at once: five gathers, five copies."""
+        """Sweep every agent at once: five gathers, each a fresh copy."""
         ids = node_ids
         return (
-            state.level[ids].copy(),
-            state.cpu_util[ids].copy(),
-            state.mem_frac[ids].copy(),
-            state.nic_frac[ids].copy(),
-            state.job_id[ids].copy(),
+            state.level[ids],
+            state.cpu_util[ids],
+            state.mem_frac[ids],
+            state.nic_frac[ids],
+            state.job_id[ids],
         )
 
     # -- Formula (1) estimation ----------------------------------------
@@ -111,17 +111,21 @@ class VectorEngine(ClusterEngine):
         # Bottleneck speed and degradation hold for the whole block: no
         # DVFS level changes between ticks.  ``minimum.reduceat`` is an
         # exact segmented min — identical to the object engine's
-        # per-node running min.
+        # per-node running min.  A ladder's top level runs at speed
+        # ``f/f_max`` = 1.0 exactly and every lower level strictly below
+        # it (frequencies strictly increase), so a job has a node below
+        # the top level exactly when its bottleneck speed is below 1.0.
         s_min = np.minimum.reduceat(state.speed_of(ids), table.offsets)
-        min_levels = np.minimum.reduceat(state.level[ids], table.offsets)
-        degraded = min_levels < state.spec.top_level
+        degraded = s_min < 1.0
 
-        # The first tick's phase and rate, from the progress at its start.
-        phase = _phases(table, progress)
-        rates = _rates(table, phase, s_min)
-        phase = phase[None, :]
+        # The first tick's phase, signature and rate, from the progress
+        # at its start.  Every per-job array keeps a tick axis, so a
+        # block of one needs no case of its own.
+        phase = _phases(table, progress)[None, :]
+        signature = table.signature.take(table.phase_base + phase, axis=1)
+        rates = _rates(signature[0, 0], s_min)
         step_work = rates * dt
-        ticks = len(now)
+        ticks = now.shape[0]
         if ticks > 1:
             # Look only as far as the first finish can be.
             remaining = np.maximum(0.0, table.nominal - progress)
@@ -135,7 +139,8 @@ class VectorEngine(ClusterEngine):
             path[1:] = step_work
             np.add.accumulate(path, axis=0, out=path)
             phase = _phases(table, path)
-            changed = (_rates(table, phase, s_min) != rates).any(axis=1)
+            beta = table.signature[0].take(table.phase_base + phase)
+            changed = (_rates(beta, s_min) != rates).any(axis=1)
             finishing = (
                 step_work >= np.maximum(0.0, table.nominal - path)
             ).any(axis=1)
@@ -144,7 +149,10 @@ class VectorEngine(ClusterEngine):
             stops = np.flatnonzero(changed[1:] | finishing[:-1])
             if stops.size:
                 ticks = int(stops[0]) + 1
-            phase = phase[:ticks]
+            if ticks > 1:
+                signature = table.signature.take(
+                    table.phase_base + phase[:ticks], axis=1
+                )
             progress = path[ticks - 1]
 
         # The last tick: progress and finish detection, written back to
@@ -171,30 +179,29 @@ class VectorEngine(ClusterEngine):
         # writes; the association ``(signature · (modulation · jitter))
         # · node_factor`` matches its scalar product order.  With noise
         # off every node factor is exactly 1.0, and the product is
-        # skipped.
-        modulation_z, jitter_z, noise_z = table.draw(
-            rng, ticks, modulation.drawn, util_jitter_std > 0, node_noise_std > 0
+        # skipped.  CPU, NIC and memory reach the nodes in one ``take``
+        # and are clipped together.
+        modulation_z, jitter, noise = table.draw(
+            rng, ticks, modulation.drawn, util_jitter_std, node_noise_std
         )
-        scale: float | np.ndarray = modulation.factor
-        if modulation_z is not None:
-            scale = np.array(modulation.advance(dt, modulation_z))[:, None]
-        if jitter_z is not None:
-            scale = scale * np.maximum(0.0, 1.0 + util_jitter_std * jitter_z)
-        signature = table.signature.take(table.phase_base + phase, axis=1)
-        load = (signature[1:] * scale).take(table.node_job, axis=2)
-        if noise_z is not None:
-            load *= np.maximum(0.0, 1.0 + node_noise_std * noise_z)
-        ramp = np.where(
-            table.ramped,
-            np.minimum(1.0, (now[:ticks, None] - table.start) / table.ramp_s),
-            1.0,
+        scale: float | np.ndarray = (
+            modulation.factor
+            if modulation_z is None
+            else np.array(modulation.advance(dt, modulation_z))[:, None]
         )
-        mem = (table.mem_fraction * ramp).take(table.node_job, axis=1)
+        if jitter is not None:
+            scale = scale * jitter
+        per_job = np.empty((3, ticks, len(jobs)))
+        np.multiply(signature[1:], scale, out=per_job[:2])
+        ramp = np.minimum(1.0, (now[:ticks, None] - table.ramp_from) / table.ramp_s)
+        np.multiply(table.mem_fraction, ramp, out=per_job[2])
+        load = per_job.take(table.node_job, axis=2)
+        if noise is not None:
+            load[:2] *= noise
         # Clipped as ``ClusterState.set_load`` clips; the state keeps
         # the last tick.
-        cpu = np.fmin(np.fmax(load[0], 0.0), 1.0)
-        mem = np.fmin(np.fmax(mem, 0.0), 1.0)
-        nic = np.fmin(np.fmax(load[1], 0.0), 1.0)
+        np.fmin(np.fmax(load, 0.0, out=load), 1.0, out=load)
+        cpu, nic, mem = load[0], load[1], load[2]
         state.cpu_util[ids] = cpu[-1]
         state.mem_frac[ids] = mem[-1]
         state.nic_frac[ids] = nic[-1]
@@ -212,12 +219,9 @@ def _phases(table: RunningJobTable, progress: np.ndarray) -> np.ndarray:
     bounds = table.inner_bounds
     if pos.ndim > 1:
         bounds = bounds[:, None, :]
-    return (bounds <= pos).sum(axis=0)
+    return np.add.reduce(bounds <= pos, axis=0)
 
 
-def _rates(
-    table: RunningJobTable, phase: np.ndarray, s_min: np.ndarray
-) -> np.ndarray:
-    """Bulk-synchronous progress rates at the given phase indices."""
-    beta = table.signature[0].take(table.phase_base + phase)
+def _rates(beta: np.ndarray, s_min: np.ndarray) -> np.ndarray:
+    """Bulk-synchronous progress rates for compute-boundness ``beta``."""
     return 1.0 / ((1.0 - beta) + beta / s_min)

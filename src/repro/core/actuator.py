@@ -455,7 +455,7 @@ class DvfsActuator:
             # machine is untouched and no pending state is disturbed.
             self._fenced += n
             return ActuationReport(commands=n, fenced=n)
-        if not np.all(self._state.controllable[ids]):
+        if not self._state.controllable[ids].all():
             raise PowerManagementError(
                 "capping decision addresses a privileged node"
             )
@@ -474,43 +474,51 @@ class DvfsActuator:
                     kept.append(p)
             self._pending = kept
 
-        if self._injector is not None:
-            lost, delayed = self._injector.command_outcomes(ids)
+        lost: np.ndarray | None = None
+        delayed: np.ndarray | None = None
+        if self._injector is None and raise_ok is None:
+            # No command can be lost, delayed or clamped: the whole
+            # batch lands as commanded.
+            d_ids, d_levels = ids, decision.new_levels
+            suppressed = 0
         else:
-            lost = delayed = np.zeros(n, dtype=bool)
-        deliver = ~(lost | delayed)
+            if self._injector is not None:
+                lost, delayed = self._injector.command_outcomes(ids)
+            else:
+                lost = delayed = np.zeros(n, dtype=bool)
+            deliver = ~(lost | delayed)
+            current = self._state.level[ids]
+            target = np.asarray(decision.new_levels, dtype=np.int64).copy()
+            allow = np.ones(n, dtype=bool) if raise_ok is None else raise_ok[ids]
+            blocked = (target > current) & ~allow
+            target[blocked] = current[blocked]
+            d_ids, d_levels = ids[deliver], target[deliver]
+            suppressed = int(blocked[deliver].sum())
 
-        current = self._state.level[ids].copy()
-        target = np.asarray(decision.new_levels, dtype=np.int64).copy()
-        allow = (
-            np.ones(n, dtype=bool) if raise_ok is None else raise_ok[ids]
-        )
-        blocked = (target > current) & ~allow
-        target[blocked] = current[blocked]
-
-        d_ids = ids[deliver]
         if len(d_ids):
             self._note_landing(self._epoch)
-        before = current[deliver]
-        self._state.set_levels(d_ids, target[deliver])
+        before = self._state.level[d_ids]
+        self._state.set_levels(d_ids, d_levels)
         # Readback verification: what actually landed this cycle.
         delta = self._state.level[d_ids] - before
+        raised = int(np.add.reduce(np.maximum(delta, 0)))
         self._commands_sent += n
-        self._levels_lowered += int(-delta[delta < 0].sum())
-        self._levels_raised += int(delta[delta > 0].sum())
+        self._levels_lowered += raised - int(np.add.reduce(delta))
+        self._levels_raised += raised
         effective = int(np.count_nonzero(delta))
-        suppressed = int(blocked[deliver].sum())
         noop = int(len(d_ids) - effective - suppressed)
         self._effective += effective
         self._noops += noop
         self._suppressed += suppressed
-        self._lost += int(lost.sum())
         if decision.action is CappingAction.EMERGENCY:
             self._emergencies += 1
+        if lost is None or delayed is None:  # the fault-free batch is done
+            return ActuationReport(commands=n, effective=effective, noop=noop)
 
         # Queue losses for re-issue and delays for late landing.  The
         # *commanded* level is kept (not the clamped one): the clamp is
         # re-evaluated against the node's actual level at landing time.
+        self._lost += int(lost.sum())
         levels = decision.new_levels
         for k in np.flatnonzero(lost):
             self._requeue_or_abandon(

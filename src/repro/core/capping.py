@@ -187,10 +187,14 @@ class PowerCappingAlgorithm:
         self, ctx: PolicyContext, upgradable: np.ndarray | None = None
     ) -> CappingDecision:
         self._time_g += 1
-        degraded = self.degraded_nodes
-        if upgradable is not None and len(degraded) > 0:
-            degraded = degraded[upgradable[degraded]]
-        if self._time_g < self._t_g or len(degraded) == 0:
+        # Before T_g green cycles nothing is upgraded, so A_degraded is
+        # not read.
+        degraded = _EMPTY_I
+        if self._time_g >= self._t_g:
+            degraded = self.degraded_nodes
+            if upgradable is not None and len(degraded) > 0:
+                degraded = degraded[upgradable[degraded]]
+        if len(degraded) == 0:
             return CappingDecision(
                 PowerState.GREEN, CappingAction.NONE, _EMPTY_I, _EMPTY_I, self._time_g
             )
@@ -248,10 +252,10 @@ class PowerCappingAlgorithm:
                 "policy selected nodes outside the candidate set"
             )
         snapshot = ctx.snapshot
-        idx = np.searchsorted(snapshot.node_ids, targets)
-        if np.any(snapshot.job_id[idx] < 0):
+        idx = snapshot.node_ids.searchsorted(targets)
+        if (snapshot.job_id[idx] < 0).any():
             raise PowerManagementError("policy selected an idle node")
-        if np.any(snapshot.level[idx] <= 0):
+        if (snapshot.level[idx] <= 0).any():
             raise PowerManagementError(
                 "policy selected a node already at its lowest level"
             )
@@ -265,5 +269,5 @@ class PowerCappingAlgorithm:
         set in ascending node-id order, so a binary search resolves the
         indices.
         """
-        idx = np.searchsorted(ctx.snapshot.node_ids, node_ids)
+        idx = ctx.snapshot.node_ids.searchsorted(node_ids)
         return ctx.snapshot.level[idx].astype(np.int64)

@@ -773,6 +773,8 @@ class PowerManager:
         decision = report.decision
         act = report.actuation
         assert act is not None  # every cycle this manager runs actuates
+        state = report.state.value
+        action = decision.action.value
         estimate: dict[str, AttrValue] = {
             "metered": report.metered,
             "power_w": report.power_w,
@@ -780,62 +782,58 @@ class PowerManager:
         if self._meter_monitor is not None:
             estimate["meter_distrusted"] = report.meter_distrusted
         classify: dict[str, AttrValue] = {
-            "state": report.state.value,
+            "state": state,
             "p_low_w": report.p_low,
             "p_high_w": report.p_high,
             "forced_red": report.forced_red,
         }
         if self._emergency is not None:
             classify["emergency_red"] = report.emergency_red
-        stages: tuple[tuple[str, dict[str, AttrValue]], ...] = (
-            (
-                "collect",
-                {
-                    "size": size,
-                    "coverage": report.coverage,
-                    "recovery_pending": len(self._recovery_pending),
-                },
-            ),
-            ("estimate", estimate),
-            ("classify", classify),
-            (
-                "select_targets",
-                {
-                    "action": decision.action.value,
-                    "targets": decision.num_targets,
-                    "time_in_green": decision.time_in_green,
-                },
-            ),
-            (
-                "actuate",
-                {
-                    "commands": act.commands,
-                    "effective": act.effective,
-                    "noop": act.noop,
-                    "suppressed": act.suppressed,
-                    "lost": act.lost,
-                    "delayed": act.delayed,
-                    "fenced": act.fenced,
-                },
-            ),
-            ("journal", {"journaled": journaled, "compacted": compacted}),
-        )
         tracer = self._obs.tracer
         root = tracer.begin_cycle(report.time)
-        for name, attrs in stages:
-            tracer.open_span(name).attrs = attrs
-            tracer.close_span()
+        leaf = tracer._leaf
+        leaf(
+            "collect",
+            {
+                "size": size,
+                "coverage": report.coverage,
+                "recovery_pending": len(self._recovery_pending),
+            },
+        )
+        leaf("estimate", estimate)
+        leaf("classify", classify)
+        leaf(
+            "select_targets",
+            {
+                "action": action,
+                "targets": decision.num_targets,
+                "time_in_green": decision.time_in_green,
+            },
+        )
+        leaf(
+            "actuate",
+            {
+                "commands": act.commands,
+                "effective": act.effective,
+                "noop": act.noop,
+                "suppressed": act.suppressed,
+                "lost": act.lost,
+                "delayed": act.delayed,
+                "fenced": act.fenced,
+            },
+        )
+        leaf("journal", {"journaled": journaled, "compacted": compacted})
         p_high = report.p_high
         root.attrs = {
             "cycle": self._cycles,
             "power_w": report.power_w,
             "ratio_high": (report.power_w / p_high) if p_high > 0.0 else None,
-            "state": report.state.value,
+            "state": state,
             "metered": report.metered,
             "coverage": report.coverage,
             "forced_red": report.forced_red,
             "degraded": report.degraded,
-            "action": decision.action.value,
+            "action": action,
             "targets": decision.num_targets,
             "epoch": self._epoch,
             "recovery_hold": bool(self._recovery_pending),

@@ -153,8 +153,9 @@ class PolicyContext:
     def degradable_nodes_of_job(self, job_id: int) -> np.ndarray:
         """``Nodes(J)`` ∩ degradable, as *node ids* (ascending)."""
         s = self.snapshot
-        mask = (s.job_id == int(job_id)) & (s.level > 0)
-        return np.sort(s.node_ids[mask])
+        nodes = s.node_ids[(s.job_id == int(job_id)) & (s.level > 0)]
+        nodes.sort()  # a fresh copy: boolean indexing copies
+        return nodes
 
     def savings_of_job(self, job_id: int) -> float:
         """Σ over the job's degradable nodes of one-level savings, watts.

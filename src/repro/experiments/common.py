@@ -227,7 +227,7 @@ class ExperimentConfig:
         1.5 h evaluation at quarter-scale runtimes.  This is the smallest
         setting whose results sit inside the paper's reported bands (see
         EXPERIMENTS.md).  One run takes about 0.4 s of wall clock
-        uncapped and 1.8 s under MPC (one core of a 2-vCPU VM, Python
+        uncapped and 1.3 s under MPC (one core of a 2-vCPU VM, Python
         3.11, numpy 2.4)."""
         base = cls(
             runtime_scale=0.25,
@@ -503,6 +503,7 @@ def run_experiment(
             world.cluster.state,
             noise_std_fraction=config.meter_noise_fraction,
             rng=world.rng.stream("meter.noise"),
+            obs=world.obs,
         )
         factory = PowerManager if manager_factory is None else manager_factory
         manager_kwargs: dict[str, Any] = {"obs": world.obs}

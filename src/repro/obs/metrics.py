@@ -24,6 +24,7 @@ value — deterministic byte-for-byte for a deterministic run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Mapping
 
 from repro.errors import ObservabilityError
@@ -141,15 +142,13 @@ class Histogram:
         return self._sum
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation: in the first bucket whose bound it
+        does not exceed, else (NaN included) in the +Inf bucket."""
         v = float(value)
         self._sum += v
         self._count += 1
-        for i, bound in enumerate(self._bounds):
-            if v <= bound:
-                self._counts[i] += 1
-                return
-        self._counts[-1] += 1
+        bounds = self._bounds
+        self._counts[bisect_left(bounds, v) if v == v else len(bounds)] += 1
 
     def cumulative_counts(self) -> tuple[int, ...]:
         """Cumulative per-bucket counts, ending with the +Inf bucket."""

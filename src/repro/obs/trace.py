@@ -154,7 +154,10 @@ class CycleTracer:
                 kids.clear()
             free.append(span)
 
-    def _new_span(self, name: str, time: Seconds, seq: int) -> Span:
+    def _new_span(self, name: str, time: Seconds) -> Span:
+        """A pooled (or fresh) open span with the next sequence number."""
+        seq = self._seq
+        self._seq = seq + 1
         free = self._free
         if free:
             span = free.pop()
@@ -180,8 +183,7 @@ class CycleTracer:
             raise ObservabilityError(
                 "begin_cycle with a span still open; end_cycle first"
             )
-        root = self._new_span("cycle", now, self._seq)
-        self._seq += 1
+        root = self._new_span("cycle", now)
         self._stack.append(root)
         return root
 
@@ -200,8 +202,7 @@ class CycleTracer:
             raise ObservabilityError(
                 f"span {name!r} opened outside a cycle; begin_cycle first"
             )
-        child = self._new_span(name, stack[0].time, self._seq)
-        self._seq += 1
+        child = self._new_span(name, stack[0].time)
         parent = stack[-1]
         if parent._children is None:
             parent._children = [child]
@@ -209,6 +210,21 @@ class CycleTracer:
             parent._children.append(child)
         stack.append(child)
         return child
+
+    def _leaf(self, name: str, attrs: dict[str, AttrValue]) -> None:
+        """Add a closed child span carrying ``attrs`` to the open root:
+        the span :meth:`open_span` then :meth:`close_span` would add, in
+        one call.  The manager projects its stage spans this way, only
+        while tracing and between :meth:`begin_cycle` and
+        :meth:`end_cycle`."""
+        root = self._stack[0]
+        leaf = self._new_span(name, root.time)
+        leaf.open = False
+        leaf.attrs = attrs
+        if root._children is None:
+            root._children = [leaf]
+        else:
+            root._children.append(leaf)
 
     def close_span(self) -> None:
         """Close the innermost open span (pair of :meth:`open_span`).

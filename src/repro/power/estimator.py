@@ -48,27 +48,42 @@ class JobPowerTable:
         self.job_ids = job_ids
         self.power_w = power_w
         self.node_counts = node_counts
-        self._index = {int(j): k for k, j in enumerate(job_ids)}
+        #: Job id → row, built on the first lookup by id (rankings by
+        #: power never need it).
+        self._index: dict[int, int] | None = None
+
+    def _rows(self) -> dict[int, int]:
+        if self._index is None:
+            self._index = {int(j): k for k, j in enumerate(self.job_ids)}
+        return self._index
 
     def __len__(self) -> int:
         return len(self.job_ids)
 
     def __contains__(self, job_id: int) -> bool:
-        return int(job_id) in self._index
+        return int(job_id) in self._rows()
 
     def power_of(self, job_id: int) -> float:
         """``Power(J)`` for one job, watts.  KeyError if absent."""
-        return float(self.power_w[self._index[int(job_id)]])
+        return float(self.power_w[self._rows()[int(job_id)]])
 
     def sorted_by_power(self, descending: bool = True) -> np.ndarray:
         """Job ids ordered by estimated power.
 
-        Ties are broken by ascending job id (stable, deterministic).
+        The order is a stable ascending sort by power, reversed when
+        ``descending``: equal powers rank by ascending job id in the
+        ascending order and by descending job id in the descending one.
         """
-        order = np.argsort(self.power_w, kind="stable")
+        order = self.power_w.argsort(kind="stable")
         if descending:
             order = order[::-1]
         return self.job_ids[order]
+
+
+#: Job ids that span more than this many bins per aggregated entry are
+#: numbered densely first, so a snapshot of a few widely spread ids
+#: never allocates one bin per id in between.
+_BINS_PER_ENTRY = 4
 
 
 class NodePowerEstimator:
@@ -155,6 +170,17 @@ class NodePowerEstimator:
         if jid.size == 0:
             empty_i = np.empty(0, dtype=np.int64)
             return JobPowerTable(empty_i, np.empty(0, dtype=np.float64), empty_i)
+        # ``bincount`` adds each bin's weights left to right in input
+        # order, so every sum is bit for bit the object engine's.  Bins
+        # are the ids less the smallest, unless the ids spread too far
+        # for that; then each distinct id gets one.
+        low = jid.min()
+        bins = jid - low
+        if bins.max() < _BINS_PER_ENTRY * jid.size:
+            counts = np.bincount(bins)
+            present = np.flatnonzero(counts)
+            sums = np.bincount(bins, weights=vals)
+            return JobPowerTable(present + low, sums[present], counts[present])
         uniq, inverse, counts = np.unique(jid, return_inverse=True, return_counts=True)
         sums = np.bincount(inverse, weights=vals, minlength=len(uniq))
         return JobPowerTable(uniq, sums, counts.astype(np.int64))

@@ -94,7 +94,7 @@ class SystemPowerMeter:
         Noise is multiplicative and clamped so a reading can never go
         negative even under extreme noise settings.
         """
-        power = self.true_power()
+        power = self._model.system_power(self._state)
         if self._noise_std > 0.0:
             assert self._rng is not None
             factor = 1.0 + self._rng.normal(0.0, self._noise_std)

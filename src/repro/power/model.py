@@ -50,6 +50,7 @@ class PowerModel:
         self._cpu = spec.cpu_dynamic_per_level
         self._mem = spec.mem_dynamic_per_level
         self._nic = spec.nic_dynamic_per_level
+        self._top = spec.top_level
 
     # ------------------------------------------------------------------
     # Scalar / array evaluation from raw operating points
@@ -68,7 +69,7 @@ class PowerModel:
         broadcast shape).
         """
         lv = np.asarray(level, dtype=np.int64)
-        if lv.size and (lv.min() < 0 or lv.max() > self.spec.top_level):
+        if lv.size and (lv.min() < 0 or lv.max() > self._top):
             raise ConfigurationError("DVFS level out of range in evaluate()")
         power = (
             self._idle[lv]
@@ -76,7 +77,7 @@ class PowerModel:
             + np.asarray(mem_frac) * self._mem[lv]
             + np.asarray(nic_frac) * self._nic[lv]
         )
-        if np.ndim(power) == 0:
+        if power.ndim == 0:
             return float(power)
         return power
 
@@ -95,12 +96,9 @@ class PowerModel:
         """
         ids = np.asarray(node_ids, dtype=np.int64)
         lv = np.asarray(level, dtype=np.int64)
-        value = self.evaluate(
-            np.broadcast_to(lv, np.broadcast_shapes(lv.shape, ids.shape)),
-            cpu_util,
-            mem_frac,
-            nic_frac,
-        )
+        if lv.shape != ids.shape:
+            lv = np.broadcast_to(lv, np.broadcast_shapes(lv.shape, ids.shape))
+        value = self.evaluate(lv, cpu_util, mem_frac, nic_frac)
         return np.asarray(value, dtype=np.float64)
 
     # ------------------------------------------------------------------

@@ -80,6 +80,10 @@ class BatchScheduler:
         self._suspend_count = 0
         self._resume_count = 0
         self._offline = np.zeros(cluster.num_nodes, dtype=bool)
+        #: The queue head the last FCFS pass could not place.  Only a
+        #: finish, a kill or a return from the offline fence frees nodes
+        #: (each clears it), so until then the same head cannot fit.
+        self._refused: Job | None = None
         self._register_metrics(resolve_obs(obs))
 
     def _register_metrics(self, obs: Observability) -> None:
@@ -255,7 +259,10 @@ class BatchScheduler:
         """
         if not self._queue or not isinstance(self._feeder, KeepQueueFilledFeeder):
             return False
-        needed = self._allocator.nodes_needed(self._queue.peek().nprocs)
+        head = self._queue.peek()
+        if head is self._refused:
+            return True
+        needed = self._allocator.nodes_needed(head.nprocs)
         return needed > self._allocator.free_nodes(blocked=self._offline)
 
     def _close_interval(self, now: float, block: StepBlock) -> list[Job]:
@@ -269,16 +276,20 @@ class BatchScheduler:
             del self._running[job.job_id]
             self._finished.append(job)
             finished_now.append(job)
+            self._refused = None
         self._feeder.poll(now, self._queue)
         self._start_fcfs(now)
         return finished_now
 
     def _start_fcfs(self, now: float) -> None:
+        if self._queue and self._queue.peek() is self._refused:
+            return  # no node was freed since this head was refused
         blocked = self._offline if self._offline.any() else None
         while self._queue:
             head = self._queue.peek()
             nodes = self._allocator.try_allocate(head.nprocs, blocked=blocked)
             if nodes is None:
+                self._refused = head
                 break  # strict FCFS: the head blocks the queue
             job = self._queue.pop()
             self._cluster.state.assign_job(nodes, job.job_id)
@@ -344,6 +355,7 @@ class BatchScheduler:
         self._cluster.state.release_job(job.nodes)
         del self._running[job.job_id]
         self._killed.append(job)
+        self._refused = None
 
     def take_offline(self, node_ids: np.ndarray, now: float) -> None:
         """Fence nodes out of the allocation pool (shed or blacked out).
@@ -357,3 +369,4 @@ class BatchScheduler:
     def bring_online(self, node_ids: np.ndarray) -> None:
         """Re-admit fenced nodes into the allocation pool."""
         self._offline[np.asarray(node_ids, dtype=np.int64)] = False
+        self._refused = None

@@ -42,7 +42,10 @@ class TelemetrySnapshot:
     """One cycle's view of every monitored node.
 
     Arrays are aligned: entry ``k`` of each array describes node
-    ``node_ids[k]``.  All arrays are copies owned by the snapshot.
+    ``node_ids[k]``.  Every array is read-only once the snapshot exists.
+    The per-node readings are copies the snapshot owns; ``node_ids``
+    (and, on fault-free sweeps, the all-zero ``age``) may be a read-only
+    array the collector shares between its snapshots.
 
     ``age`` is the staleness of each entry in seconds: 0 for nodes whose
     agent reported this cycle, the time since the last successful report
@@ -71,24 +74,26 @@ class TelemetrySnapshot:
     coverage: float = 1.0
 
     def __post_init__(self) -> None:
-        n = len(self.node_ids)
+        shape = self.node_ids.shape
         if self.age is None:
-            object.__setattr__(self, "age", np.zeros(n, dtype=np.float64))
-        for name in ("level", "cpu_util", "mem_frac", "nic_frac", "job_id", "age"):
-            if len(getattr(self, name)) != n:
+            object.__setattr__(self, "age", np.zeros(shape, dtype=np.float64))
+        arrays = (
+            ("node_ids", self.node_ids),
+            ("level", self.level),
+            ("cpu_util", self.cpu_util),
+            ("mem_frac", self.mem_frac),
+            ("nic_frac", self.nic_frac),
+            ("job_id", self.job_id),
+            ("age", self.age),
+        )
+        for name, arr in arrays:
+            if arr.shape != shape:
                 raise TelemetryError(f"snapshot array {name} misaligned")
         if not math.isfinite(self.coverage) or not 0.0 <= self.coverage <= 1.0:
             raise TelemetryError("snapshot coverage outside [0, 1]")
-        for arr in (
-            self.node_ids,
-            self.level,
-            self.cpu_util,
-            self.mem_frac,
-            self.nic_frac,
-            self.job_id,
-            self.age,
-        ):
-            arr.setflags(write=False)
+        for _, arr in arrays:
+            if arr.flags.writeable:
+                arr.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -158,6 +163,10 @@ class TelemetryCollector:
         engine: ClusterEngine | str | None = None,
     ) -> None:
         self._pool = AgentPool(state, candidate_ids, engine=engine)
+        #: Read-only, so every snapshot shares them.
+        self._node_ids = self._pool.node_ids
+        self._zero_age = np.zeros(len(self._node_ids))
+        self._zero_age.setflags(write=False)
         self._injector = fault_injector
         self._validator = validator
         self._current: TelemetrySnapshot | None = None
@@ -168,12 +177,12 @@ class TelemetryCollector:
         # its node once when installed), so a node dropped on the very
         # first sweep still has *some* row — marked infinitely stale
         # until its first successful report.
-        ids = self._pool.node_ids
-        self._lkg_level = state.level[ids].copy()
-        self._lkg_cpu = state.cpu_util[ids].copy()
-        self._lkg_mem = state.mem_frac[ids].copy()
-        self._lkg_nic = state.nic_frac[ids].copy()
-        self._lkg_job = state.job_id[ids].copy()
+        ids = self._node_ids
+        self._lkg_level = state.level[ids]
+        self._lkg_cpu = state.cpu_util[ids]
+        self._lkg_mem = state.mem_frac[ids]
+        self._lkg_nic = state.nic_frac[ids]
+        self._lkg_job = state.job_id[ids]
         self._lkg_time = np.full(len(ids), -np.inf)
         self._register_metrics(resolve_obs(obs))
 
@@ -211,8 +220,8 @@ class TelemetryCollector:
     # ------------------------------------------------------------------
     @property
     def candidate_ids(self) -> np.ndarray:
-        """The monitored candidate node set."""
-        return self._pool.node_ids
+        """The monitored candidate node set (read-only)."""
+        return self._node_ids
 
     @property
     def size(self) -> int:
@@ -258,10 +267,10 @@ class TelemetryCollector:
         worst-case envelope.
         """
         level, cpu, mem, nic, job = self._pool.sample_arrays(now)
-        age: np.ndarray | None = None
+        age = self._zero_age
         coverage = 1.0
         if self._injector is not None or self._validator is not None:
-            ids = self._pool.node_ids
+            ids = self._node_ids
             if len(ids) == 0:
                 # Convention: an empty candidate set has coverage 1.0
                 # (vacuously full).  There is nothing to monitor, so a
@@ -324,7 +333,7 @@ class TelemetryCollector:
                     age[quarantined] = np.inf
         snapshot = TelemetrySnapshot(
             time=float(now),
-            node_ids=self._pool.node_ids.copy(),
+            node_ids=self._node_ids,
             level=level,
             cpu_util=cpu,
             mem_frac=mem,
@@ -336,7 +345,7 @@ class TelemetryCollector:
         self._previous = self._current
         self._current = snapshot
         self._collections += 1
-        if self._metrics_on and snapshot.size > 0:
+        if self._metrics_on and self._node_ids.size:
             if self._injector is None:
                 # Fault-free sweeps have age ≡ 0 by construction; skip
                 # the reduction on the hot path.
@@ -384,7 +393,7 @@ class TelemetryCollector:
         if snapshot is None:
             self._current = None
             return
-        if not np.array_equal(snapshot.node_ids, self._pool.node_ids):
+        if not np.array_equal(snapshot.node_ids, self._node_ids):
             raise TelemetryError(
                 "journaled snapshot does not cover this candidate set"
             )

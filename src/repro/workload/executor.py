@@ -167,15 +167,17 @@ class RunningJobTable:
     * ``signature`` — ``(3, apps·w)`` β, CPU and NIC of every phase, one
       ``w``-wide block per schedule; ``phase_base`` — ``(n,)`` each
       job's block start;
-    * ``mem_fraction``, ``ramp_s``, ``ramped``, ``start`` — ``(n,)`` the
-      memory footprint, its ramp (1.0 where there is none, so the unused
-      division stays finite) and the start time;
+    * ``mem_fraction``, ``ramp_s``, ``ramp_from`` — ``(n,)`` the memory
+      footprint, its ramp and the time it starts from: the job's start
+      time, or ``-inf`` with a ramp of 1.0 where there is none, so that
+      ``min(1, (t - ramp_from) / ramp_s)`` is 1.0 from the start;
     * ``node_ids`` — ``(m,)`` every job's nodes, concatenated in job
       order; ``offsets`` — ``(n,)`` each job's first entry;
       ``node_job`` — ``(m,)`` the job index of each entry.
 
     The table also keeps where each job's jitter and each node's noise
-    sit in a tick's row of the one random draw (see :meth:`draw`).
+    sit in a tick's row of the one random draw (see :meth:`draw`), and
+    the std-dev of each of those slots.
     """
 
     def __init__(self, jobs: list[Job]) -> None:
@@ -195,11 +197,12 @@ class RunningJobTable:
             ],
             dtype=float,
         )
-        self.nominal, self.cycle, self.mem_fraction, ramp, self.start = (
+        self.nominal, self.cycle, self.mem_fraction, ramp, start = (
             np.ascontiguousarray(scalars.T)
         )
-        self.ramped = ramp > 0
-        self.ramp_s = np.where(self.ramped, ramp, 1.0)
+        ramped = ramp > 0
+        self.ramp_s = np.where(ramped, ramp, 1.0)
+        self.ramp_from = np.where(ramped, start, -np.inf)
 
         # One block per distinct schedule, numbered in order of first use.
         blocks: dict[PhaseSchedule, int] = {}
@@ -227,50 +230,68 @@ class RunningJobTable:
         self.node_job = np.repeat(np.arange(n), counts)
         self._jitter_slots = self.offsets + np.arange(n)
         self._noise_slots = np.arange(len(self.node_ids)) + self.node_job + 1
+        self._slot_std: tuple[tuple[float, float], np.ndarray] | None = None
 
     def draw(
         self,
         rng: np.random.Generator,
         ticks: int,
         modulation: bool,
-        jitter: bool,
-        noise: bool,
+        jitter_std: float,
+        noise_std: float,
     ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """The standard-normal draws of ``ticks`` ticks: ``(per tick,
-        per tick and job, per tick and node)``, shaped ``(ticks,)``,
-        ``(ticks, n)`` and ``(ticks, m)``.
+        """The random draws of ``ticks`` ticks: ``(per tick, per tick and
+        job, per tick and node)``, shaped ``(ticks,)``, ``(ticks, n)`` and
+        ``(ticks, m)``.  The first are the load modulation's
+        standard-normal innovations; the others are the jitter and noise
+        factors ``max(0, 1 + σ·z)`` of standard-normal draws ``z``.
 
         The stream order is the object engine's, tick by tick: the load
         modulation's innovation (if ``modulation``), then job by job the
-        job's jitter draw (if ``jitter``) and one draw per node (if
-        ``noise``).  It comes from one ``standard_normal`` call, one row
-        per tick, split into the kinds of slot.  ``Generator`` fills a
-        size-k draw from the same stream k scalar draws consume, and
-        ``normal(0, σ)`` is ``σ · z`` bit for bit, so scaling these by σ
-        replays the per-tick, per-job draws exactly
+        job's jitter draw (if ``jitter_std > 0``) and one draw per node
+        (if ``noise_std > 0``).  It comes from one ``standard_normal``
+        call, one row per tick, split into the kinds of slot.
+        ``Generator`` fills a size-k draw from the same stream k scalar
+        draws consume, and ``normal(0, σ)`` is ``σ · z`` bit for bit, so
+        these replay the per-tick, per-job draws exactly
         (``tests/equivalence/test_batched_draw.py`` pins both facts).  A
         kind that is off is not drawn (``None``).  One row per tick is
         the per-tick order again (``tests/equivalence/test_block_numpy.py``
-        pins the block layout).
+        pins the block layout).  Both factors are computed in one pass
+        over a row, each slot scaled by its own σ.
         """
+        jitter, noise = jitter_std > 0, noise_std > 0
         lead = int(modulation)
-        width = lead + len(self.jobs) * jitter + len(self.node_ids) * noise
+        width = lead + self._jitter_slots.size * jitter + self.node_job.size * noise
         if width == 0:
             return None, None, None
-        z = rng.standard_normal(ticks * width).reshape(ticks, width)
+        z = rng.standard_normal((ticks, width))
         innovations = z[:, 0] if modulation else None
-        body = z[:, lead:]
+        if not (jitter or noise):
+            return innovations, None, None
         if jitter and noise:
-            return (
-                innovations,
-                body.take(self._jitter_slots, axis=1),
-                body.take(self._noise_slots, axis=1),
-            )
-        if jitter:
-            return innovations, body, None
-        if noise:
-            return innovations, None, body
-        return innovations, None, None
+            std: float | np.ndarray = self._slot_stds(jitter_std, noise_std)
+        else:
+            std = jitter_std if jitter else noise_std
+        factors = np.maximum(0.0, 1.0 + std * z[:, lead:])
+        if not noise:
+            return innovations, factors, None
+        if not jitter:
+            return innovations, None, factors
+        return (
+            innovations,
+            factors.take(self._jitter_slots, axis=1),
+            factors.take(self._noise_slots, axis=1),
+        )
+
+    def _slot_stds(self, jitter_std: float, noise_std: float) -> np.ndarray:
+        """σ of each slot of a row with both kinds drawn (kept per pair)."""
+        key = (jitter_std, noise_std)
+        if self._slot_std is None or self._slot_std[0] != key:
+            stds = np.full(self._jitter_slots.size + self.node_job.size, noise_std)
+            stds[self._jitter_slots] = jitter_std
+            self._slot_std = (key, stds)
+        return self._slot_std[1]
 
     def holds(self, jobs: list[Job]) -> bool:
         """Whether ``jobs`` are this table's jobs, in the same order."""
@@ -375,7 +396,7 @@ class JobExecutor:
         return self._engine.step_jobs(
             self._state,
             table.jobs,
-            np.atleast_1d(now),
+            np.array(now, dtype=np.float64, ndmin=1),
             dt,
             self._rng,
             self._util_jitter,

@@ -56,15 +56,19 @@ def test_sorted_by_power_descending_default(estimator):
 
 
 def test_sorted_ties_break_by_job_id(estimator):
+    # A stable ascending sort reversed for the descending order: equal
+    # powers rank by ascending job id going up, by descending job id
+    # going down.
     table = estimator.aggregate_by_job(
+        np.array([9, 3, 7]), np.array([80.0, 50.0, 80.0])
+    )
+    assert table.sorted_by_power(descending=True).tolist() == [9, 7, 3]
+    assert table.sorted_by_power(descending=False).tolist() == [3, 7, 9]
+    tied = estimator.aggregate_by_job(
         np.array([5, 3, 9]), np.array([7.0, 7.0, 7.0])
     )
-    # Stable sort over ascending job ids, reversed for descending order:
-    # ties must produce a deterministic order.
-    desc = list(table.sorted_by_power(descending=True))
-    asc = list(table.sorted_by_power(descending=False))
-    assert sorted(desc) == [3, 5, 9]
-    assert desc == list(reversed(asc))
+    assert tied.sorted_by_power(descending=True).tolist() == [9, 5, 3]
+    assert tied.sorted_by_power(descending=False).tolist() == [3, 5, 9]
 
 
 def test_power_of_unknown_job_raises(estimator):
