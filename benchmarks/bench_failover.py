@@ -65,6 +65,9 @@ class _RetryInjector:
     def perturb_meter(self, reading_w: float) -> float:
         return reading_w
 
+    def corrupt_telemetry(self, node_ids, cpu_util, mem_frac, nic_frac):
+        return np.zeros(len(node_ids), dtype=bool)
+
     def telemetry_drop_mask(self, node_ids):
         return np.zeros(len(node_ids), dtype=bool)
 

@@ -32,10 +32,18 @@ import numpy as np
 from repro.cluster.node import ComputeNode, NodeSpec
 from repro.errors import ConfigurationError
 
-__all__ = ["ClusterState"]
+__all__ = ["ClusterState", "outside_range"]
 
 #: Baseline memory fraction of an idle node (OS, daemons, page cache floor).
 IDLE_MEM_FRACTION = 0.05
+
+
+def outside_range(values: np.ndarray, high: int) -> bool:
+    """Whether an int64 array has an entry outside ``[0, high]``
+    (``high >= 0``): read as unsigned, a negative entry exceeds any
+    bound, so one reduction checks both ends."""
+    top = np.maximum.reduce(values.view(np.uint64), axis=None, initial=0)
+    return bool(top > high)
 
 
 class ClusterState:
@@ -62,6 +70,7 @@ class ClusterState:
         start = spec.top_level if initial_level is None else int(initial_level)
         spec.dvfs._check_level(start)
         self.spec = spec
+        self._top_level = spec.top_level
         #: All node types present; ``specs[spec_index[i]]`` is node i's
         #: type.  Homogeneous clusters have one entry and an all-zero
         #: index.  Heterogeneous types must share the ladder depth so
@@ -138,12 +147,12 @@ class ClusterState:
     def set_levels(self, node_ids: np.ndarray, levels: np.ndarray | int) -> None:
         """Vectorised level assignment for a set of nodes (validated)."""
         ids = np.asarray(node_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
+        if outside_range(ids, self.num_nodes - 1):
             raise ConfigurationError("node id out of range in set_levels")
         lv = np.asarray(levels, dtype=np.int64)
         if lv.shape != ids.shape:
             lv = np.broadcast_to(lv, ids.shape)
-        if lv.size and (lv.min() < 0 or lv.max() > self.spec.top_level):
+        if outside_range(lv, self._top_level):
             raise ConfigurationError("DVFS level out of range in set_levels")
         self.level[ids] = lv
 
@@ -240,6 +249,7 @@ class ClusterState:
         """Deep copy (used by what-if evaluation in policies and tests)."""
         clone = ClusterState.__new__(ClusterState)
         clone.spec = self.spec
+        clone._top_level = self._top_level
         clone.specs = list(self.specs)
         clone.spec_index = self.spec_index.copy()
         clone._speed_tables = self._speed_tables

@@ -455,7 +455,7 @@ class DvfsActuator:
             # machine is untouched and no pending state is disturbed.
             self._fenced += n
             return ActuationReport(commands=n, fenced=n)
-        if not self._state.controllable[ids].all():
+        if np.count_nonzero(self._state.controllable[ids]) != n:
             raise PowerManagementError(
                 "capping decision addresses a privileged node"
             )
@@ -464,7 +464,7 @@ class DvfsActuator:
         # command from a deposed epoch counts as fenced: it was in
         # flight at takeover and has now been rejected.
         if self._pending:
-            addressed = set(int(i) for i in ids)
+            addressed = set(ids.tolist())
             kept: list[_PendingCommand] = []
             for p in self._pending:
                 if p.node_id in addressed:
@@ -488,12 +488,12 @@ class DvfsActuator:
                 lost = delayed = np.zeros(n, dtype=bool)
             deliver = ~(lost | delayed)
             current = self._state.level[ids]
-            target = np.asarray(decision.new_levels, dtype=np.int64).copy()
+            target = np.array(decision.new_levels, dtype=np.int64)
             allow = np.ones(n, dtype=bool) if raise_ok is None else raise_ok[ids]
             blocked = (target > current) & ~allow
             target[blocked] = current[blocked]
             d_ids, d_levels = ids[deliver], target[deliver]
-            suppressed = int(blocked[deliver].sum())
+            suppressed = int(np.count_nonzero(blocked & deliver))
 
         if len(d_ids):
             self._note_landing(self._epoch)
@@ -518,9 +518,11 @@ class DvfsActuator:
         # Queue losses for re-issue and delays for late landing.  The
         # *commanded* level is kept (not the clamped one): the clamp is
         # re-evaluated against the node's actual level at landing time.
-        self._lost += int(lost.sum())
+        n_lost = int(np.count_nonzero(lost))
+        n_delayed = int(np.count_nonzero(delayed))
+        self._lost += n_lost
         levels = decision.new_levels
-        for k in np.flatnonzero(lost):
+        for k in lost.nonzero()[0]:
             self._requeue_or_abandon(
                 _PendingCommand(
                     node_id=int(ids[k]),
@@ -531,9 +533,9 @@ class DvfsActuator:
                     epoch=self._epoch,
                 )
             )
-        if delayed.any():
+        if n_delayed:
             due = self._cycle + self._injector.command_delay_cycles
-            for k in np.flatnonzero(delayed):
+            for k in delayed.nonzero()[0]:
                 self._pending.append(
                     _PendingCommand(
                         node_id=int(ids[k]),
@@ -549,8 +551,8 @@ class DvfsActuator:
             effective=effective,
             noop=noop,
             suppressed=suppressed,
-            lost=int(lost.sum()),
-            delayed=int(delayed.sum()),
+            lost=n_lost,
+            delayed=n_delayed,
         )
 
     # ------------------------------------------------------------------
@@ -601,8 +603,8 @@ class DvfsActuator:
         return {
             "cycle": self._cycle,
             "pending": tuple(
-                (p.node_id, p.level, p.raise_ok, p.attempts, p.due_cycle, p.epoch)
-                for p in self._pending
+                [(p.node_id, p.level, p.raise_ok, p.attempts, p.due_cycle, p.epoch)
+                 for p in self._pending]
             ),
             "counters": {
                 "commands_sent": self._commands_sent,

@@ -248,6 +248,10 @@ class PowerManager:
             validator=self._validator,
             engine=self._engine,
         )
+        # Every snapshot shares the collector's read-only candidate ids;
+        # ascending, they are the canonical summation order already.
+        ids = self._collector.candidate_ids
+        self._ascending_ids = ids if np.all(ids[1:] > ids[:-1]) else None
         self._capping = PowerCappingAlgorithm(
             sets, cluster.spec.top_level, steady_green_cycles
         )
@@ -258,7 +262,8 @@ class PowerManager:
         )
         self._journal = journal
         self._cycles = 0
-        self._state_counts = {s: 0 for s in PowerState}
+        #: Cycles per state value (a str hashes in C, an enum in Python).
+        self._state_counts = {s.value: 0 for s in PowerState}
         # Degraded-mode ladder state.
         self._upgradable: np.ndarray | None = None
         self._blackout_streak = 0
@@ -318,7 +323,7 @@ class PowerManager:
             reg.counter_func(
                 "repro_cycles_total",
                 "Control cycles by classified power state",
-                (lambda s=state: float(self._state_counts[s])),
+                (lambda v=state.value: float(self._state_counts[v])),
                 labels={"state": state.value},
             )
         reg.gauge_func(
@@ -511,11 +516,11 @@ class PowerManager:
 
     def state_count(self, state: PowerState) -> int:
         """Number of cycles classified as ``state``."""
-        return self._state_counts[state]
+        return self._state_counts[state.value]
 
     def ever_entered_red(self) -> bool:
         """Whether any cycle was classified red (§V.D checks this)."""
-        return self._state_counts[PowerState.RED] > 0
+        return self._state_counts[PowerState.RED.value] > 0
 
     def fault_report(self) -> FaultStats | None:
         """Aggregate fault accounting for the run (None when fault-free)."""
@@ -602,9 +607,7 @@ class PowerManager:
             # fresh since the restore (age 0 = sampled this sweep; age
             # is non-negative, so <= avoids exact float equality).
             fresh_ids = snapshot.node_ids[np.asarray(snapshot.age) <= 0.0]
-            self._recovery_pending.difference_update(
-                int(i) for i in fresh_ids
-            )
+            self._recovery_pending.difference_update(fresh_ids.tolist())
         metered = inj is None or inj.meter_available()
         if inj is not None:
             # Nodes eligible for an actual level raise this cycle:
@@ -704,7 +707,7 @@ class PowerManager:
             self._provision_settle(emr, now, state, decision)
 
         self._cycles += 1
-        self._state_counts[state] += 1
+        self._state_counts[state.value] += 1
         self._last_cycle_time = now
         report = CycleReport(
             time=now,
@@ -718,9 +721,7 @@ class PowerManager:
             forced_red=forced_red,
             actuation=actuation,
             quarantined_nodes=(
-                0
-                if self._validator is None
-                else int(self._validator.quarantined.sum())
+                0 if self._validator is None else self._validator.quarantined_nodes
             ),
             meter_distrusted=meter_distrusted,
             capacity_w=None if emr is None else emr.runtime.capacity_w,
@@ -848,19 +849,15 @@ class PowerManager:
     def _true_node_power_w(self) -> np.ndarray:
         """Per-node true power from the full live cluster state, watts.
 
-        The estimator wraps the same model the meter integrates, so
+        The estimator's model is the one the meter integrates, so
         evaluating it over the *actual* state arrays (not the telemetry
         snapshot, which may be stale, partial or corrupted) is the
-        ground-truth branch power the breakers experience.
+        ground-truth branch power the breakers experience.  Read-only,
+        so the provision runtime folds it into racks once.
         """
-        st = self._cluster.state
-        return self._estimator.estimate_nodes(
-            st.level,
-            st.cpu_util,
-            st.mem_frac,
-            st.nic_frac,
-            node_ids=np.arange(st.num_nodes, dtype=np.int64),
-        )
+        power = self._estimator.model.node_power(self._cluster.state)
+        power.setflags(write=False)
+        return power
 
     def _note_aux_actuation(self, fenced: bool) -> None:
         """Status check for out-of-band actuation (RL502).
@@ -975,14 +972,17 @@ class PowerManager:
         """
         if snapshot.size == 0:
             return 0.0
+        ids = snapshot.node_ids
         estimates = self._estimator.estimate_nodes(
             snapshot.level,
             snapshot.cpu_util,
             snapshot.mem_frac,
             snapshot.nic_frac,
-            node_ids=snapshot.node_ids,
+            node_ids=ids,
         )
-        return canonical_power_sum(estimates, snapshot.node_ids)
+        return canonical_power_sum(
+            estimates, None if ids is self._ascending_ids else ids
+        )
 
     def _decide(self, state: PowerState, ctx: PolicyContext) -> CappingDecision:
         """The decision step of one cycle.
@@ -1056,9 +1056,9 @@ class PowerManager:
             cycle=self._cycles,
             time=self._last_cycle_time,
             thresholds=self._thresholds.state_dict(),
-            degraded_mask=tuple(bool(b) for b in mask),
+            degraded_mask=tuple(mask.tolist()),
             time_in_green=self._capping.time_in_green,
-            state_counts={s.value: c for s, c in self._state_counts.items()},
+            state_counts=dict(self._state_counts),
             forced_red_cycles=self._forced_red_cycles,
             estimated_cycles=self._estimated_cycles,
             blackout_streak=self._blackout_streak,
@@ -1102,7 +1102,7 @@ class PowerManager:
         if cp is not None:
             self._thresholds.restore_state(cp.thresholds)
             self._state_counts = {
-                s: int(cp.state_counts.get(s.value, 0)) for s in PowerState
+                s.value: int(cp.state_counts.get(s.value, 0)) for s in PowerState
             }
             self._forced_red_cycles = int(cp.forced_red_cycles)
             self._estimated_cycles = int(cp.estimated_cycles)
@@ -1125,7 +1125,7 @@ class PowerManager:
                 self._last_metered_snapshot = r.snapshot
             else:
                 self._estimated_cycles += 1
-            self._state_counts[report.state] += 1
+            self._state_counts[report.state.value] += 1
             if report.forced_red:
                 self._forced_red_cycles += 1
             self._blackout_streak = int(r.blackout_streak)
@@ -1174,7 +1174,7 @@ class PowerManager:
         self._offset_w = 0.0
         self._offset_valid = False
         self._upgradable = None
-        self._recovery_pending = set(int(i) for i in self._sets.candidates)
+        self._recovery_pending = set(self._sets.candidates.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

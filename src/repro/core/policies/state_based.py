@@ -36,17 +36,21 @@ __all__ = [
 
 
 class _RankedJobPolicy(SelectionPolicy):
-    """Shared fall-through logic: walk jobs in rank order, take the first
-    with a non-empty degradable node set."""
+    """Shared fall-through logic: take the first job in rank order with a
+    non-empty degradable node set."""
 
     def _ranked_jobs(self, ctx: PolicyContext) -> np.ndarray:
         raise NotImplementedError
 
     def select(self, ctx: PolicyContext) -> np.ndarray:
-        for job_id in self._ranked_jobs(ctx):
-            nodes = ctx.degradable_nodes_of_job(int(job_id))
-            if len(nodes):
-                return nodes
+        # The jobs with a degradable node, in one snapshot pass, not one
+        # per ranked job (with every busy node at the floor, that walk
+        # visits every job to select nothing).
+        eligible = set(ctx.snapshot.job_id[ctx.degradable_mask()].tolist())
+        if eligible:
+            for job_id in self._ranked_jobs(ctx).tolist():
+                if job_id in eligible:
+                    return ctx.degradable_nodes_of_job(job_id)
         return self.empty_selection()
 
 

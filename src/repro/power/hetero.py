@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.engine import canonical_power_sum
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, outside_range
 from repro.errors import ConfigurationError
 from repro.power.model import PowerModel
 
@@ -49,6 +49,7 @@ class HeterogeneousPowerModel:
         self._mem = np.stack([s.mem_dynamic_per_level for s in specs])
         self._nic = np.stack([s.nic_dynamic_per_level for s in specs])
         self._spec_index = state.spec_index
+        self._top = self.spec.top_level
 
     # ------------------------------------------------------------------
     # Node-identified evaluation
@@ -69,14 +70,14 @@ class HeterogeneousPowerModel:
         """
         ids = np.asarray(node_ids, dtype=np.int64)
         lv = np.asarray(level, dtype=np.int64)
-        if lv.size and (lv.min() < 0 or lv.max() > self.spec.top_level):
+        if outside_range(lv, self._top):
             raise ConfigurationError("DVFS level out of range")
         si = self._spec_index[ids]
         power = (
             self._idle[si, lv]
-            + np.asarray(cpu_util) * self._cpu[si, lv]
-            + np.asarray(mem_frac) * self._mem[si, lv]
-            + np.asarray(nic_frac) * self._nic[si, lv]
+            + cpu_util * self._cpu[si, lv]
+            + mem_frac * self._mem[si, lv]
+            + nic_frac * self._nic[si, lv]
         )
         return np.asarray(power, dtype=np.float64)
 

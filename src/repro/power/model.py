@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.cluster.engine import canonical_power_sum
 from repro.cluster.node import NodeSpec
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, outside_range
 from repro.errors import ConfigurationError
 
 __all__ = ["PowerModel"]
@@ -69,13 +69,14 @@ class PowerModel:
         broadcast shape).
         """
         lv = np.asarray(level, dtype=np.int64)
-        if lv.size and (lv.min() < 0 or lv.max() > self._top):
+        if outside_range(lv, self._top):
             raise ConfigurationError("DVFS level out of range in evaluate()")
+        # The load terms multiply as given: numpy converts them itself.
         power = (
             self._idle[lv]
-            + np.asarray(cpu_util) * self._cpu[lv]
-            + np.asarray(mem_frac) * self._mem[lv]
-            + np.asarray(nic_frac) * self._nic[lv]
+            + cpu_util * self._cpu[lv]
+            + mem_frac * self._mem[lv]
+            + nic_frac * self._nic[lv]
         )
         if power.ndim == 0:
             return float(power)

@@ -162,7 +162,7 @@ class BreakerThermalModel:
         self._cool_time = float(cool_time_s)
         self._cool_frac = float(cooldown_fraction)
         self._integral = np.zeros(rated.size, dtype=np.float64)
-        self._tripped = np.zeros(rated.size, dtype=bool)
+        self._set_tripped(np.zeros(rated.size, dtype=bool))
         self._trip_count = 0
 
     @property
@@ -182,8 +182,13 @@ class BreakerThermalModel:
 
     @property
     def tripped(self) -> np.ndarray:
-        """Boolean mask of latched-open branches (copy)."""
-        return self._tripped.copy()
+        """Boolean mask of latched-open branches (read-only: a trip or a
+        reset replaces it)."""
+        return self._tripped
+
+    def _set_tripped(self, mask: np.ndarray) -> None:
+        mask.setflags(write=False)
+        self._tripped = mask
 
     @property
     def trip_count(self) -> int:
@@ -215,8 +220,8 @@ class BreakerThermalModel:
             self._integral[cooling] - dt / self._cool_time, 0.0
         )
         new_trips = closed & (self._integral >= 1.0)
-        if np.any(new_trips):
-            self._tripped |= new_trips
+        if new_trips.any():
+            self._set_tripped(self._tripped | new_trips)
             self._integral[new_trips] = 1.0
             self._trip_count += int(new_trips.sum())
         return new_trips
@@ -228,13 +233,15 @@ class BreakerThermalModel:
             branch_ids: Branches to re-close; all when omitted.
         """
         if branch_ids is None:
-            self._tripped[:] = False
+            self._set_tripped(np.zeros_like(self._tripped))
             self._integral[:] = 0.0
             return
         ids = np.asarray(branch_ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= len(self._rated)):
             raise ConfigurationError("branch id out of range in reset")
-        self._tripped[ids] = False
+        tripped = self._tripped.copy()
+        tripped[ids] = False
+        self._set_tripped(tripped)
         self._integral[ids] = 0.0
 
 

@@ -80,6 +80,8 @@ class EmergencyResponse:
         else:
             mask = np.asarray(candidate_mask, dtype=bool).copy()
         self._candidate_mask = mask
+        self._rack_of = runtime.topology.rack_index()
+        self._num_racks = runtime.topology.num_racks
         self._over_streak = 0
         self._under_streak = 0
         self._forced_this_emergency = False
@@ -267,13 +269,11 @@ class EmergencyResponse:
         if len(hot_racks) == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        topo = self._runtime.topology
-        hot = np.zeros(topo.num_nodes, dtype=bool)
-        for rack in hot_racks:
-            hot[topo.rack_nodes(int(rack))] = True
+        rack_hot = np.zeros(self._num_racks, dtype=bool)
+        rack_hot[hot_racks] = True
         lv = np.asarray(levels, dtype=np.int64)
-        hot &= self._candidate_mask & (lv > 0)
-        ids = np.flatnonzero(hot).astype(np.int64)
+        hot = rack_hot[self._rack_of] & self._candidate_mask & (lv > 0)
+        ids = hot.nonzero()[0]
         if len(ids) == 0:
             return ids, ids
         self.branch_cap_interventions += 1

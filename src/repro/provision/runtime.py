@@ -145,6 +145,8 @@ class ProvisionRuntime:
         self._gen = None if rng is None else rng.stream(STREAM_NAME)
         self._obs = resolve_obs(obs)
         self._rack_of = topology.rack_index()
+        self._num_racks = topology.num_racks
+        self._design_capacity_w = topology.design_capacity_w
         self._base_ratings = topology.branch_ratings_w()
         self._feed_live = np.ones(topology.num_feeds, dtype=bool)
         self._feed_stochastic = np.zeros(topology.num_feeds, dtype=bool)
@@ -161,6 +163,9 @@ class ProvisionRuntime:
         self._last_now: float | None = None
         self._last_events = ProvisionCycleEvents()
         self._last_branch_over_w = 0.0
+        #: The last rack fold of an array that cannot change.
+        self._folded: tuple[np.ndarray, np.ndarray] | None = None
+        self._refresh_delivery()
         # Counters / exposure accumulators.
         self._feed_losses = 0
         self._feed_restores = 0
@@ -181,20 +186,28 @@ class ProvisionRuntime:
     @property
     def capacity_w(self) -> float:
         """Surviving global capacity this cycle, watts."""
-        cap = self.topology.surviving_capacity_w(self._feed_live)
-        if self._operator_cap_w is not None:
-            cap = min(cap, self._operator_cap_w)
-        return cap
+        return self._capacity_w
 
     @property
     def design_capacity_w(self) -> float:
         """Healthy (all feeds, no orders) global capacity, watts."""
-        return self.topology.design_capacity_w
+        return self._design_capacity_w
 
     @property
     def branch_limits_w(self) -> np.ndarray:
         """Per-rack deliverable branch power (rating × PDU derate)."""
-        return self._base_ratings * self._derate
+        return self._branch_limits_w
+
+    def _refresh_delivery(self) -> None:
+        """Recompute capacity and (read-only) branch limits from their
+        inputs; run after every change to them, never stale."""
+        cap = self.topology.surviving_capacity_w(self._feed_live)
+        if self._operator_cap_w is not None:
+            cap = min(cap, self._operator_cap_w)
+        self._capacity_w = cap
+        limits = self._base_ratings * self._derate
+        limits.setflags(write=False)
+        self._branch_limits_w = limits
 
     @property
     def feed_live(self) -> np.ndarray:
@@ -244,13 +257,20 @@ class ProvisionRuntime:
         return self._min_capacity_w
 
     def rack_power_w(self, node_power_w: np.ndarray) -> np.ndarray:
-        """Fold per-node power into per-rack branch power, watts."""
+        """Fold per-node power into per-rack branch power, watts.  A
+        read-only array owning its data cannot change, so its fold is
+        kept, read-only, for the next call with that very array."""
+        folded = self._folded
+        if folded is not None and folded[0] is node_power_w:
+            return folded[1]
         p = np.asarray(node_power_w, dtype=np.float64)
         if p.shape != (self.topology.num_nodes,):
             raise ConfigurationError("node power array shape mismatch")
-        return np.bincount(
-            self._rack_of, weights=p, minlength=self.topology.num_racks
-        )
+        rack_p = np.bincount(self._rack_of, weights=p, minlength=self._num_racks)
+        if p.base is None and not p.flags.writeable:
+            rack_p.setflags(write=False)
+            self._folded = (p, rack_p)
+        return rack_p
 
     def stats(self) -> ProvisionStats:
         """Delivery-side accounting (emergency counters are folded in by
@@ -365,7 +385,8 @@ class ProvisionRuntime:
             self._obs.trip("pdu_failure", now)
         if cap_started:
             self._obs.trip("cap_order", now)
-        self._min_capacity_w = min(self._min_capacity_w, self.capacity_w)
+        self._refresh_delivery()
+        self._min_capacity_w = min(self._min_capacity_w, self._capacity_w)
         return events
 
     def branch_overloads(
@@ -374,9 +395,9 @@ class ProvisionRuntime:
         """Rack ids drawing above ``alarm_fraction`` of their branch
         limit (tripped racks excluded — they are already dark)."""
         rack_p = self.rack_power_w(node_power_w)
-        hot = rack_p > alarm_fraction * self.branch_limits_w
+        hot = rack_p > alarm_fraction * self._branch_limits_w
         hot &= ~self._breakers.tripped
-        return np.flatnonzero(hot).astype(np.int64)
+        return hot.nonzero()[0]
 
     def settle(
         self, now: Seconds, dt: Seconds, node_power_w: np.ndarray
@@ -405,16 +426,16 @@ class ProvisionRuntime:
         # so the breaker model sees overload relative to the derated
         # rating.
         new_trips = self._breakers.step(rack_p / self._derate, dt)
-        over = rack_p - self.branch_limits_w
+        over = rack_p - self._branch_limits_w
         over[self._breakers.tripped] = 0.0
-        worst = float(over.max()) if len(over) else 0.0
-        self._last_branch_over_w = max(worst, 0.0)
+        # Every topology has at least one rack.
+        self._last_branch_over_w = max(float(np.maximum.reduce(over)), 0.0)
         if self._last_branch_over_w > 0.0:
             self._branch_violation_s += float(dt)
-        lost = self.design_capacity_w - self.capacity_w
+        lost = self._design_capacity_w - self._capacity_w
         if lost > 0.0:
             self._capacity_lost_w_s += lost * float(dt)
-        tripped_now = np.flatnonzero(new_trips).astype(np.int64)
+        tripped_now = new_trips.nonzero()[0]
         if len(tripped_now) > 0:
             self._obs.trip("breaker_trip", now)
         return tripped_now

@@ -43,9 +43,10 @@ class TelemetrySnapshot:
 
     Arrays are aligned: entry ``k`` of each array describes node
     ``node_ids[k]``.  Every array is read-only once the snapshot exists.
-    The per-node readings are copies the snapshot owns; ``node_ids``
-    (and, on fault-free sweeps, the all-zero ``age``) may be a read-only
-    array the collector shares between its snapshots.
+    The per-node readings are copies the snapshot owns (on defended
+    sweeps, rows of two arrays it owns); ``node_ids`` (and, on
+    fault-free sweeps, the all-zero ``age``) may be a read-only array
+    the collector shares between its snapshots.
 
     ``age`` is the staleness of each entry in seconds: 0 for nodes whose
     agent reported this cycle, the time since the last successful report
@@ -177,12 +178,12 @@ class TelemetryCollector:
         # its node once when installed), so a node dropped on the very
         # first sweep still has *some* row — marked infinitely stale
         # until its first successful report.
+        # Rows level, job (integers) and cpu, mem, nic (readings).
         ids = self._node_ids
-        self._lkg_level = state.level[ids]
-        self._lkg_cpu = state.cpu_util[ids]
-        self._lkg_mem = state.mem_frac[ids]
-        self._lkg_nic = state.nic_frac[ids]
-        self._lkg_job = state.job_id[ids]
+        self._lkg_codes = np.array((state.level[ids], state.job_id[ids]))
+        self._lkg_readings = np.array(
+            (state.cpu_util[ids], state.mem_frac[ids], state.nic_frac[ids])
+        )
         self._lkg_time = np.full(len(ids), -np.inf)
         self._register_metrics(resolve_obs(obs))
 
@@ -290,47 +291,41 @@ class TelemetryCollector:
                     dropped = np.zeros(len(ids), dtype=bool)
                 fresh = ~dropped
                 quarantined: np.ndarray | None = None
-                known_level: np.ndarray | None = None
                 if self._validator is not None:
-                    # The sampled level is ground truth in the simulator
-                    # — standing in for the commanded level the manager
-                    # knows from its own actuation history.
-                    known_level = level.copy()
                     result = self._validator.validate(
                         level, cpu, mem, nic, job, fresh
                     )
-                    quarantined = result.quarantined
+                    if self._validator.any_quarantined:
+                        quarantined = result.quarantined
                     fresh &= ~result.rejected
-                unusable = ~fresh
-                if unusable.any():
-                    level[unusable] = self._lkg_level[unusable]
-                    cpu[unusable] = self._lkg_cpu[unusable]
-                    mem[unusable] = self._lkg_mem[unusable]
-                    nic[unusable] = self._lkg_nic[unusable]
-                    job[unusable] = self._lkg_job[unusable]
-                    self._dropped_samples += int(unusable.sum())
-                self._lkg_level[fresh] = level[fresh]
-                self._lkg_cpu[fresh] = cpu[fresh]
-                self._lkg_mem[fresh] = mem[fresh]
-                self._lkg_nic[fresh] = nic[fresh]
-                self._lkg_job[fresh] = job[fresh]
-                self._lkg_time[fresh] = float(now)
+                # The cache takes every fresh row and keeps every other:
+                # the result is the sweep with each unusable row served
+                # from the cache.  The cache is replaced, never written,
+                # so the snapshot may share its arrays.
+                codes = np.where(fresh, (level, job), self._lkg_codes)
+                readings = np.where(fresh, (cpu, mem, nic), self._lkg_readings)
+                self._lkg_time = np.where(fresh, float(now), self._lkg_time)
+                self._lkg_codes, self._lkg_readings = codes, readings
+                reported = int(np.count_nonzero(fresh))
+                self._dropped_samples += len(ids) - reported
+                coverage = reported / len(ids)
                 age = float(now) - self._lkg_time
-                coverage = float(fresh.mean())
-                if (
-                    quarantined is not None
-                    and known_level is not None
-                    and quarantined.any()
-                ):
+                # Views of read-only arrays are born read-only.
+                codes.setflags(write=False)
+                if quarantined is not None:
                     # Conservative envelope: full utilization at the
-                    # node's known DVFS level, so the cluster estimate
-                    # can only over-estimate; age pinned to inf so the
-                    # never-upgrade clamp holds the node down.
-                    level[quarantined] = known_level[quarantined]
-                    cpu[quarantined] = 1.0
-                    mem[quarantined] = 1.0
-                    nic[quarantined] = 1.0
+                    # node's known DVFS level (the sampled one, standing
+                    # in for the level the manager commanded), so the
+                    # cluster estimate can only over-estimate; age
+                    # pinned to inf so the never-upgrade clamp holds.
+                    level = np.where(quarantined, level, codes[0])
+                    readings = np.where(quarantined, 1.0, readings)
                     age[quarantined] = np.inf
+                else:
+                    level = codes[0]
+                readings.setflags(write=False)
+                job = codes[1]
+                cpu, mem, nic = readings[0], readings[1], readings[2]
         snapshot = TelemetrySnapshot(
             time=float(now),
             node_ids=self._node_ids,
@@ -351,7 +346,7 @@ class TelemetryCollector:
                 # the reduction on the hot path.
                 self._age_hist.observe(0.0)
             else:
-                worst = float(snapshot.age.max())
+                worst = float(np.maximum.reduce(snapshot.age))
                 if math.isfinite(worst):
                     self._age_hist.observe(worst)
         return snapshot
@@ -397,11 +392,11 @@ class TelemetryCollector:
             raise TelemetryError(
                 "journaled snapshot does not cover this candidate set"
             )
-        self._lkg_level = snapshot.level.astype(self._lkg_level.dtype).copy()
-        self._lkg_cpu = snapshot.cpu_util.astype(np.float64).copy()
-        self._lkg_mem = snapshot.mem_frac.astype(np.float64).copy()
-        self._lkg_nic = snapshot.nic_frac.astype(np.float64).copy()
-        self._lkg_job = snapshot.job_id.astype(self._lkg_job.dtype).copy()
+        self._lkg_codes = np.array((snapshot.level, snapshot.job_id), dtype=np.int64)
+        self._lkg_readings = np.array(
+            (snapshot.cpu_util, snapshot.mem_frac, snapshot.nic_frac),
+            dtype=np.float64,
+        )
         self._lkg_time = float(snapshot.time) - np.asarray(
             snapshot.age, dtype=np.float64
         )

@@ -227,12 +227,24 @@ class TelemetryValidator:
         n = len(self._ids)
         self._trust = np.ones(n, dtype=np.float64)
         self._quarantined = np.zeros(n, dtype=bool)
+        self._quarantined_nodes = 0
         self._quarantine_entry_cycle = np.full(n, -1, dtype=np.int64)
-        # Raw last fresh report per node, for the rate/stuck stages.
-        self._last_cpu = np.full(n, np.nan)
-        self._last_mem = np.full(n, np.nan)
-        self._last_nic = np.full(n, np.nan)
+        # Raw last fresh report per node (rows cpu, mem, nic), for the
+        # rate/stuck stages.
+        self._last = np.full((3, n), np.nan)
         self._stuck_run = np.zeros(n, dtype=np.int64)
+        # Stage 2's bounds depend only on (level, node): Formula (1) at
+        # zero and full load, one 1-D sweep (which every engine takes).
+        levels = self._top_level + 1
+        level = np.tile(np.arange(levels).repeat(n), 2)
+        load = np.repeat([0.0, 1.0], levels * n)
+        bounds = estimator.estimate_nodes(
+            level, load, load, load, node_ids=np.tile(self._ids, 2 * levels)
+        ).reshape(2, levels * n)
+        # Flat: entry ``lv * n + k`` is level ``lv`` of candidate ``k``.
+        self._env_floor = bounds[0] * (1.0 - config.envelope_margin)
+        self._env_ceil = bounds[1] * (1.0 + config.envelope_margin)
+        self._columns = np.arange(n)
         self._cycle = -1
         self._rejected_samples = 0
         self._quarantine_entries = 0
@@ -265,7 +277,7 @@ class TelemetryValidator:
         reg.gauge_func(
             "repro_quarantined_nodes",
             "Nodes currently quarantined",
-            lambda: float(int(self._quarantined.sum())),
+            lambda: float(self._quarantined_nodes),
         )
         reg.gauge_func(
             "repro_trust_min",
@@ -294,7 +306,12 @@ class TelemetryValidator:
     @property
     def any_quarantined(self) -> bool:
         """Whether any node is currently quarantined."""
-        return bool(self._quarantined.any())
+        return self._quarantined_nodes > 0
+
+    @property
+    def quarantined_nodes(self) -> int:
+        """Number of nodes currently quarantined."""
+        return self._quarantined_nodes
 
     @property
     def rejected_samples(self) -> int:
@@ -335,98 +352,73 @@ class TelemetryValidator:
         """
         self._cycle += 1
         cfg = self.config
-        n = len(self._ids)
-        rejected = np.zeros(n, dtype=bool)
-        if n == 0:
-            return ValidationResult(rejected=rejected, quarantined=self.quarantined)
+        if len(self._ids) == 0:
+            empty = np.zeros(0, dtype=bool)
+            return ValidationResult(rejected=empty, quarantined=empty.copy())
+        # Rows cpu, mem, nic: each stage takes all three in one pass.
+        readings = np.array((cpu_util, mem_frac, nic_frac))
+        # inf - inf (a repeated or modelled infinite reading) would warn;
+        # such a row fails stage 1 anyway.
+        with np.errstate(invalid="ignore"):
+            # Stage 1: garbage — NaN/inf or physically impossible
+            # readings (np.isfinite is the NaN guard).
+            sane = np.isfinite(readings)
+            sane &= readings >= -cfg.range_margin
+            sane &= readings <= 1.0 + cfg.range_margin
+            hard = fresh & ~(
+                sane[0] & sane[1] & sane[2] & (level >= 0) & (level <= self._top_level)
+            )
 
-        # Stage 1: garbage — NaN/inf or physically impossible readings.
-        # (np.isfinite is the NaN guard for every comparison below.)
-        finite = (
-            np.isfinite(cpu_util) & np.isfinite(mem_frac) & np.isfinite(nic_frac)
-        )
-        lo = -cfg.range_margin
-        hi = 1.0 + cfg.range_margin
-        in_range = finite.copy()
-        for values in (cpu_util, mem_frac, nic_frac):
-            with np.errstate(invalid="ignore"):
-                in_range &= (values >= lo) & (values <= hi)
-        bad_level = (level < 0) | (level > self._top_level)
-        hard = fresh & (~finite | ~in_range | bad_level)
-
-        # Stage 2: DVFS power-envelope cross-check.  Evaluate Formula (1)
-        # on the reported sample at the node's known level and require
-        # the prediction inside [P_idle(l), P_max(l)] — telemetry that
-        # predicts impossible power is lying even if each field alone
-        # squeaks past stage 1.
-        check = fresh & ~hard
-        if check.any():
-            lv = np.clip(np.asarray(level, dtype=np.int64), 0, self._top_level)
-            ids = self._ids
-            zeros = np.zeros(n)
-            ones = np.ones(n)
-            predicted = self._estimator.estimate_nodes(
-                lv, cpu_util, mem_frac, nic_frac, node_ids=ids
-            )
-            env_lo = self._estimator.estimate_nodes(
-                lv, zeros, zeros, zeros, node_ids=ids
-            )
-            env_hi = self._estimator.estimate_nodes(
-                lv, ones, ones, ones, node_ids=ids
-            )
-            margin = cfg.envelope_margin
-            with np.errstate(invalid="ignore"):
-                outside = (predicted < env_lo * (1.0 - margin)) | (
-                    predicted > env_hi * (1.0 + margin)
+            # Stage 2: DVFS power-envelope cross-check.  Evaluate Formula
+            # (1) on the reported sample at the node's known level and
+            # require the prediction inside [P_idle(l), P_max(l)] —
+            # telemetry that predicts impossible power is lying even if
+            # each field alone squeaks past stage 1.
+            check = fresh & ~hard
+            if np.count_nonzero(check):
+                lv = np.minimum(np.maximum(level, 0), self._top_level)
+                predicted = self._estimator.estimate_nodes(
+                    lv, cpu_util, mem_frac, nic_frac, node_ids=self._ids
                 )
-            outside |= ~np.isfinite(predicted)
-            hard |= check & outside
+                at = lv * len(self._ids) + self._columns
+                outside = (predicted < self._env_floor[at]) | (
+                    predicted > self._env_ceil[at]
+                )
+                outside |= ~np.isfinite(predicted)
+                hard |= check & outside
 
-        # Stage 3 (soft): rate-of-change spikes vs the last fresh report.
-        have_prev = np.isfinite(self._last_cpu)
-        with np.errstate(invalid="ignore"):
-            spike = (
-                fresh
-                & ~hard
-                & have_prev
-                & (np.abs(cpu_util - self._last_cpu) > cfg.spike_delta)
-            )
+            # Stage 3 (soft): rate-of-change spikes vs the last fresh
+            # report.
+            have_prev = np.isfinite(self._last[0])
+            delta = np.abs(readings - self._last)
+            spike = fresh & ~hard & have_prev & (delta[0] > cfg.spike_delta)
 
-        # Stage 4 (soft): stuck-at — a busy node repeating its readings
-        # exactly.  Honest utilization jitters every cycle; cache-served
-        # rows are excluded (``fresh`` gate), so repeats here come from
-        # the sensor itself.
-        eps = cfg.stuck_epsilon
-        with np.errstate(invalid="ignore"):
-            same = (
-                have_prev
-                & (np.abs(cpu_util - self._last_cpu) <= eps)
-                & (np.abs(mem_frac - self._last_mem) <= eps)
-                & (np.abs(nic_frac - self._last_nic) <= eps)
-            )
-        busy = np.asarray(job_id) >= 0
-        # A busy node pinned at the utilization *ceiling* repeats
-        # honestly: load jitter above full scale clips to exactly 1.0,
-        # so saturation is the one clean state with bit-identical
-        # readings (high-cpu phases ride it for many cycles).  Exclude
-        # it from tracking — a sensor latched at full scale only
-        # over-reports power, which is already the conservative
-        # direction (and exactly what the quarantine envelope would
-        # substitute anyway).
-        with np.errstate(invalid="ignore"):
-            saturated = cpu_util >= 1.0
-        track = fresh & busy & ~saturated
-        self._stuck_run[track & same] += 1
-        self._stuck_run[track & ~same] = 0
-        self._stuck_run[fresh & ~track] = 0
+            # Stage 4 (soft): stuck-at — a busy node repeating its
+            # readings exactly.  Honest utilization jitters every cycle;
+            # cache-served rows are excluded (``fresh`` gate), so repeats
+            # here come from the sensor itself.
+            same = delta <= cfg.stuck_epsilon
+            same = have_prev & same[0] & same[1] & same[2]
+            # A busy node pinned at the utilization *ceiling* repeats
+            # honestly: load jitter above full scale clips to exactly
+            # 1.0, so saturation is the one clean state with bit-identical
+            # readings (high-cpu phases ride it for many cycles).  Exclude
+            # it from tracking — a sensor latched at full scale only
+            # over-reports power, which is already the conservative
+            # direction (and exactly what the quarantine envelope would
+            # substitute anyway).
+            track = fresh & (job_id >= 0) & ~(cpu_util >= 1.0)
+        # A tracked repeat extends the run; any other fresh sample ends
+        # it; a row without a fresh sample keeps it.
+        repeat = track & same
+        self._stuck_run += repeat
+        self._stuck_run *= repeat | ~fresh
         stuck = track & (self._stuck_run >= cfg.stuck_window)
 
         # The raw fresh report (even a rejected one) becomes the
         # reference for the next cycle's rate/stuck stages: a stuck
         # sensor keeps repeating, and the pipeline must keep seeing it.
-        self._last_cpu[fresh] = cpu_util[fresh]
-        self._last_mem[fresh] = mem_frac[fresh]
-        self._last_nic[fresh] = nic_frac[fresh]
+        np.copyto(self._last, readings, where=fresh)
 
         # Trust update: hard failures are near-certain corruption, soft
         # failures merely suspicious, clean fresh samples healing.
@@ -435,32 +427,32 @@ class TelemetryValidator:
             + spike * cfg.soft_penalty
             + stuck * cfg.stuck_penalty
         )
-        clean = fresh & ~hard & ~spike & ~stuck
-        self._trust = np.clip(
-            self._trust - penalty + clean * cfg.trust_recovery, 0.0, 1.0
+        clean = fresh & ~(hard | spike | stuck)
+        # np.clip's bounds, without its Python wrapper.
+        self._trust = np.minimum(
+            np.maximum(self._trust - penalty + clean * cfg.trust_recovery, 0.0), 1.0
         )
 
         # Quarantine state machine with hysteresis.
         entering = ~self._quarantined & (self._trust < cfg.quarantine_trust)
-        if entering.any():
-            self._quarantined[entering] = True
+        entered = int(np.count_nonzero(entering))
+        if entered:
+            self._quarantined |= entering
             self._quarantine_entry_cycle[entering] = self._cycle
-            self._quarantine_entries += int(entering.sum())
+            self._quarantine_entries += entered
             if self._trips_on:
                 self._obs.trip("quarantine_entry", float(self._cycle))
-        dwell = self._cycle - self._quarantine_entry_cycle
-        releasing = (
-            self._quarantined
-            & (dwell >= cfg.min_quarantine_cycles)
-            & (self._trust > cfg.release_trust)
-        )
-        if releasing.any():
-            self._quarantined[releasing] = False
-        self._quarantined_node_cycles += int(self._quarantined.sum())
+        if self._quarantined_nodes or entered:
+            dwell = self._cycle - self._quarantine_entry_cycle
+            self._quarantined &= ~(
+                (dwell >= cfg.min_quarantine_cycles)
+                & (self._trust > cfg.release_trust)
+            )
+            self._quarantined_nodes = int(np.count_nonzero(self._quarantined))
+        self._quarantined_node_cycles += self._quarantined_nodes
 
-        rejected = hard
-        self._rejected_samples += int(rejected.sum())
-        return ValidationResult(rejected=rejected, quarantined=self.quarantined)
+        self._rejected_samples += int(np.count_nonzero(hard))
+        return ValidationResult(rejected=hard, quarantined=self._quarantined.copy())
 
 
 class MeterIntegrityMonitor:

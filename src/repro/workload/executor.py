@@ -54,7 +54,7 @@ import numpy as np
 from repro.cluster.engine import ClusterEngine, get_engine
 from repro.cluster.state import ClusterState
 from repro.errors import WorkloadError
-from repro.workload.job import Job, JobState
+from repro.workload.job import Job, JobState, cycle_length
 from repro.workload.phases import PhaseSchedule
 
 __all__ = [
@@ -183,12 +183,12 @@ class RunningJobTable:
     def __init__(self, jobs: list[Job]) -> None:
         self.jobs = jobs
         n = len(jobs)
-        # Read through the Job properties once, so the bits match theirs.
+        # Read through the Job properties once, so the bits match theirs
+        # (the cycle length by ``Job.cycle_length_s``'s own expression).
         scalars = np.array(
             [
                 (
                     job.nominal_runtime_s,
-                    job.cycle_length_s,
                     job.app.mem_fraction,
                     job.app.mem_ramp_s,
                     job.start_time,
@@ -197,9 +197,10 @@ class RunningJobTable:
             ],
             dtype=float,
         )
-        self.nominal, self.cycle, self.mem_fraction, ramp, start = (
-            np.ascontiguousarray(scalars.T)
+        self.nominal, self.mem_fraction, ramp, start = np.ascontiguousarray(
+            scalars.T
         )
+        self.cycle = cycle_length(self.nominal)
         ramped = ramp > 0
         self.ramp_s = np.where(ramped, ramp, 1.0)
         self.ramp_from = np.where(ramped, start, -np.inf)

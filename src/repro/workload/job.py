@@ -26,7 +26,13 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.workload.applications import ApplicationProfile
 
-__all__ = ["Job", "JobState"]
+__all__ = ["Job", "JobState", "cycle_length"]
+
+
+def cycle_length(nominal_runtime_s: float | np.ndarray) -> float | np.ndarray:
+    """Nominal work per phase cycle, seconds: an eighth of the nominal
+    runtime, at most two minutes (for one runtime or an array of them)."""
+    return np.minimum(nominal_runtime_s / 8.0, 120.0)
 
 
 class JobState(enum.Enum):
@@ -113,7 +119,7 @@ class Job:
     @property
     def cycle_length_s(self) -> float:
         """Nominal work per phase cycle, seconds."""
-        return min(self.nominal_runtime_s / 8.0, 120.0)
+        return float(cycle_length(self.nominal_runtime_s))
 
     @property
     def waiting_time_s(self) -> float:

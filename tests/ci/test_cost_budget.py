@@ -13,7 +13,9 @@ from tools.ci.cost_budget import (
     CELLS,
     DEFAULT_BASELINE,
     STAGES,
+    ObsCycles,
     check_budget,
+    count_obs_cycles,
     count_run,
     main,
 )
@@ -86,6 +88,21 @@ def test_counting_leaves_the_result_byte_identical() -> None:
 
 def test_counts_repeat_exactly() -> None:
     assert count_run(TINY, None)[1].calls == count_run(TINY, None)[1].calls
+
+
+def test_obs_cells_count_the_bench_cycle_of_each_mode() -> None:
+    modes = ("disabled", "production", "flight", "debug")
+    counted = {mode: count_obs_cycles(ObsCycles(mode, cycles=20)) for mode in modes}
+    for counter in counted.values():
+        assert counter.units["cycles"] == 20
+        assert set(counter.calls) == {f"cycle.{stage}" for stage in STAGES}
+    journal = {mode: counted[mode].calls["cycle.journal"] for mode in modes}
+    # Metrics add a histogram observation; the flight ring and the full
+    # trace add the span tree.
+    assert journal["disabled"] < journal["production"] < journal["debug"]
+    assert journal["production"] < journal["flight"]
+    again = count_obs_cycles(ObsCycles("flight", cycles=20))
+    assert again.calls == counted["flight"].calls
 
 
 def test_checked_in_baseline_covers_every_cell() -> None:

@@ -226,3 +226,20 @@ def test_breaker_step_validation():
         brk.step(np.array([0.0, 0.0]), 0.0)
     with pytest.raises(ConfigurationError):
         brk.step(np.array([0.0]), 1.0)
+
+
+def test_breaker_tripped_mask_is_read_only_and_replaced_on_change():
+    """``tripped`` hands out its mask without a copy: read-only, and a
+    trip or reset replaces it, so a mask read earlier keeps its value."""
+    brk = _breaker()
+    before = brk.tripped
+    assert not before.flags.writeable
+    with pytest.raises(ValueError):
+        before[0] = True
+    brk.step(np.array([300.0, 0.0]), 60.0)
+    tripped = brk.tripped
+    np.testing.assert_array_equal(tripped, [True, False])
+    np.testing.assert_array_equal(before, [False, False])
+    brk.reset(np.array([0]))
+    np.testing.assert_array_equal(tripped, [True, False])
+    assert not brk.tripped.any() and not brk.tripped.flags.writeable

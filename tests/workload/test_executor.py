@@ -238,3 +238,21 @@ def test_object_engine_steps_one_tick_per_call(small_cluster):
     block = ex.advance([job], now=_block_starts(0.0, 8), dt=1.0)
     assert block.ticks == 1
     assert job.progress_s == 1.0
+
+
+def test_running_job_table_cycle_lengths_are_the_jobs_own(small_cluster):
+    """The table derives each cycle length from the nominal runtime it
+    read once, by the expression ``Job.cycle_length_s`` uses: bit for
+    bit the property's value, for runtimes on both sides of the cap."""
+    from repro.workload.executor import RunningJobTable
+
+    jobs = [
+        _start_job(small_cluster, [k], app=app, nprocs=nprocs, job_id=k)
+        for k, (app, nprocs) in enumerate(
+            [("EP", 1), ("EP", 64), ("CG", 8), ("BT", 128), ("LU", 16)]
+        )
+    ]
+    table = RunningJobTable(jobs)
+    expected = np.array([job.cycle_length_s for job in jobs])
+    assert table.cycle.tobytes() == expected.tobytes()
+    assert {job.cycle_length_s == 120.0 for job in jobs} == {True, False}

@@ -36,6 +36,12 @@ Each counted call is charged to the innermost layer on the stack:
 * ``run.other`` — everything else of the run (set-up, the managed
   loop's own bookkeeping, the result).
 
+Most cells count one experiment run.  The ``obs-*`` cells count
+:data:`ObsCycles.cycles` control cycles of ``bench_micro``'s 128-node
+manager, built by ``benchmarks/bench_obs_overhead.py``'s factory for
+one of its four observability configurations (set-up not counted):
+the same cycles that bench times, counted instead of timed.
+
 The counts repeat exactly from run to run on one Python minor version
 and are checked in as ``tools/ci/cost_baseline.json``, keyed by it.
 Like :mod:`tools.ci.lint_budget`, the gate fails when any layer of any
@@ -50,6 +56,7 @@ Usage::
 
     PYTHONPATH=src:. python tools/ci/cost_budget.py
     PYTHONPATH=src:. python tools/ci/cost_budget.py --cell calibrated-mpc
+    PYTHONPATH=src:. python tools/ci/cost_budget.py --cell obs-debug
     PYTHONPATH=src:. python tools/ci/cost_budget.py --write-baseline
 
 Exit code 0 iff every layer of every cell is within budget; the
@@ -194,28 +201,65 @@ class CallCounter:
         self._stack.append(_Frame(frame, layer))
 
 
-def count_run(
-    config: ExperimentConfig, policy: str | None
-) -> tuple[ExperimentResult, CallCounter]:
-    """One :func:`run_experiment` under the counter.
+def _counted(work: Callable[[], Any], counter: CallCounter) -> Any:
+    """``work()`` under ``counter``.
 
     The garbage collector is off while counting, so leftovers of earlier
     work in the process cannot run finalizers inside a counted frame.
     """
-    counter = CallCounter()
     previous = sys.getprofile()
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
     sys.setprofile(counter)
     try:
-        result = run_experiment(config, policy)
+        return work()
     finally:
         sys.setprofile(previous)
         if collecting:
             gc.enable()
+
+
+def count_run(
+    config: ExperimentConfig, policy: str | None
+) -> tuple[ExperimentResult, CallCounter]:
+    """One :func:`run_experiment` under the counter."""
+    counter = CallCounter()
+    result = _counted(lambda: run_experiment(config, policy), counter)
     counter.units["runs"] += 1
     return result, counter
+
+
+@dataclass(frozen=True)
+class ObsCycles:
+    """Control cycles of ``bench_micro``'s manager under one of
+    ``bench_obs_overhead``'s observability modes."""
+
+    mode: str
+    cycles: int = 600  #: the bench's ``CYCLES`` per timing
+
+
+def count_obs_cycles(cell: ObsCycles) -> CallCounter:
+    """``cell.cycles`` control cycles under the counter (set-up not
+    counted)."""
+    from benchmarks import bench_obs_overhead as bench
+
+    # The bench's own factories, so each cell counts the cycle it times.
+    factories = {
+        "disabled": bench._disabled,
+        "production": bench._production,
+        "flight": bench._flight,
+        "debug": bench._debug,
+    }
+    manager = factories[cell.mode]()
+
+    def cycles() -> None:
+        for k in range(cell.cycles):
+            manager.control_cycle(float(k + 1))
+
+    counter = CallCounter()
+    _counted(cycles, counter)
+    return counter
 
 
 def _defended(config: ExperimentConfig) -> ExperimentConfig:
@@ -224,23 +268,37 @@ def _defended(config: ExperimentConfig) -> ExperimentConfig:
     return defended(config, DEFENDED_CRASH_CYCLE)
 
 
-#: Cell name → (configuration, policy).  ``quick`` runs at a 0.02
-#: runtime scale, where job churn dominates the world tick; the
-#: calibrated cell is the scale the benchmark's managed window runs at.
-CELLS: dict[str, Callable[[], tuple[ExperimentConfig, str | None]]] = {
+#: Cell name → (configuration, policy) of one run, or the obs mode of
+#: a run of control cycles.  ``quick`` runs at a 0.02 runtime scale,
+#: where job churn dominates the world tick; the calibrated cells are
+#: the scale the benchmark's managed window runs at, and
+#: ``calibrated-defended`` is the benchmark's ``defended-chaos`` cell
+#: with a shorter main window (the same training, so the same learned
+#: thresholds and state mix).
+Cell = tuple[ExperimentConfig, str | None] | ObsCycles
+CELLS: dict[str, Callable[[], Cell]] = {
     "quick-uncapped": lambda: (ExperimentConfig.quick(), None),
     "quick-defended": lambda: (_defended(ExperimentConfig.quick()), "mpc"),
     "calibrated-mpc": lambda: (
         ExperimentConfig.calibrated(training_duration_s=1800.0, run_duration_s=1800.0),
         "mpc",
     ),
+    "calibrated-defended": lambda: (
+        _defended(ExperimentConfig.calibrated(run_duration_s=1800.0)),
+        "mpc",
+    ),
+    **{
+        f"obs-{mode}": (lambda mode=mode: ObsCycles(mode))
+        for mode in ("disabled", "production", "flight", "debug")
+    },
 }
 
 
-def _count_cell(
-    config: ExperimentConfig, policy: str | None
-) -> dict[str, dict[str, int]]:
-    _, counter = count_run(config, policy)
+def _count_cell(cell: Cell) -> dict[str, dict[str, int]]:
+    if isinstance(cell, ObsCycles):
+        counter = count_obs_cycles(cell)
+    else:
+        _, counter = count_run(*cell)
     return {
         "calls": dict(sorted(counter.calls.items())),
         "units": dict(sorted(counter.units.items())),
@@ -257,9 +315,9 @@ def count_cells(names: list[str]) -> dict[str, dict[str, dict[str, int]]]:
     spawn = multiprocessing.get_context("spawn")
     counted: dict[str, dict[str, dict[str, int]]] = {}
     for name in names:
-        config, policy = CELLS[name]()
+        cell = CELLS[name]()
         with spawn.Pool(1) as pool:
-            counted[name] = pool.apply(_count_cell, (config, policy))
+            counted[name] = pool.apply(_count_cell, (cell,))
     return counted
 
 
