@@ -32,8 +32,8 @@ Subpackages
 ``repro.faults``       seeded fault injection + degraded-mode config
 ``repro.ha``           controller crash-recovery: journal, failover, fencing
 ``repro.obs``          cycle tracing, metric registry, flight recorder
-``repro.metrics``      Performance(cap), CPLJ, P_max, ΔP×T, survey metrics
-``repro.analysis``     tables, ASCII charts, statistics
+``repro.metrics``      Performance(cap), CPLJ, P_max, ΔP×T, fault metrics
+``repro.analysis``     tables, ASCII charts, Markdown reports
 ``repro.experiments``  per-figure harnesses (Fig. 5/6/7, ablations)
 =====================  ====================================================
 """

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import MetricError
 
-__all__ = ["ascii_chart", "ascii_histogram"]
+__all__ = ["ascii_chart"]
 
 
 def ascii_chart(
@@ -66,22 +66,4 @@ def ascii_chart(
         f"{markers[k % len(markers)]} {label}" for k, label in enumerate(ys)
     )
     lines.append(" " * 14 + legend)
-    return "\n".join(lines)
-
-
-def ascii_histogram(
-    values: np.ndarray, bins: int = 20, width: int = 50, title: str = ""
-) -> str:
-    """A horizontal-bar histogram of ``values``."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or len(v) == 0:
-        raise MetricError("values must be a non-empty 1-D array")
-    if bins < 1:
-        raise MetricError("bins must be >= 1")
-    counts, edges = np.histogram(v, bins=bins)
-    peak = counts.max() if counts.max() > 0 else 1
-    lines = [title] if title else []
-    for i, count in enumerate(counts):
-        bar = "#" * int(round(count / peak * width))
-        lines.append(f"{edges[i]:12.4g} .. {edges[i + 1]:12.4g} |{bar} {count}")
     return "\n".join(lines)

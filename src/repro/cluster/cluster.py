@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.cluster.engine import ClusterEngine, get_engine
 from repro.cluster.node import ComputeNode, NodeSpec
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, outside_range
 from repro.errors import ConfigurationError
 
 __all__ = ["Cluster"]
@@ -169,9 +169,15 @@ class Cluster:
         """Declare the privileged (uncontrollable) set ``A_uncontrollable``.
 
         Replaces any previous privileged marking.
+
+        Raises:
+            ConfigurationError: on a node id outside the cluster; the
+                previous marking is then left as it was.
         """
-        self.state.controllable[:] = True
         ids = np.asarray(node_ids, dtype=np.int64)
+        if outside_range(ids, self.num_nodes - 1):
+            raise ConfigurationError("privileged node id out of range")
+        self.state.controllable[:] = True
         if ids.size:
             self.state.set_privileged(ids, privileged=True)
 

@@ -207,8 +207,11 @@ class ClusterState:
         self.nic_frac[ids] = np.fmin(np.fmax(nic_frac, 0.0), 1.0)
 
     def set_privileged(self, node_ids: np.ndarray, privileged: bool = True) -> None:
-        """Mark nodes as privileged (uncontrollable) or controllable."""
+        """Mark nodes as privileged (uncontrollable) or controllable
+        (validated)."""
         ids = np.asarray(node_ids, dtype=np.int64)
+        if outside_range(ids, self.num_nodes - 1):
+            raise ConfigurationError("node id out of range in set_privileged")
         self.controllable[ids] = not privileged
 
     # ------------------------------------------------------------------

@@ -113,11 +113,6 @@ class PowerCappingAlgorithm:
         """``T_g``."""
         return self._t_g
 
-    def reset(self) -> None:
-        """Clear ``A_degraded`` and ``Time_g`` (between experiment runs)."""
-        self._degraded[:] = False
-        self._time_g = 0
-
     def mark_degraded(self, node_ids: np.ndarray) -> None:
         """Record out-of-band degrades in ``A_degraded``.
 

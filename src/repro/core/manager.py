@@ -792,7 +792,7 @@ class PowerManager:
             classify["emergency_red"] = report.emergency_red
         tracer = self._obs.tracer
         root = tracer.begin_cycle(report.time)
-        leaf = tracer._leaf
+        leaf = tracer.leaf
         leaf(
             "collect",
             {
@@ -862,11 +862,11 @@ class PowerManager:
     def _note_aux_actuation(self, fenced: bool) -> None:
         """Status check for out-of-band actuation (RL502).
 
-        Branch caps, blackout releases and the end-of-run restore all
-        bypass the main per-cycle actuation span, so their outcome must
-        be accounted here: a fully fenced batch means a successor owns
-        the machine, and this incarnation's telemetry records the
-        refusal instead of silently pretending the command landed.
+        Branch caps and blackout releases bypass the main per-cycle
+        actuation span, so their outcome must be accounted here: a fully
+        fenced batch means a successor owns the machine, and this
+        incarnation's telemetry records the refusal instead of silently
+        pretending the command landed.
         """
         if fenced:
             self._aux_fenced_batches += 1
@@ -997,46 +997,6 @@ class PowerManager:
         return self._capping.decide(
             state, ctx, self._policy, upgradable=self._upgradable
         )
-
-    def reset_episode_state(self) -> None:
-        """Clear cross-cycle control state for a new run.
-
-        Resets Algorithm 1 (``A_degraded``, ``Time_g``), the policy, and
-        the degraded-mode ladder's latches (blackout streak, estimation
-        anchor, upgradable mask) so a reused manager starts the next
-        episode with the same control posture as a fresh one.  Lifetime
-        *counters* (cycles, state counts, forced-red totals) and the
-        recovery hold are deliberately kept: the former are accounting,
-        and the hold reflects sensing history a new episode does not
-        erase.
-        """
-        self._capping.reset()
-        self._policy.reset()
-        self._blackout_streak = 0
-        self._upgradable = None
-        self._offset_w = 0.0
-        self._offset_valid = False
-
-    def release_all(self) -> None:
-        """Restore every candidate node to the top level (end of run).
-
-        Also clears ``A_degraded``/``Time_g`` and the blackout latch so
-        the control state agrees with the machine it just released —
-        no node is degraded, so no degraded bookkeeping may survive.
-        """
-        candidates = self._sets.candidates
-        if len(candidates) == 0:
-            return
-        # Through the actuator's fenced release path, never a direct
-        # state write: a deposed manager must not touch the machine
-        # even to "clean up" (RL301).
-        written = self._actuator.release(
-            candidates, self._cluster.spec.top_level, epoch=self._epoch
-        )
-        self._note_aux_actuation(written == 0)
-        self._capping.reset()
-        self._blackout_streak = 0
-        self._upgradable = None
 
     # ------------------------------------------------------------------
     # Crash recovery (repro.ha)

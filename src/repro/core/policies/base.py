@@ -178,9 +178,6 @@ class SelectionPolicy(abc.ABC):
     def select(self, ctx: PolicyContext) -> np.ndarray:
         """Return node ids to degrade one level (possibly empty)."""
 
-    def reset(self) -> None:
-        """Clear any cross-cycle state (default: stateless no-op)."""
-
     @staticmethod
     def empty_selection() -> np.ndarray:
         """The canonical empty target set."""

@@ -60,8 +60,7 @@ class FairSharePolicy(SelectionPolicy):
     """Target the job throttled least often so far.
 
     Keeps a per-job hit counter across cycles; among jobs with degradable
-    nodes, picks the minimum ``(hits, job_id)``.  :meth:`reset` clears
-    the counters (called between experiment runs).
+    nodes, picks the minimum ``(hits, job_id)``.
     """
 
     def __init__(self) -> None:
@@ -81,9 +80,6 @@ class FairSharePolicy(SelectionPolicy):
         chosen = best[1]
         self._hits[chosen] = self._hits.get(chosen, 0) + 1
         return ctx.degradable_nodes_of_job(chosen)
-
-    def reset(self) -> None:
-        self._hits.clear()
 
 
 @register_policy("hybrid")

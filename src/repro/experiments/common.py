@@ -284,8 +284,8 @@ class ExperimentResult:
         true_power_w: Ground-truth total power aligned with ``times``
             (None unless the run configured corruption or the integrity
             defense); for those runs ``power_w`` is what the controller
-            *acted on*, and the gap between the two is graded by
-            :func:`repro.metrics.integrity.estimate_error_w_under_corruption`.
+            *acted on*, and the run's metrics are graded against this
+            ground truth instead.
         observability: The run's :class:`~repro.obs.Observability`
             facade — spans, metrics and flight dumps, already exported
             to any configured paths (None unless ``config.obs`` enabled

@@ -1,5 +1,5 @@
-"""Metric library: the paper's four evaluation metrics plus the related-
-work metrics its §I.B surveys.
+"""Metric library: the paper's four evaluation metrics plus robustness
+metrics for fault-injection and failover runs.
 
 Paper metrics (§V.C):
 
@@ -12,63 +12,33 @@ Paper metrics (§V.C):
   paper's new metric (ratio of over-threshold power-time integral to the
   total power-time integral).
 
-Survey metrics (§I.B, for completeness of the library):
-``E×Dⁿ``, ``FLOPS/W`` (Green500), ``PUE``, and a TCO estimator.
-
 Robustness metrics (:mod:`repro.metrics.faults`, for fault-injection
-runs): cap-violation seconds, time-to-cap-restoration and the
-degraded-sensing share of the overspend.  Telemetry-integrity metrics
-(:mod:`repro.metrics.integrity`, for sensor-corruption runs):
-quarantine exposure, meter-distrust time and worst estimate error under
-corruption.  Power-delivery metrics (:mod:`repro.metrics.provision`,
-for provision-attached runs): capacity-shortfall ``ΔP×T`` against the
-*surviving* capacity, time over capacity, recovery time and the
-branch-overload integral.
+and failover runs): cap-violation seconds, time-to-cap-restoration,
+controller downtime, failover count and recovery divergence.
 
 :mod:`repro.metrics.summary` bundles everything into per-run
 :class:`~repro.metrics.summary.RunMetrics` and baseline-normalised
 comparisons, which are what the figure harnesses print.
 """
 
-from repro.metrics.efficiency import (
-    energy_delay_product,
-    flops_per_watt,
-    power_usage_effectiveness,
-    total_cost_of_ownership,
-)
 from repro.metrics.faults import (
     cap_violation_seconds,
     controller_downtime_seconds,
-    degraded_overspend,
     failover_count,
     recovery_divergence_w,
     time_to_cap_restoration,
     violation_episodes,
 )
-from repro.metrics.integrity import (
-    estimate_error_w_under_corruption,
-    meter_distrust_seconds,
-    quarantine_node_seconds,
-    quarantine_seconds,
-)
 from repro.metrics.performance import (
     count_performance_lossless_jobs,
-    mean_slowdown,
     performance_metric,
     per_application_performance,
-)
-from repro.metrics.provision import (
-    branch_overload_w_seconds,
-    capacity_recovery_seconds,
-    capacity_shortfall_w_seconds,
-    time_over_capacity,
 )
 from repro.metrics.power import (
     accumulated_overspend,
     average_power,
     energy_joules,
     peak_power,
-    time_fraction_above,
 )
 from repro.metrics.summary import RunComparison, RunMetrics, compare_runs
 
@@ -77,31 +47,16 @@ __all__ = [
     "RunMetrics",
     "accumulated_overspend",
     "average_power",
-    "branch_overload_w_seconds",
     "cap_violation_seconds",
-    "capacity_recovery_seconds",
-    "capacity_shortfall_w_seconds",
     "compare_runs",
     "controller_downtime_seconds",
     "count_performance_lossless_jobs",
-    "degraded_overspend",
-    "estimate_error_w_under_corruption",
     "failover_count",
-    "energy_delay_product",
     "energy_joules",
-    "flops_per_watt",
-    "mean_slowdown",
-    "meter_distrust_seconds",
     "peak_power",
-    "quarantine_node_seconds",
-    "quarantine_seconds",
     "per_application_performance",
     "performance_metric",
-    "power_usage_effectiveness",
     "recovery_divergence_w",
-    "time_fraction_above",
-    "time_over_capacity",
     "time_to_cap_restoration",
-    "total_cost_of_ownership",
     "violation_episodes",
 ]

@@ -1,23 +1,18 @@
 """Robustness metrics: cap violations and recovery under faults.
 
 The paper's metrics (§V.C) grade a controller with perfect sensing.
-Under injected faults two additional questions matter:
-
-* **how long was the cap actually violated?** —
-  :func:`cap_violation_seconds` (wall-clock above ``P_H``) and
-  :func:`violation_episodes` / :func:`time_to_cap_restoration` (how long
-  the controller needed to drive power back under the cap once it was
-  breached, worst case over the run);
-* **how much of the overspend happened while flying blind?** —
-  :func:`degraded_overspend` attributes the ΔP×T-style over-threshold
-  energy to the cycles the manager itself flagged as degraded sensing
-  (meter outage or forced-red blackout), as a fraction of total energy.
+Under injected faults the question is **how long was the cap actually
+violated?** — :func:`cap_violation_seconds` (wall-clock above ``P_H``)
+and :func:`violation_episodes` / :func:`time_to_cap_restoration` (how
+long the controller needed to drive power back under the cap once it
+was breached, worst case over the run).  Under controller crashes,
+:func:`controller_downtime_seconds`, :func:`failover_count` and
+:func:`recovery_divergence_w` grade the failover.
 
 All functions use the same recorded series conventions as
 :mod:`repro.metrics.power`: aligned 1-D ``(t, P)`` arrays.  Episode
-accounting is sample-and-hold (an interval belongs to its left sample),
-consistent with :func:`repro.metrics.power.time_fraction_above`; ΔP×T
-itself remains the precise trapezoidal metric.
+accounting is sample-and-hold (an interval belongs to its left sample);
+ΔP×T itself remains the precise trapezoidal metric.
 """
 
 from __future__ import annotations
@@ -26,13 +21,12 @@ import numpy as np
 
 from repro.errors import MetricError
 from repro.types import Watts
-from repro.metrics.power import _validate, energy_joules
+from repro.metrics.power import _validate
 
 __all__ = [
     "cap_violation_seconds",
     "violation_episodes",
     "time_to_cap_restoration",
-    "degraded_overspend",
     "controller_downtime_seconds",
     "failover_count",
     "recovery_divergence_w",
@@ -97,41 +91,6 @@ def time_to_cap_restoration(
     if not episodes:
         return 0.0
     return float(max(end - start for start, end in episodes))
-
-
-def degraded_overspend(
-    times: np.ndarray,
-    values: np.ndarray,
-    threshold_w: Watts,
-    degraded: np.ndarray,
-) -> float:
-    """ΔP×T-style overspend attributable to degraded-sensing cycles.
-
-    ``degraded`` is the manager's per-cycle degraded-sensing flag series
-    (1.0 when the cycle ran on a meter-outage estimate or was forced red
-    by a telemetry blackout), aligned with ``times``.  Returns::
-
-        ∫_{P>P_th, degraded} (P(t) − P_th) dt  /  ∫ P(t) dt
-
-    with sample-and-hold attribution of each interval to its left
-    sample, so the value is directly comparable to (and bounded by, up
-    to discretisation) the run's total ΔP×T.
-    """
-    t, v = _validate(times, values)
-    d = np.asarray(degraded, dtype=np.float64)
-    if d.shape != t.shape:
-        raise MetricError("degraded series misaligned with power trace")
-    if threshold_w < 0:
-        raise MetricError("threshold must be non-negative")
-    if len(t) < 2:
-        raise MetricError("need at least two samples to integrate")
-    total = energy_joules(t, v)
-    if total <= 0:
-        raise MetricError("total energy must be positive for ΔP×T")
-    dt = np.diff(t)
-    excess = np.maximum(v[:-1] - threshold_w, 0.0)
-    attributed = float((excess * dt)[d[:-1] > 0.0].sum())
-    return attributed / total
 
 
 # ----------------------------------------------------------------------

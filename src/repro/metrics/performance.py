@@ -27,7 +27,6 @@ from repro.workload.job import Job, JobState
 __all__ = [
     "performance_metric",
     "count_performance_lossless_jobs",
-    "mean_slowdown",
     "per_application_performance",
 ]
 
@@ -75,13 +74,6 @@ def count_performance_lossless_jobs(
         if job.actual_runtime_s <= job.nominal_runtime_s * (1.0 + rel_tolerance):
             count += 1
     return count
-
-
-def mean_slowdown(jobs: Sequence[Job]) -> float:
-    """Mean of ``T_cap,j / T_j`` (≥ 1; the reciprocal view of the paper's
-    metric, often easier to read in ablation tables)."""
-    done = _finished(jobs)
-    return sum(j.actual_runtime_s / j.nominal_runtime_s for j in done) / len(done)
 
 
 def per_application_performance(jobs: Sequence[Job]) -> dict[str, float]:

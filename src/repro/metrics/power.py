@@ -31,7 +31,6 @@ __all__ = [
     "energy_joules",
     "accumulated_overspend",
     "overspend_energy_joules",
-    "time_fraction_above",
 ]
 
 
@@ -116,22 +115,3 @@ def accumulated_overspend(
     if total <= 0:
         raise MetricError("total energy must be positive for ΔP×T")
     return overspend_energy_joules(times, values, threshold_w) / total
-
-
-def time_fraction_above(
-    times: np.ndarray, values: np.ndarray, threshold_w: Watts
-) -> float:
-    """Fraction of the trace's wall-clock spent above ``threshold_w``.
-
-    Sample-and-hold approximation: each inter-sample interval is counted
-    by its left sample (sufficient for diagnostics; ΔP×T is the precise
-    metric).
-    """
-    t, v = _validate(times, values)
-    if len(t) < 2:
-        raise MetricError("need at least two samples")
-    dt = np.diff(t)
-    span = float(t[-1] - t[0])
-    if span <= 0:
-        raise MetricError("trace has zero duration")
-    return float(dt[v[:-1] > threshold_w].sum() / span)

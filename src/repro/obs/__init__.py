@@ -4,15 +4,16 @@ The paper evaluates its capping architecture by *replaying* what the
 controller saw and did (§V's figures are all traces); this package makes
 the reproduction itself observable the same way, without perturbing it:
 
-* :class:`~repro.obs.trace.CycleTracer` — one nested span tree per
-  control cycle (``cycle`` → ``collect`` / ``estimate`` / ``classify``
-  / ``select_targets`` / ``actuate`` / ``journal``) with *sim-time*
-  timestamps only, so traces from one seed are byte-identical;
+* :class:`~repro.obs.trace.CycleTracer` — one span tree per control
+  cycle (a ``cycle`` root over ``collect`` / ``estimate`` / ``classify``
+  / ``select_targets`` / ``actuate`` / ``journal`` leaves) with
+  *sim-time* timestamps only, so traces from one seed are
+  byte-identical;
 * :class:`~repro.obs.metrics.MetricRegistry` — counters, gauges and
   histograms (cycles by color, DVFS transitions, fenced rejections,
-  LKG cache age, retry counts), exported as Prometheus text; existing
-  subsystem statistics are mirrored by export-time callbacks with zero
-  per-cycle cost;
+  LKG cache age, retry counts), exported as Prometheus text; counters
+  and gauges mirror existing subsystem statistics through export-time
+  callbacks with zero per-cycle cost;
 * :class:`~repro.obs.flight.FlightRecorder` — a bounded ring of the
   last N cycles, dumped as JSON lines when a trigger trips (fault
   onset, controller crash, failover, red-state entry, end of run).
@@ -34,13 +35,7 @@ from repro.obs.export import (
 )
 from repro.obs.facade import Observability, resolve_obs
 from repro.obs.flight import NULL_FLIGHT_RECORDER, FlightDump, FlightRecorder
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-)
+from repro.obs.metrics import NULL_REGISTRY, Histogram, MetricRegistry
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -51,11 +46,9 @@ from repro.obs.trace import (
 
 __all__ = [
     "AttrValue",
-    "Counter",
     "CycleTracer",
     "FlightDump",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricRegistry",
     "NULL_FLIGHT_RECORDER",

@@ -1,19 +1,19 @@
-"""The metric registry: counters, gauges and histograms.
+"""The metric registry: collected counters and gauges, and histograms.
 
 Two kinds of instrument coexist:
 
-* **inline** instruments (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) are created once at wiring time and updated from
-  the hot path (``counter.inc()`` per cycle);
-* **collected** instruments (:meth:`MetricRegistry.counter_func` /
-  :meth:`MetricRegistry.gauge_func`) register a zero-argument callable
+* **collected** counters and gauges (:meth:`MetricRegistry.counter_func`
+  / :meth:`MetricRegistry.gauge_func`) register a zero-argument callable
   that is evaluated only at export time.  Subsystems that already keep
   monotone counters (the actuator's command statistics, the collector's
   drop counts, the journal's record totals) are mirrored this way, so
   instrumenting them costs *nothing* per cycle and the exported value
-  can never drift from the source of truth.
+  can never drift from the source of truth;
+* **inline** :class:`Histogram` instruments are created once at wiring
+  time and updated from the hot path (``histogram.observe(v)`` per
+  cycle).
 
-A disabled registry hands out shared no-op instruments and ignores
+A disabled registry hands out a shared no-op histogram and ignores
 callback registrations, so the disabled path is a handful of no-op
 method calls per cycle.
 
@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 
 from repro.errors import ObservabilityError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry"]
+__all__ = ["Histogram", "MetricRegistry"]
 
 #: A frozen, sorted label set — part of a series' identity.
 _LabelKey = tuple[tuple[str, str], ...]
@@ -59,51 +59,6 @@ def _fmt_labels(labels: _LabelKey) -> str:
         )
         parts.append(f'{key}="{escaped}"')
     return "{" + ",".join(parts) + "}"
-
-
-class Counter:
-    """A monotonically non-decreasing count."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        """The current count."""
-        return self._value
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative) to the count.
-
-        Raises:
-            ObservabilityError: on a negative increment — counters are
-                monotone by contract.
-        """
-        if amount < 0:
-            raise ObservabilityError(
-                f"counter increment must be non-negative, got {amount}"
-            )
-        self._value += amount
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        """The current level."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Set the gauge to ``value``."""
-        self._value = float(value)
 
 
 class Histogram:
@@ -160,20 +115,6 @@ class Histogram:
         return tuple(out)
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        return None
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -184,8 +125,6 @@ class _NullHistogram(Histogram):
         return None
 
 
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 #: Kinds a family can have (fixed at first registration).
@@ -196,13 +135,13 @@ class MetricRegistry:
     """Named metric families with labelled series.
 
     A series' identity is ``(name, sorted labels)``; registering the
-    same identity twice returns the existing instrument (inline kinds)
-    or rebinds the callback (collected kinds — the HA layer re-registers
-    a successor manager's collector after failover).  Registering one
+    same identity twice returns the existing histogram or rebinds the
+    callback of a collected series (the HA layer re-registers a
+    successor manager's collector after failover).  Registering one
     name under two different kinds raises.
 
     Args:
-        enabled: A disabled registry hands out shared no-op instruments
+        enabled: A disabled registry hands out a shared no-op histogram
             and ignores callbacks.
     """
 
@@ -210,32 +149,12 @@ class MetricRegistry:
         self.enabled = enabled
         self._kinds: dict[str, str] = {}
         self._help: dict[str, str] = {}
-        self._inline: dict[tuple[str, _LabelKey], Counter | Gauge | Histogram] = {}
+        self._histograms: dict[tuple[str, _LabelKey], Histogram] = {}
         self._collected: dict[tuple[str, _LabelKey], Callable[[], float]] = {}
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def counter(
-        self, name: str, help_: str, labels: Mapping[str, str] | None = None
-    ) -> Counter:
-        """Get or create the counter series ``(name, labels)``."""
-        if not self.enabled:
-            return _NULL_COUNTER
-        inst = self._register(name, help_, "counter", labels, lambda: Counter())
-        assert isinstance(inst, Counter)
-        return inst
-
-    def gauge(
-        self, name: str, help_: str, labels: Mapping[str, str] | None = None
-    ) -> Gauge:
-        """Get or create the gauge series ``(name, labels)``."""
-        if not self.enabled:
-            return _NULL_GAUGE
-        inst = self._register(name, help_, "gauge", labels, lambda: Gauge())
-        assert isinstance(inst, Gauge)
-        return inst
-
     def histogram(
         self,
         name: str,
@@ -246,10 +165,11 @@ class MetricRegistry:
         """Get or create the histogram series ``(name, labels)``."""
         if not self.enabled:
             return _NULL_HISTOGRAM
-        inst = self._register(
-            name, help_, "histogram", labels, lambda: Histogram(buckets)
-        )
-        assert isinstance(inst, Histogram)
+        self._check_kind(name, "histogram", help_)
+        key = (name, _label_key(labels))
+        inst = self._histograms.get(key)
+        if inst is None:
+            inst = self._histograms[key] = Histogram(buckets)
         return inst
 
     def counter_func(
@@ -282,27 +202,6 @@ class MetricRegistry:
                 f"metric {name!r} already registered as {known}, not {kind}"
             )
 
-    def _register(
-        self,
-        name: str,
-        help_: str,
-        kind: str,
-        labels: Mapping[str, str] | None,
-        make: Callable[[], Counter | Gauge | Histogram],
-    ) -> Counter | Gauge | Histogram:
-        self._check_kind(name, kind, help_)
-        key = (name, _label_key(labels))
-        if key in self._collected:
-            raise ObservabilityError(
-                f"metric series {name!r}{dict(key[1])!r} is already a "
-                "collected (callback) series"
-            )
-        inst = self._inline.get(key)
-        if inst is None:
-            inst = make()
-            self._inline[key] = inst
-        return inst
-
     def _register_collected(
         self,
         name: str,
@@ -314,15 +213,9 @@ class MetricRegistry:
         if not self.enabled:
             return
         self._check_kind(name, kind, help_)
-        key = (name, _label_key(labels))
-        if key in self._inline:
-            raise ObservabilityError(
-                f"metric series {name!r}{dict(key[1])!r} is already an "
-                "inline series"
-            )
         # Rebinding is deliberate: after a failover the successor's
         # subsystems take over the series.
-        self._collected[key] = fn
+        self._collected[(name, _label_key(labels))] = fn
 
     # ------------------------------------------------------------------
     # Reading
@@ -343,23 +236,16 @@ class MetricRegistry:
         Raises:
             ObservabilityError: for an unknown series or a histogram.
         """
-        key = (name, _label_key(labels))
-        fn = self._collected.get(key)
-        if fn is not None:
-            return float(fn())
-        inst = self._inline.get(key)
-        if isinstance(inst, (Counter, Gauge)):
-            return inst.value
-        raise ObservabilityError(
-            f"no scalar metric series {name!r} with labels {dict(_label_key(labels))!r}"
-        )
+        fn = self._collected.get((name, _label_key(labels)))
+        if fn is None:
+            raise ObservabilityError(
+                f"no scalar metric series {name!r} with labels {dict(_label_key(labels))!r}"
+            )
+        return float(fn())
 
     def collect(self) -> dict[str, dict[_LabelKey, float]]:
         """Every scalar series' current value, family → labels → value."""
         out: dict[str, dict[_LabelKey, float]] = {}
-        for (name, labels), inst in self._inline.items():
-            if isinstance(inst, (Counter, Gauge)):
-                out.setdefault(name, {})[labels] = inst.value
         for (name, labels), fn in self._collected.items():
             out.setdefault(name, {})[labels] = float(fn())
         return out
@@ -377,9 +263,9 @@ class MetricRegistry:
             lines.append(f"# TYPE {name} {kind}")
             if kind == "histogram":
                 for (n, labels), inst in sorted(
-                    self._inline.items(), key=lambda kv: kv[0]
+                    self._histograms.items(), key=lambda kv: kv[0]
                 ):
-                    if n != name or not isinstance(inst, Histogram):
+                    if n != name:
                         continue
                     cumulative = inst.cumulative_counts()
                     for bound, count in zip(inst.bounds, cumulative):

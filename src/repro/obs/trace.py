@@ -1,4 +1,4 @@
-"""Cycle tracing: nested spans with deterministic sim-time timestamps.
+"""Cycle tracing: span trees with deterministic sim-time timestamps.
 
 After each control cycle the :class:`~repro.core.manager.PowerManager`
 projects the cycle's finished :class:`~repro.core.manager.CycleReport`
@@ -15,8 +15,8 @@ timestamps, which keeps the trace deterministic and free of wall-clock
 reads (reprolint RL102).
 
 A disabled tracer is a shared no-op: :meth:`CycleTracer.begin_cycle`
-and :meth:`CycleTracer.open_span` return the null span, and the manager
-skips building the tree behind one ``enabled`` check per cycle.
+returns the null span, and the manager skips building the tree behind
+one ``enabled`` check per cycle.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class Span:
 
     @property
     def children(self) -> list["Span"]:
-        """Child spans in open order (empty for a leaf)."""
+        """Child spans in the order they were added (empty for a leaf)."""
         return self._children if self._children is not None else []
 
     def to_dict(self) -> dict[str, object]:
@@ -107,7 +107,7 @@ class CycleTracer:
     ) -> None:
         self.enabled = enabled
         self._sinks: list[Callable[[Span], None]] = list(sinks)
-        self._stack: list[Span] = []
+        self._root: Span | None = None
         self._seq = 0
         self._cycles_traced = 0
         self._free: list[Span] = []
@@ -115,11 +115,6 @@ class CycleTracer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        """Number of currently open spans (0 between cycles)."""
-        return len(self._stack)
-
     @property
     def cycles_traced(self) -> int:
         """Completed cycle span trees emitted so far."""
@@ -133,7 +128,7 @@ class CycleTracer:
         """Return a completed cycle tree to the allocation pool.
 
         Steady-state tracing then allocates (almost) nothing per cycle:
-        :meth:`begin_cycle` and :meth:`open_span` reuse the pooled spans —
+        :meth:`begin_cycle` and :meth:`leaf` reuse the pooled spans —
         and their attrs dicts and children lists — instead of building
         fresh ones, which also keeps the garbage collector quiet (no
         per-cycle promotion churn from trees retained by the flight
@@ -179,45 +174,30 @@ class CycleTracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        if self._stack:
+        if self._root is not None:
             raise ObservabilityError(
                 "begin_cycle with a span still open; end_cycle first"
             )
-        root = self._new_span("cycle", now)
-        self._stack.append(root)
+        root = self._root = self._new_span("cycle", now)
         return root
 
-    def open_span(self, name: str) -> Span:
-        """Open a child span of the innermost open span and return it.
+    def leaf(self, name: str, attrs: dict[str, AttrValue]) -> None:
+        """Add a closed child span carrying ``attrs`` to the open cycle.
 
-        The caller closes it with :meth:`close_span`.
+        Children keep the order they are added in; ``attrs`` is kept,
+        not copied.  The manager projects each stage of a finished cycle
+        this way, in stage order.
 
         Raises:
             ObservabilityError: if no cycle is open.
         """
-        if not self.enabled:
-            return NULL_SPAN
-        stack = self._stack
-        if not stack:
+        root = self._root
+        if root is None:
+            if not self.enabled:
+                return
             raise ObservabilityError(
                 f"span {name!r} opened outside a cycle; begin_cycle first"
             )
-        child = self._new_span(name, stack[0].time)
-        parent = stack[-1]
-        if parent._children is None:
-            parent._children = [child]
-        else:
-            parent._children.append(child)
-        stack.append(child)
-        return child
-
-    def _leaf(self, name: str, attrs: dict[str, AttrValue]) -> None:
-        """Add a closed child span carrying ``attrs`` to the open root:
-        the span :meth:`open_span` then :meth:`close_span` would add, in
-        one call.  The manager projects its stage spans this way, only
-        while tracing and between :meth:`begin_cycle` and
-        :meth:`end_cycle`."""
-        root = self._stack[0]
         leaf = self._new_span(name, root.time)
         leaf.open = False
         leaf.attrs = attrs
@@ -226,41 +206,20 @@ class CycleTracer:
         else:
             root._children.append(leaf)
 
-    def close_span(self) -> None:
-        """Close the innermost open span (pair of :meth:`open_span`).
-
-        Raises:
-            ObservabilityError: if only the root (or nothing) is open.
-        """
-        if not self.enabled:
-            return
-        stack = self._stack
-        if len(stack) <= 1:
-            raise ObservabilityError(
-                "close_span with no open child span (closed twice?)"
-            )
-        child = stack.pop()
-        child.open = False
-
     def end_cycle(self) -> Span | None:
         """Close the root span and deliver the tree to every sink.
 
         Returns the completed root span (``None`` when disabled).
 
         Raises:
-            ObservabilityError: if child spans are still open, or no
-                cycle was begun.
+            ObservabilityError: if no cycle was begun.
         """
         if not self.enabled:
             return None
-        if not self._stack:
+        root = self._root
+        if root is None:
             raise ObservabilityError("end_cycle without begin_cycle")
-        if len(self._stack) > 1:
-            names = ", ".join(s.name for s in self._stack[1:])
-            raise ObservabilityError(
-                f"end_cycle with child spans still open: {names}"
-            )
-        root = self._stack.pop()
+        self._root = None
         root.open = False
         self._cycles_traced += 1
         for sink in self._sinks:

@@ -12,12 +12,6 @@
   from telemetry samples, the input of the target-selection policies.
 """
 
-from repro.power.calibration import (
-    CalibrationSample,
-    FittedPowerTables,
-    fit_power_tables,
-    synthesize_samples,
-)
 from repro.power.estimator import NodePowerEstimator
 from repro.power.hetero import HeterogeneousPowerModel, make_power_model
 from repro.power.meter import SystemPowerMeter
@@ -32,8 +26,6 @@ from repro.power.thermal import (
 
 __all__ = [
     "BreakerThermalModel",
-    "CalibrationSample",
-    "FittedPowerTables",
     "HeterogeneousPowerModel",
     "NodePowerEstimator",
     "PowerModel",
@@ -42,7 +34,5 @@ __all__ = [
     "SystemPowerMeter",
     "ThermalModel",
     "failure_rate_multiplier",
-    "fit_power_tables",
     "make_power_model",
-    "synthesize_samples",
 ]

@@ -103,10 +103,6 @@ class ThermalModel:
         self.temperature_c = self.steady_state(np.asarray(power_w, dtype=np.float64))
         return self.temperature_c
 
-    def reset(self) -> None:
-        """Return every node to ambient."""
-        self.temperature_c[:] = self.ambient_c
-
 
 class BreakerThermalModel:
     """Thermal-magnetic breaker trip model for a set of branch circuits.
@@ -127,8 +123,8 @@ class BreakerThermalModel:
       ``1 / cool_time_s`` toward zero.
 
     Reaching ``u ≥ 1`` **latches** the breaker open (the branch is dark)
-    until an explicit :meth:`reset` — re-closing a breaker is an operator
-    action, never an automatic one.
+    for the rest of the run — re-closing a breaker is an operator action,
+    never an automatic one.
 
     Args:
         rated_w: Per-branch continuous power rating, watts, shape (B,).
@@ -182,8 +178,8 @@ class BreakerThermalModel:
 
     @property
     def tripped(self) -> np.ndarray:
-        """Boolean mask of latched-open branches (read-only: a trip or a
-        reset replaces it)."""
+        """Boolean mask of latched-open branches (read-only: a trip
+        replaces it)."""
         return self._tripped
 
     def _set_tripped(self, mask: np.ndarray) -> None:
@@ -225,24 +221,6 @@ class BreakerThermalModel:
             self._integral[new_trips] = 1.0
             self._trip_count += int(new_trips.sum())
         return new_trips
-
-    def reset(self, branch_ids: np.ndarray | None = None) -> None:
-        """Re-close breakers (operator action): clear latch and integral.
-
-        Args:
-            branch_ids: Branches to re-close; all when omitted.
-        """
-        if branch_ids is None:
-            self._set_tripped(np.zeros_like(self._tripped))
-            self._integral[:] = 0.0
-            return
-        ids = np.asarray(branch_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self._rated)):
-            raise ConfigurationError("branch id out of range in reset")
-        tripped = self._tripped.copy()
-        tripped[ids] = False
-        self._set_tripped(tripped)
-        self._integral[ids] = 0.0
 
 
 def failure_rate_multiplier(
@@ -301,7 +279,7 @@ class ReliabilityTracker:
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
         t = np.asarray(temperature_c, dtype=np.float64)
-        mult = np.exp2((t - self._reference_c) / 10.0)
+        mult = np.asarray(failure_rate_multiplier(t, self._reference_c))
         self._expected_failures += float(self._lambda0_per_s * dt * mult.sum())
         self._peak_c = max(self._peak_c, float(t.max()))
         self._node_seconds += dt * len(t)

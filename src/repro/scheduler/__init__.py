@@ -11,18 +11,14 @@ capping experiments need.
 * :mod:`repro.scheduler.queue` — FIFO job queue;
 * :mod:`repro.scheduler.allocator` — whole-node first-fit allocation;
 * :mod:`repro.scheduler.feeder` — queue-filling policies (§V.C keep-one,
-  trace replay, closed-list);
+  closed-list);
 * :mod:`repro.scheduler.scheduler` — the tick-driven ``BatchScheduler``
   that glues queue, allocator and the job executor together.
 """
 
 from repro.scheduler.allocator import NodeAllocator
 from repro.scheduler.backfill import BackfillScheduler
-from repro.scheduler.feeder import (
-    KeepQueueFilledFeeder,
-    ListFeeder,
-    TraceFeeder,
-)
+from repro.scheduler.feeder import KeepQueueFilledFeeder, ListFeeder
 from repro.scheduler.queue import JobQueue
 from repro.scheduler.scheduler import BatchScheduler
 
@@ -33,5 +29,4 @@ __all__ = [
     "KeepQueueFilledFeeder",
     "ListFeeder",
     "NodeAllocator",
-    "TraceFeeder",
 ]

@@ -1,15 +1,13 @@
 """Queue-filling policies.
 
-Three ways to keep the scheduler supplied with work:
+Two ways to keep the scheduler supplied with work:
 
 * :class:`KeepQueueFilledFeeder` — the paper's §V.C rule: *"An evaluation
   job is added to the job queue whenever the queue is empty"*, drawing
   from the random generator.  This keeps the machine near saturation and
   produces the open-ended 12-hour streams of the evaluation.
-* :class:`TraceFeeder` — replays a recorded :class:`~repro.workload.trace.JobTrace`
-  at its submit times, for exactly-repeatable cross-policy comparisons.
-* :class:`ListFeeder` — submits a fixed list of jobs immediately
-  (closed workload; useful in tests and micro-experiments).
+* :class:`ListFeeder` — submits a fixed list of jobs at their submit
+  times (a closed workload, used by the scheduler tests).
 
 A feeder exposes one method, ``poll(now, queue)``, called by the scheduler
 at the start of every tick, which pushes any arrivals due by ``now``.
@@ -22,12 +20,10 @@ from typing import Protocol
 from repro.scheduler.queue import JobQueue
 from repro.workload.generator import RandomJobGenerator
 from repro.workload.job import Job
-from repro.workload.trace import JobTrace
 
 __all__ = [
     "Feeder",
     "KeepQueueFilledFeeder",
-    "TraceFeeder",
     "ListFeeder",
 ]
 
@@ -57,30 +53,6 @@ class KeepQueueFilledFeeder:
     def exhausted(self) -> bool:
         """An open stream never runs dry."""
         return False
-
-
-class TraceFeeder:
-    """Replays a recorded trace at its submit timestamps."""
-
-    def __init__(self, trace: JobTrace, runtime_scale: float = 1.0) -> None:
-        self._jobs = trace.to_jobs(runtime_scale=runtime_scale)
-        self._cursor = 0
-
-    def poll(self, now: float, queue: JobQueue) -> None:
-        while self._cursor < len(self._jobs):
-            job = self._jobs[self._cursor]
-            if job.submit_time > now:
-                break
-            queue.push(job)
-            self._cursor += 1
-
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self._jobs)
-
-    @property
-    def remaining(self) -> int:
-        """Arrivals not yet released to the queue."""
-        return len(self._jobs) - self._cursor
 
 
 class ListFeeder:

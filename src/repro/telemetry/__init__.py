@@ -3,10 +3,10 @@ management-cost model behind the paper's Figure 5.
 
 The architecture deploys "a profiling agent to each node in the candidate
 set" (§II.C); the global power manager periodically collects every agent's
-sample and estimates per-node and per-job power.  We expose both views:
+sample and estimates per-node and per-job power:
 
-* :class:`~repro.telemetry.agent.ProfilingAgent` — the per-node object
-  the paper describes (reads one node's ``/proc``-equivalent state);
+* :class:`~repro.telemetry.agent.AgentPool` — the candidate nodes'
+  agents, each reading its node's ``/proc``-equivalent state;
 * :class:`~repro.telemetry.collector.TelemetryCollector` — the central
   collection step, which samples *all* candidate agents in one vectorised
   snapshot;
@@ -19,7 +19,7 @@ sample and estimates per-node and per-job power.  We expose both views:
   :mod:`repro.faults.corruption`).
 """
 
-from repro.telemetry.agent import AgentPool, NodeSample, ProfilingAgent
+from repro.telemetry.agent import AgentPool, NodeSample
 from repro.telemetry.collector import TelemetryCollector, TelemetrySnapshot
 from repro.telemetry.cost import ManagementCostModel
 from repro.telemetry.integrity import (
@@ -35,7 +35,6 @@ __all__ = [
     "ManagementCostModel",
     "MeterIntegrityMonitor",
     "NodeSample",
-    "ProfilingAgent",
     "TelemetryCollector",
     "TelemetrySnapshot",
     "TelemetryValidator",

@@ -7,16 +7,11 @@ On the real machine each agent reads ``Uti_cpu``, ``Mem_used``,
 Tianhe-1A communication chipset's log (§V.A).  Here an agent reads the
 same four operating-point quantities from the simulated cluster state.
 
-Two access paths are provided:
-
-* :class:`ProfilingAgent` — the one-node object of the paper's
-  description, returning a :class:`NodeSample`; convenient in examples
-  and tests;
-* :class:`AgentPool` — sweeps many agents through a
-  :class:`~repro.cluster.engine.ClusterEngine`; this is what the central
-  collector uses.  With the default vector engine the sweep is one
-  fancy-indexed gather; with the object engine it is a per-node loop,
-  bit-identical by construction.
+:class:`AgentPool` sweeps every candidate node's agent through a
+:class:`~repro.cluster.engine.ClusterEngine`; this is what the central
+collector uses.  With the default vector engine the sweep is one
+fancy-indexed gather; with the object engine it is a per-node loop of
+:class:`NodeSample` readings, bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from repro.cluster.engine import ClusterEngine, get_engine
 from repro.cluster.state import ClusterState
 from repro.errors import TelemetryError
 
-__all__ = ["NodeSample", "ProfilingAgent", "AgentPool"]
+__all__ = ["NodeSample", "AgentPool"]
 
 
 @dataclass(frozen=True)
@@ -46,55 +41,6 @@ class NodeSample:
     mem_frac: float
     nic_frac: float
     job_id: int  #: -1 when the node is idle
-
-
-class ProfilingAgent:
-    """The paper's per-node profiling agent.
-
-    Args:
-        state: The cluster state the agent's node lives in.
-        node_id: The node this agent is deployed on.
-    """
-
-    def __init__(self, state: ClusterState, node_id: int) -> None:
-        if not 0 <= node_id < state.num_nodes:
-            raise TelemetryError(f"no node {node_id} to deploy an agent on")
-        self._state = state
-        self._node_id = int(node_id)
-        self._samples_taken = 0
-        self._last_sample: NodeSample | None = None
-
-    @property
-    def node_id(self) -> int:
-        """The node this agent profiles."""
-        return self._node_id
-
-    @property
-    def samples_taken(self) -> int:
-        """Number of samples this agent has produced."""
-        return self._samples_taken
-
-    @property
-    def last_sample(self) -> NodeSample | None:
-        """Most recent sample (None before the first)."""
-        return self._last_sample
-
-    def sample(self, now: float) -> NodeSample:
-        """Read the node's current operating point."""
-        i = self._node_id
-        s = self._state
-        reading = NodeSample(
-            node_id=i,
-            time=float(now),
-            level=int(s.level[i]),
-            cpu_util=float(s.cpu_util[i]),
-            mem_frac=float(s.mem_frac[i]),
-            nic_frac=float(s.nic_frac[i]),
-            job_id=int(s.job_id[i]),
-        )
-        self._samples_taken += 1
-        self._last_sample = reading
-        return reading
 
 
 class AgentPool:

@@ -81,21 +81,3 @@ class ManagementCostModel:
         if np.ndim(clamped) == 0:
             return float(clamped)
         return clamped
-
-    def saturation_size(self) -> int:
-        """Smallest candidate size that saturates the management node.
-
-        Solves ``cycle_cost_s(n) >= cycle_period_s`` for integer n.
-        """
-        a = self.pairwise_us * 1e-6
-        b = self.per_node_ms * 1e-3
-        c = self.fixed_ms * 1e-3 - self.cycle_period_s
-        if a == 0:
-            if b == 0:
-                return 0 if c >= 0 else int(1e18)
-            n = -c / b
-        else:
-            disc = b * b - 4 * a * c
-            n = (-b + disc**0.5) / (2 * a)
-        # Guard against float noise pushing an exact root past the ceiling.
-        return max(0, int(np.ceil(n - 1e-9)))

@@ -11,25 +11,24 @@ the thing the power-capping architecture actually reacts to — its
   rate, per-phase compute-boundness β);
 * a steady-state memory footprint as a fraction of node memory;
 * a nominal runtime versus process count (strong-scaling law);
-* a runtime-stretch model under DVFS (:mod:`repro.workload.scaling`):
-  a phase that is β compute-bound slows by ``1/((1−β) + β·f/f_max)``,
-  and a well-balanced synchronous job progresses at the rate of its
-  *slowest* node — exactly the bottleneck argument §IV.A builds the
-  state-based policies on.
+* a runtime-stretch model under DVFS: a phase that is β compute-bound
+  on a node at relative speed ``s = f/f_max`` progresses at rate
+  ``1/((1−β) + β/s)``, and a well-balanced synchronous job progresses
+  at the rate of its *slowest* node — exactly the bottleneck argument
+  §IV.A builds the state-based policies on.  The cluster engines
+  (:mod:`repro.cluster.vector`, :mod:`repro.cluster.object_engine`)
+  apply this law when they step jobs.
 
 Modules:
 
 * :mod:`repro.workload.phases` — phase records and cyclic schedules;
 * :mod:`repro.workload.applications` — the NPB profile library;
-* :mod:`repro.workload.scaling` — DVFS slowdown and strong-scaling laws;
 * :mod:`repro.workload.job` — job lifecycle state;
 * :mod:`repro.workload.generator` — the §V.C random job stream;
-* :mod:`repro.workload.trace` — record/replay of job arrival traces;
 * :mod:`repro.workload.executor` — advances running jobs each control
   tick and writes their load into the cluster state.
 """
 
-from repro.workload.arrivals import PoissonFeeder
 from repro.workload.applications import (
     ApplicationProfile,
     NPB_APPLICATIONS,
@@ -39,22 +38,15 @@ from repro.workload.executor import JobExecutor
 from repro.workload.generator import RandomJobGenerator
 from repro.workload.job import Job, JobState
 from repro.workload.phases import Phase, PhaseSchedule
-from repro.workload.scaling import job_progress_rate, node_progress_rate
-from repro.workload.trace import JobTrace, TraceRecord
 
 __all__ = [
     "ApplicationProfile",
     "Job",
     "JobExecutor",
     "JobState",
-    "JobTrace",
     "NPB_APPLICATIONS",
     "Phase",
-    "PoissonFeeder",
     "PhaseSchedule",
     "RandomJobGenerator",
-    "TraceRecord",
     "get_application",
-    "job_progress_rate",
-    "node_progress_rate",
 ]

@@ -9,8 +9,7 @@ interval τ) every running job:
 1. looks up its current :class:`~repro.workload.phases.Phase` from its
    progress (work-domain phases);
 2. computes its progress rate from the DVFS levels of its nodes — the
-   bulk-synchronous bottleneck model of
-   :func:`repro.workload.scaling.job_progress_rate`;
+   bulk-synchronous bottleneck model of :mod:`repro.workload`;
 3. advances ``progress_s`` by ``rate · dt`` and detects completion, with
    sub-tick interpolation of the finish instant so an uncapped job's
    measured runtime equals its nominal runtime *exactly* (the CPLJ metric

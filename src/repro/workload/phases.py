@@ -8,7 +8,7 @@ until the job's total work is done.
 
 Phases live in the *work* domain, not the time domain: a phase covers a
 fixed share of the job's work, and how long it takes in wall-clock depends
-on the DVFS levels of the job's nodes (see :mod:`repro.workload.scaling`).
+on the DVFS levels of the job's nodes (see :mod:`repro.workload`).
 That is what makes capping stretch runtimes instead of cutting work.
 """
 

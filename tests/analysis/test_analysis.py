@@ -1,15 +1,9 @@
-"""Unit tests for tables, ASCII charts and statistics."""
+"""Unit tests for tables and ASCII charts."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    Table,
-    ascii_chart,
-    ascii_histogram,
-    bootstrap_ci,
-    summarize,
-)
+from repro.analysis import Table, ascii_chart
 from repro.errors import MetricError
 
 
@@ -79,67 +73,6 @@ def test_ascii_chart_validation():
         ascii_chart(np.arange(3.0), {"a": np.arange(4.0)})
 
 
-def test_ascii_histogram():
-    values = np.concatenate([np.zeros(10), np.ones(30)])
-    text = ascii_histogram(values, bins=2, title="hist")
-    assert "hist" in text
-    assert "30" in text and "10" in text
-
-
-def test_ascii_histogram_validation():
-    with pytest.raises(MetricError):
-        ascii_histogram(np.array([]))
-    with pytest.raises(MetricError):
-        ascii_histogram(np.ones(3), bins=0)
-
-
-# ----------------------------------------------------------------------
-# Statistics
-# ----------------------------------------------------------------------
-def test_summarize():
-    s = summarize(np.arange(1, 101, dtype=float))
-    assert s.count == 100
-    assert s.mean == pytest.approx(50.5)
-    assert s.minimum == 1.0 and s.maximum == 100.0
-    assert s.median == pytest.approx(50.5)
-    assert "n=100" in str(s)
-
-
-def test_summarize_single_value():
-    s = summarize(np.array([3.0]))
-    assert s.std == 0.0
-
-
-def test_summarize_empty_rejected():
-    with pytest.raises(MetricError):
-        summarize(np.array([]))
-
-
-def test_bootstrap_ci_contains_mean():
-    rng = np.random.default_rng(0)
-    sample = rng.normal(10.0, 1.0, size=200)
-    point, lo, hi = bootstrap_ci(sample, rng=np.random.default_rng(1))
-    assert lo < point < hi
-    assert lo < 10.0 < hi
-    assert hi - lo < 0.6  # reasonably tight at n=200
-
-
-def test_bootstrap_ci_deterministic_with_rng():
-    sample = np.arange(50, dtype=float)
-    a = bootstrap_ci(sample, rng=np.random.default_rng(7))
-    b = bootstrap_ci(sample, rng=np.random.default_rng(7))
-    assert a == b
-
-
-def test_bootstrap_ci_validation():
-    with pytest.raises(MetricError):
-        bootstrap_ci(np.array([]))
-    with pytest.raises(MetricError):
-        bootstrap_ci(np.ones(3), confidence=1.5)
-    with pytest.raises(MetricError):
-        bootstrap_ci(np.ones(3), resamples=0)
-
-
 def test_ascii_chart_title_and_axis_labels():
     x = np.array([0.0, 10.0])
     out = ascii_chart(x, {"s": np.array([1.0, 2.0])}, title="my chart")
@@ -161,16 +94,3 @@ def test_ascii_chart_marker_wraps_past_eight_series():
     legend = out.splitlines()[-1]
     # Ninth series reuses the first marker.
     assert legend.count("* ") == 2
-
-
-def test_ascii_histogram_title_and_counts():
-    out = ascii_histogram(np.array([1.0, 1.0, 2.0]), bins=2, title="hist")
-    lines = out.splitlines()
-    assert lines[0] == "hist"
-    assert lines[1].endswith(" 2")
-    assert lines[2].endswith(" 1")
-
-
-def test_ascii_histogram_identical_values():
-    out = ascii_histogram(np.full(4, 7.0), bins=3)
-    assert " 4" in out

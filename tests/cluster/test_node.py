@@ -123,5 +123,15 @@ def test_set_privileged_nodes(small_cluster):
     assert not small_cluster.state.controllable[5]
 
 
+@pytest.mark.parametrize("bad", [[-1], [99], [0, 16]])
+def test_set_privileged_nodes_rejects_out_of_range_ids(small_cluster, bad):
+    small_cluster.set_privileged_nodes([0, 1])
+    with pytest.raises(ConfigurationError):
+        small_cluster.set_privileged_nodes(bad)
+    # A rejected call keeps the previous set.
+    privileged = np.flatnonzero(~small_cluster.state.controllable)
+    assert privileged.tolist() == [0, 1]
+
+
 def test_tianhe_default_size():
     assert Cluster.tianhe_1a().num_nodes == 128

@@ -125,6 +125,14 @@ def test_privileged_marking(node_spec):
     assert s.controllable[1]
 
 
+def test_set_privileged_rejects_out_of_range_ids(node_spec):
+    s = ClusterState(node_spec, 4)
+    for bad in ([-1], [4]):
+        with pytest.raises(ConfigurationError):
+            s.set_privileged(np.array(bad))
+    assert s.controllable.all()
+
+
 def test_copy_is_deep(node_spec):
     s = ClusterState(node_spec, 4)
     clone = s.copy()

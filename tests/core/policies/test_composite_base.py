@@ -127,15 +127,6 @@ def test_fair_policy_rotates(ctx_builder):
     assert fourth == first
 
 
-def test_fair_policy_reset(ctx_builder):
-    policy = make_policy("fair")
-    ctx = ctx_builder.snap()
-    first = tuple(policy.select(ctx))
-    policy.select(ctx)
-    policy.reset()
-    assert tuple(policy.select(ctx)) == first
-
-
 def test_hybrid_uses_mpc_without_rates(ctx_builder):
     policy = make_policy("hybrid")
     ctx = ctx_builder.snap()  # no previous snapshot

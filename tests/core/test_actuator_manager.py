@@ -200,38 +200,6 @@ def test_manager_full_loop_degrade_then_recover(busy_cluster):
     assert np.all(busy_cluster.state.level[4:10] == top)
 
 
-def test_manager_reset_episode_state(busy_cluster):
-    model = PowerModel(busy_cluster.spec)
-    current = model.system_power(busy_cluster.state)
-    mgr = _manager(busy_cluster, p_low=current * 0.9, p_high=current * 1.5)
-    mgr.control_cycle(1.0)
-    assert len(mgr.capping.degraded_nodes) > 0
-    mgr.reset_episode_state()
-    assert len(mgr.capping.degraded_nodes) == 0
-
-
-def test_manager_release_all(busy_cluster):
-    model = PowerModel(busy_cluster.spec)
-    current = model.system_power(busy_cluster.state)
-    mgr = _manager(busy_cluster, p_low=current * 0.5, p_high=current * 0.8)
-    mgr.control_cycle(1.0)  # red: everything to level 0
-    mgr.release_all()
-    assert np.all(busy_cluster.state.level == busy_cluster.spec.top_level)
-
-
-def test_deposed_manager_release_all_cannot_touch_machine(busy_cluster):
-    """A deposed incarnation's teardown is fenced like any other write."""
-    model = PowerModel(busy_cluster.spec)
-    current = model.system_power(busy_cluster.state)
-    mgr = _manager(busy_cluster, p_low=current * 0.5, p_high=current * 0.8)
-    mgr.control_cycle(1.0)  # red: everything to level 0
-    mgr.set_fencing_epoch(mgr.actuator.epoch)
-    mgr.actuator.advance_epoch()  # successor took over
-    mgr.release_all()
-    assert np.all(busy_cluster.state.level == 0)
-    assert mgr.actuator.fenced_commands > 0
-
-
 def test_manager_with_empty_candidates(busy_cluster):
     sets = NodeSets(busy_cluster, np.empty(0, dtype=np.int64))
     model = PowerModel(busy_cluster.spec)
@@ -241,7 +209,6 @@ def test_manager_with_empty_candidates(busy_cluster):
     report = mgr.control_cycle(1.0)  # must not crash, nothing to do
     assert report.state is PowerState.RED
     assert not report.acted
-    mgr.release_all()  # no-op
 
 
 def test_manager_threshold_observation(busy_cluster):

@@ -175,15 +175,6 @@ def test_policy_selecting_floor_node_rejected(algo, builder, busy_cluster):
         algo.decide(PowerState.YELLOW, builder.snap(), Rogue())
 
 
-def test_reset(algo, builder):
-    mpc = make_policy("mpc")
-    algo.decide(PowerState.YELLOW, builder.snap(), mpc)
-    algo.decide(PowerState.GREEN, builder.snap(), mpc)
-    algo.reset()
-    assert len(algo.degraded_nodes) == 0
-    assert algo.time_in_green == 0
-
-
 def test_construction_validation(busy_cluster):
     sets = NodeSets(busy_cluster)
     with pytest.raises(ConfigurationError):

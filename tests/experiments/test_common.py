@@ -124,6 +124,12 @@ def test_privileged_nodes_config():
     assert result.metrics.finished_jobs > 0
 
 
+@pytest.mark.parametrize("bad", [(-1,), (99,)])
+def test_privileged_nodes_out_of_range_rejected(bad):
+    with pytest.raises(ConfigurationError):
+        run_experiment(tiny_config(num_nodes=32, privileged_nodes=bad), None)
+
+
 def test_random_policy_runs():
     result = run_experiment(tiny_config(), "random")
     assert result.label == "random"

@@ -78,19 +78,12 @@ def test_capping_robust_to_meter_noise():
 
 
 def test_metrics_insensitive_to_provision_label():
-    """Re-scoring the same trace against a different threshold uses the
-    exported artifacts round-trip (the workflow EXPERIMENTS.md
-    suggests)."""
-    from repro.analysis import load_power_trace, power_trace_csv
+    """Re-scoring a run's own power trace against its provision gives
+    back the recorded overspend; a stricter threshold scores more."""
     from repro.metrics.power import accumulated_overspend
 
     result = run_experiment(_config(), None)
-    import tempfile, pathlib
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "trace.csv"
-        path.write_text(power_trace_csv(result.times, result.power_w))
-        times, power = load_power_trace(path)
+    times, power = result.times, result.power_w
     original = accumulated_overspend(times, power, result.provision_w)
     assert original == pytest.approx(result.metrics.overspend)
     stricter = accumulated_overspend(times, power, result.provision_w * 0.95)

@@ -1,62 +1,11 @@
-"""Unit tests for the survey metrics and the run-summary bundle."""
+"""Unit tests for the run-summary bundle."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MetricError
-from repro.metrics import (
-    RunMetrics,
-    compare_runs,
-    energy_delay_product,
-    flops_per_watt,
-    power_usage_effectiveness,
-    total_cost_of_ownership,
-)
+from repro.metrics import RunMetrics, compare_runs
 from repro.workload import Job, get_application
-
-
-# ----------------------------------------------------------------------
-# Survey metrics
-# ----------------------------------------------------------------------
-def test_edp():
-    assert energy_delay_product(100.0, 2.0) == pytest.approx(200.0)
-    assert energy_delay_product(100.0, 2.0, n=2) == pytest.approx(400.0)
-    assert energy_delay_product(100.0, 2.0, n=0) == pytest.approx(100.0)
-
-
-def test_edp_validation():
-    with pytest.raises(MetricError):
-        energy_delay_product(-1.0, 1.0)
-    with pytest.raises(MetricError):
-        energy_delay_product(1.0, 0.0)
-    with pytest.raises(MetricError):
-        energy_delay_product(1.0, 1.0, n=-1)
-
-
-def test_flops_per_watt():
-    assert flops_per_watt(1e12, 500.0) == pytest.approx(2e9)
-    with pytest.raises(MetricError):
-        flops_per_watt(1e12, 0.0)
-    with pytest.raises(MetricError):
-        flops_per_watt(-1.0, 10.0)
-
-
-def test_pue_llnl_example():
-    """0.7 W cooling per 1.0 W compute (§I.A) ⇒ PUE 1.7."""
-    assert power_usage_effectiveness(1.7, 1.0) == pytest.approx(1.7)
-
-
-def test_pue_validation():
-    with pytest.raises(MetricError):
-        power_usage_effectiveness(1.0, 0.0)
-    with pytest.raises(MetricError):
-        power_usage_effectiveness(0.5, 1.0)
-
-
-def test_tco():
-    assert total_cost_of_ownership(1000.0, 10.0, 0.2, 50.0) == pytest.approx(1052.0)
-    with pytest.raises(MetricError):
-        total_cost_of_ownership(-1.0, 0.0, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import MetricError
 from repro.metrics import (
     count_performance_lossless_jobs,
-    mean_slowdown,
     per_application_performance,
     performance_metric,
 )
@@ -68,11 +67,6 @@ def test_cplj_tolerance():
 def test_cplj_negative_tolerance_rejected():
     with pytest.raises(MetricError):
         count_performance_lossless_jobs([_finished_job(0)], rel_tolerance=-1.0)
-
-
-def test_mean_slowdown_reciprocal_view():
-    jobs = [_finished_job(0, stretch=1.5)]
-    assert mean_slowdown(jobs) == pytest.approx(1.5)
 
 
 def test_per_application_breakdown():

@@ -9,7 +9,6 @@ from repro.metrics import (
     average_power,
     energy_joules,
     peak_power,
-    time_fraction_above,
 )
 from repro.metrics.power import overspend_energy_joules
 
@@ -90,13 +89,6 @@ def test_accumulated_overspend_monotone_in_threshold():
     assert values[0] > 0
 
 
-def test_time_fraction_above():
-    t = np.arange(5, dtype=float)
-    v = np.array([50.0, 150.0, 150.0, 50.0, 50.0])
-    # Left-sample rule: intervals starting at t=1 and t=2 are above.
-    assert time_fraction_above(t, v, 100.0) == pytest.approx(0.5)
-
-
 def test_validation_errors():
     good_t = np.array([0.0, 1.0])
     good_v = np.array([1.0, 2.0])
@@ -112,5 +104,3 @@ def test_validation_errors():
         energy_joules(np.array([0.0]), np.array([1.0]))  # single sample
     with pytest.raises(MetricError):
         overspend_energy_joules(good_t, good_v, -1.0)
-    with pytest.raises(MetricError):
-        time_fraction_above(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0.5)

@@ -23,8 +23,7 @@ def _trace_two_cycles():
     tracer.add_sink(spans.append)
     for t in (30.0, 60.0):
         tracer.begin_cycle(t)
-        tracer.open_span("collect").attrs["size"] = 128
-        tracer.close_span()
+        tracer.leaf("collect", {"size": 128})
         tracer.end_cycle()
     return spans
 
@@ -93,7 +92,7 @@ class TestFlightJsonl:
 class TestMetricsFile:
     def test_write_prometheus_text(self, tmp_path):
         reg = MetricRegistry()
-        reg.counter("repro_cycles_total", "cycles").inc(5)
+        reg.counter_func("repro_cycles_total", "cycles", lambda: 5.0)
         path = tmp_path / "metrics.prom"
         write_metrics_prometheus(reg, path)
         text = path.read_text()

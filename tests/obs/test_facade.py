@@ -97,7 +97,7 @@ class TestObservability:
         obs = Observability(cfg)
         obs.tracer.begin_cycle(30.0)
         obs.tracer.end_cycle()
-        obs.metrics.counter("c_total", "help").inc()
+        obs.metrics.counter_func("c_total", "help", lambda: 1.0)
         obs.trip("run_end", 30.0)
         written = obs.export()
         assert written == [cfg.trace_path, cfg.metrics_path, cfg.flight_path]

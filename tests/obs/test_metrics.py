@@ -4,25 +4,18 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import MetricRegistry, NULL_REGISTRY
-from repro.obs.metrics import _NULL_COUNTER, _NULL_GAUGE, _NULL_HISTOGRAM
+from repro.obs.metrics import _NULL_HISTOGRAM
 
 
 class TestInstruments:
-    def test_counter_is_monotone(self):
-        reg = MetricRegistry()
-        c = reg.counter("c_total", "help")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == pytest.approx(3.5)
-        with pytest.raises(ObservabilityError):
-            c.inc(-1.0)
-
     def test_gauge_goes_both_ways(self):
+        # A collected gauge reads its source on every read.
         reg = MetricRegistry()
-        g = reg.gauge("g", "help")
-        g.set(4.0)
-        g.set(-2.0)
-        assert g.value == pytest.approx(-2.0)
+        level = [4.0]
+        reg.gauge_func("g", "help", lambda: level[0])
+        assert reg.value_of("g") == pytest.approx(4.0)
+        level[0] = -2.0
+        assert reg.value_of("g") == pytest.approx(-2.0)
 
     def test_histogram_buckets_are_cumulative(self):
         reg = MetricRegistry()
@@ -44,30 +37,31 @@ class TestInstruments:
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricRegistry()
-        a = reg.counter("x_total", "help", labels={"k": "v"})
-        b = reg.counter("x_total", "help", labels={"k": "v"})
+        a = reg.histogram("x", "help", buckets=(1.0,), labels={"k": "v"})
+        b = reg.histogram("x", "help", buckets=(1.0,), labels={"k": "v"})
         assert a is b
 
     def test_label_order_does_not_split_series(self):
         reg = MetricRegistry()
-        a = reg.gauge("g", "help", labels={"a": "1", "b": "2"})
-        b = reg.gauge("g", "help", labels={"b": "2", "a": "1"})
-        assert a is b
+        reg.gauge_func("g", "help", lambda: 1.0, labels={"a": "1", "b": "2"})
+        reg.gauge_func("g", "help", lambda: 2.0, labels={"b": "2", "a": "1"})
+        assert reg.value_of("g", labels={"a": "1", "b": "2"}) == 2.0
+        assert len(reg.collect()["g"]) == 1
 
     def test_kind_collision_raises(self):
         reg = MetricRegistry()
-        reg.counter("x", "help")
+        reg.counter_func("x", "help", lambda: 1.0)
         with pytest.raises(ObservabilityError):
-            reg.gauge("x", "help")
+            reg.gauge_func("x", "help", lambda: 1.0)
 
     def test_inline_vs_collected_collision_raises(self):
         reg = MetricRegistry()
-        reg.counter("a", "help")
+        reg.histogram("a", "help", buckets=(1.0,))
         with pytest.raises(ObservabilityError):
             reg.counter_func("a", "help", lambda: 1.0)
         reg.gauge_func("b", "help", lambda: 0.0)
         with pytest.raises(ObservabilityError):
-            reg.gauge("b", "help")
+            reg.histogram("b", "help", buckets=(1.0,))
 
     def test_collected_series_rebinds(self):
         # The HA layer re-registers a successor's subsystems after
@@ -85,18 +79,20 @@ class TestRegistry:
         with pytest.raises(ObservabilityError):
             reg.value_of("h")  # histograms have no scalar value
 
-    def test_collect_merges_inline_and_collected(self):
+    def test_collect_reads_scalar_series_only(self):
         reg = MetricRegistry()
-        reg.counter("c", "help", labels={"k": "a"}).inc(3)
+        reg.counter_func("c", "help", lambda: 3.0, labels={"k": "a"})
         reg.gauge_func("g", "help", lambda: 7.0)
+        reg.histogram("h", "help", buckets=(1.0,)).observe(0.5)
         snap = reg.collect()
         assert snap["c"][(("k", "a"),)] == pytest.approx(3.0)
         assert snap["g"][()] == pytest.approx(7.0)
+        assert "h" not in snap
 
     def test_names_are_sorted(self):
         reg = MetricRegistry()
-        reg.counter("zz", "help")
-        reg.gauge("aa", "help")
+        reg.counter_func("zz", "help", lambda: 0.0)
+        reg.gauge_func("aa", "help", lambda: 0.0)
         assert reg.names() == ["aa", "zz"]
         assert reg.kind("zz") == "counter"
         assert reg.kind("missing") is None
@@ -105,8 +101,8 @@ class TestRegistry:
 class TestPrometheusText:
     def test_families_sorted_with_help_and_type(self):
         reg = MetricRegistry()
-        reg.counter("b_total", "b count").inc(2)
-        reg.gauge("a_level", "a level").set(1.5)
+        reg.counter_func("b_total", "b count", lambda: 2.0)
+        reg.gauge_func("a_level", "a level", lambda: 1.5)
         text = reg.to_prometheus_text()
         assert text.index("a_level") < text.index("b_total")
         assert "# HELP a_level a level" in text
@@ -116,7 +112,7 @@ class TestPrometheusText:
 
     def test_labels_rendered_and_escaped(self):
         reg = MetricRegistry()
-        reg.counter("c", "help", labels={"k": 'say "hi"\n'}).inc()
+        reg.counter_func("c", "help", lambda: 1.0, labels={"k": 'say "hi"\n'})
         text = reg.to_prometheus_text()
         assert 'c{k="say \\"hi\\"\\n"} 1' in text
 
@@ -135,8 +131,8 @@ class TestPrometheusText:
     def test_export_is_deterministic(self):
         def build():
             reg = MetricRegistry()
-            reg.counter("c", "help", labels={"s": "x"}).inc(3)
-            reg.gauge("g", "help").set(2.25)
+            reg.counter_func("c", "help", lambda: 3.0, labels={"s": "x"})
+            reg.gauge_func("g", "help", lambda: 2.25)
             reg.histogram("h", "help", buckets=(1.0,)).observe(0.1)
             return reg.to_prometheus_text()
 
@@ -148,19 +144,13 @@ class TestPrometheusText:
 
 class TestDisabledRegistry:
     def test_hands_out_shared_null_instruments(self):
-        assert NULL_REGISTRY.counter("c", "help") is _NULL_COUNTER
-        assert NULL_REGISTRY.gauge("g", "help") is _NULL_GAUGE
         assert (
             NULL_REGISTRY.histogram("h", "help", buckets=(1.0,))
             is _NULL_HISTOGRAM
         )
 
     def test_null_instruments_ignore_updates(self):
-        _NULL_COUNTER.inc(5)
-        _NULL_GAUGE.set(5)
         _NULL_HISTOGRAM.observe(5)
-        assert _NULL_COUNTER.value == 0
-        assert _NULL_GAUGE.value == 0
         assert _NULL_HISTOGRAM.count == 0
 
     def test_ignores_callbacks_and_registers_nothing(self):

@@ -24,28 +24,25 @@ class TestSpan:
     def test_walk_is_depth_first_preorder(self):
         tracer = CycleTracer()
         root = tracer.begin_cycle(0.0)
-        tracer.open_span("a")
-        tracer.open_span("a1")
-        tracer.close_span()
-        tracer.close_span()
-        tracer.open_span("b")
-        tracer.close_span()
+        tracer.leaf("b", {})
+        tracer.leaf("a", {})
         tracer.end_cycle()
-        assert [s.name for s in root.walk()] == ["cycle", "a", "a1", "b"]
+        assert [s.name for s in root.walk()] == ["cycle", "b", "a"]
 
 
 class TestCycleTracer:
     def test_nested_spans_close_and_attach(self):
         tracer = CycleTracer()
         root = tracer.begin_cycle(1.0)
-        sp = tracer.open_span("collect")
-        sp.attrs["coverage"] = 1.0
-        tracer.close_span()
-        assert tracer.depth == 1  # only the root remains open
+        attrs = {"coverage": 1.0}
+        tracer.leaf("collect", attrs)
+        assert root.open
         done = tracer.end_cycle()
         assert done is root
         assert not root.open
         assert [c.name for c in root.children] == ["collect"]
+        assert not root.children[0].open
+        assert root.children[0].attrs is attrs
         assert tracer.cycles_traced == 1
 
     def test_seq_is_monotone_across_cycles(self):
@@ -53,18 +50,18 @@ class TestCycleTracer:
         seqs = []
         for t in (1.0, 2.0):
             root = tracer.begin_cycle(t)
-            seqs.append(tracer.open_span("a").seq)
-            tracer.close_span()
+            tracer.leaf("a", {})
             seqs.append(root.seq)
+            seqs.append(root.children[0].seq)
             tracer.end_cycle()
-        assert sorted(seqs) == sorted(set(seqs))
+        assert seqs == sorted(set(seqs))
 
     def test_child_spans_share_cycle_time(self):
         tracer = CycleTracer()
-        tracer.begin_cycle(7.5)
-        assert tracer.open_span("a").time == pytest.approx(7.5)
-        tracer.close_span()
+        root = tracer.begin_cycle(7.5)
+        tracer.leaf("a", {})
         tracer.end_cycle()
+        assert root.children[0].time == pytest.approx(7.5)
 
     def test_sinks_receive_completed_root(self):
         seen = []
@@ -82,22 +79,11 @@ class TestCycleTracer:
     def test_span_outside_cycle_raises(self):
         tracer = CycleTracer()
         with pytest.raises(ObservabilityError):
-            tracer.open_span("orphan")
-
-    def test_close_with_only_root_open_raises(self):
-        tracer = CycleTracer()
+            tracer.leaf("orphan", {})
         tracer.begin_cycle(0.0)
-        tracer.open_span("a")
-        tracer.close_span()
+        tracer.end_cycle()
         with pytest.raises(ObservabilityError):
-            tracer.close_span()
-
-    def test_end_cycle_with_open_children_raises(self):
-        tracer = CycleTracer()
-        tracer.begin_cycle(0.0)
-        tracer.open_span("left-open")
-        with pytest.raises(ObservabilityError):
-            tracer.end_cycle()
+            tracer.leaf("after-end", {})
 
     def test_end_cycle_without_begin_raises(self):
         with pytest.raises(ObservabilityError):
@@ -108,6 +94,7 @@ class TestDisabledTracer:
     def test_disabled_hands_out_shared_nulls(self):
         tracer = CycleTracer(enabled=False)
         assert tracer.begin_cycle(0.0) is NULL_SPAN
-        assert tracer.open_span("x") is NULL_SPAN
+        tracer.leaf("x", {"a": 1})
+        assert NULL_SPAN.children == []
         assert tracer.end_cycle() is None
         assert tracer.cycles_traced == 0

@@ -49,12 +49,12 @@ def test_exact_update_independent_of_substepping():
     assert a.temperature_c[0] == pytest.approx(b.temperature_c[0], rel=1e-12)
 
 
-def test_settle_and_reset():
+def test_settle_jumps_to_equilibrium():
     model = ThermalModel(3)
-    model.settle(np.array([200.0, 300.0, 160.0]))
+    power = np.array([200.0, 300.0, 160.0])
+    model.settle(power)
     assert model.temperature_c[1] > model.temperature_c[2]
-    model.reset()
-    np.testing.assert_allclose(model.temperature_c, model.ambient_c)
+    np.testing.assert_array_equal(model.temperature_c, model.steady_state(power))
 
 
 def test_realistic_blade_temperatures():
@@ -186,24 +186,6 @@ def test_breaker_latches_open_and_never_retrips():
     assert brk.tripped[0]
 
 
-def test_breaker_reset_subset_and_all():
-    brk = _breaker()
-    brk.step(np.array([300.0, 300.0]), 60.0)
-    assert brk.tripped.all()
-    brk.reset(np.array([1]))
-    np.testing.assert_array_equal(brk.tripped, [True, False])
-    assert brk.trip_integral[1] == 0.0
-    brk.reset()
-    assert not brk.tripped.any()
-    assert brk.trip_count == 2  # counter is cumulative across resets
-
-
-def test_breaker_reset_rejects_out_of_range_ids():
-    brk = _breaker()
-    with pytest.raises(ConfigurationError):
-        brk.reset(np.array([5]))
-
-
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -230,7 +212,7 @@ def test_breaker_step_validation():
 
 def test_breaker_tripped_mask_is_read_only_and_replaced_on_change():
     """``tripped`` hands out its mask without a copy: read-only, and a
-    trip or reset replaces it, so a mask read earlier keeps its value."""
+    trip replaces it, so a mask read earlier keeps its value."""
     brk = _breaker()
     before = brk.tripped
     assert not before.flags.writeable
@@ -240,6 +222,4 @@ def test_breaker_tripped_mask_is_read_only_and_replaced_on_change():
     tripped = brk.tripped
     np.testing.assert_array_equal(tripped, [True, False])
     np.testing.assert_array_equal(before, [False, False])
-    brk.reset(np.array([0]))
-    np.testing.assert_array_equal(tripped, [True, False])
-    assert not brk.tripped.any() and not brk.tripped.flags.writeable
+    assert not tripped.flags.writeable

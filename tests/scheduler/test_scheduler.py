@@ -4,20 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduler import (
-    BatchScheduler,
-    KeepQueueFilledFeeder,
-    ListFeeder,
-    TraceFeeder,
-)
+from repro.scheduler import BatchScheduler, KeepQueueFilledFeeder, ListFeeder
 from repro.sim import RandomSource
 from repro.workload import (
     Job,
     JobExecutor,
     JobState,
-    JobTrace,
     RandomJobGenerator,
-    TraceRecord,
     get_application,
 )
 
@@ -99,20 +92,6 @@ def test_keep_queue_filled_feeder_generates_on_empty(small_cluster):
     # The feeder keeps work coming: something started, machine is in use.
     assert sched.started_count >= 1
     assert not sched.idle()
-
-
-def test_trace_feeder_releases_at_submit_times(small_cluster):
-    trace = JobTrace(
-        [TraceRecord(0.0, "EP", 12), TraceRecord(5.0, "EP", 12)]
-    )
-    feeder = TraceFeeder(trace, runtime_scale=0.001)
-    sched = BatchScheduler(small_cluster, _executor(small_cluster), feeder)
-    sched.tick(1.0, 1.0)
-    assert sched.started_count == 1
-    assert feeder.remaining == 1
-    sched.tick(5.0, 4.0)
-    assert sched.started_count == 2
-    assert feeder.exhausted()
 
 
 def test_list_feeder_exhausts(small_cluster):

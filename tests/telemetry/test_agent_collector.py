@@ -1,36 +1,10 @@
-"""Unit tests for profiling agents and the central collector."""
+"""Unit tests for the agent pool and the central collector."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import AgentPool, ProfilingAgent, TelemetryCollector
-
-
-# ----------------------------------------------------------------------
-# ProfilingAgent
-# ----------------------------------------------------------------------
-def test_agent_samples_node_state(busy_cluster):
-    agent = ProfilingAgent(busy_cluster.state, 5)
-    sample = agent.sample(now=10.0)
-    assert sample.node_id == 5
-    assert sample.time == 10.0
-    assert sample.job_id == 1
-    assert sample.cpu_util == pytest.approx(0.9)
-    assert sample.level == busy_cluster.spec.top_level
-    assert agent.samples_taken == 1
-    assert agent.last_sample is sample
-
-
-def test_agent_idle_node(busy_cluster):
-    sample = ProfilingAgent(busy_cluster.state, 15).sample(0.0)
-    assert sample.job_id == -1
-    assert sample.cpu_util == 0.0
-
-
-def test_agent_bad_node_rejected(busy_cluster):
-    with pytest.raises(TelemetryError):
-        ProfilingAgent(busy_cluster.state, 99)
+from repro.telemetry import AgentPool, TelemetryCollector
 
 
 # ----------------------------------------------------------------------

@@ -42,21 +42,6 @@ def test_cpu_utilization_vectorised():
     assert np.all(np.diff(out) > 0)
 
 
-def test_saturation_size():
-    model = ManagementCostModel(
-        fixed_ms=0.0, per_node_ms=0.0, pairwise_us=100.0, cycle_period_s=1.0
-    )
-    # 100us·n² >= 1s ⇒ n >= 100
-    assert model.saturation_size() == 100
-
-
-def test_saturation_size_linear_only():
-    model = ManagementCostModel(
-        fixed_ms=0.0, per_node_ms=10.0, pairwise_us=0.0, cycle_period_s=1.0
-    )
-    assert model.saturation_size() == 100
-
-
 def test_cost_validation():
     with pytest.raises(ConfigurationError):
         ManagementCostModel(fixed_ms=-1.0)
@@ -81,24 +66,3 @@ def test_cycle_cost_array_path_matches_scalars():
     assert isinstance(vec, np.ndarray)
     for i, n in enumerate(sizes):
         assert vec[i] == pytest.approx(model.cycle_cost_s(int(n)))
-
-
-def test_saturation_size_with_all_zero_coefficients():
-    # Fixed cost alone already saturates the node: size 0.
-    model = ManagementCostModel(
-        fixed_ms=2000.0, per_node_ms=0.0, pairwise_us=0.0, cycle_period_s=1.0
-    )
-    assert model.saturation_size() == 0
-    # Nothing ever saturates: effectively infinite.
-    never = ManagementCostModel(
-        fixed_ms=1.0, per_node_ms=0.0, pairwise_us=0.0, cycle_period_s=1.0
-    )
-    assert never.saturation_size() > 10**9
-
-
-def test_saturation_size_is_tight():
-    model = ManagementCostModel()
-    n = model.saturation_size()
-    assert model.cycle_cost_s(n) >= model.cycle_period_s - 1e-9
-    if n > 0:
-        assert model.cycle_cost_s(n - 1) < model.cycle_period_s

@@ -1,11 +1,11 @@
-"""Unit tests for the random job generator and trace record/replay."""
+"""Unit tests for the random job generator."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 from repro.sim import RandomSource
-from repro.workload import JobTrace, RandomJobGenerator, TraceRecord
+from repro.workload import RandomJobGenerator
 from repro.workload.generator import PAPER_NPROCS_CHOICES
 
 
@@ -65,60 +65,3 @@ def test_invalid_configuration():
         RandomJobGenerator(rng, nprocs_choices=(0,))
     with pytest.raises(ConfigurationError):
         RandomJobGenerator(rng, applications=[])
-
-
-# ----------------------------------------------------------------------
-# Traces
-# ----------------------------------------------------------------------
-def test_trace_roundtrip_csv():
-    gen = _generator()
-    jobs = [gen.next_job(float(i)) for i in range(20)]
-    trace = JobTrace.from_jobs(jobs)
-    restored = JobTrace.from_csv(trace.to_csv())
-    assert len(restored) == 20
-    for a, b in zip(trace, restored):
-        assert a == b
-
-
-def test_trace_to_jobs_assigns_ids():
-    trace = JobTrace(
-        [TraceRecord(0.0, "EP", 8), TraceRecord(5.0, "CG", 64)]
-    )
-    jobs = trace.to_jobs()
-    assert [j.job_id for j in jobs] == [0, 1]
-    assert jobs[0].app.name == "EP"
-    assert jobs[1].submit_time == 5.0
-
-
-def test_trace_to_jobs_runtime_scale():
-    trace = JobTrace([TraceRecord(0.0, "EP", 64)])
-    job = trace.to_jobs(runtime_scale=0.5)[0]
-    full = trace.to_jobs()[0]
-    assert job.nominal_runtime_s == pytest.approx(0.5 * full.nominal_runtime_s)
-
-
-def test_trace_requires_time_order():
-    with pytest.raises(WorkloadError):
-        JobTrace([TraceRecord(5.0, "EP", 8), TraceRecord(1.0, "EP", 8)])
-
-
-def test_trace_save_load(tmp_path):
-    trace = JobTrace([TraceRecord(0.0, "LU", 32)])
-    path = tmp_path / "trace.csv"
-    trace.save(path)
-    loaded = JobTrace.load(path)
-    assert loaded[0] == trace[0]
-
-
-def test_trace_rejects_malformed_csv():
-    with pytest.raises(WorkloadError):
-        JobTrace.from_csv("not,a,header\n1,2,3")
-    with pytest.raises(WorkloadError):
-        JobTrace.from_csv("submit_time,app,nprocs\n1.0,EP")
-
-
-def test_trace_record_validation():
-    with pytest.raises(WorkloadError):
-        TraceRecord(-1.0, "EP", 8)
-    with pytest.raises(WorkloadError):
-        TraceRecord(0.0, "EP", 0)
