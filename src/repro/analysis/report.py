@@ -14,8 +14,6 @@ from __future__ import annotations
 import io
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from repro.analysis.figures import ascii_chart
 from repro.analysis.tables import Table
 from repro.errors import MetricError
@@ -137,7 +135,7 @@ def _per_app_section(out: io.StringIO, results: Sequence) -> None:
     table = Table(["application"] + labels)
     for app in sorted(apps):
         table.add_row(
-            app, *(f"{apps[app].get(l, float('nan')):.4f}" for l in labels)
+            app, *(f"{apps[app].get(label, float('nan')):.4f}" for label in labels)
         )
     out.write("```\n" + table.render() + "\n```\n\n")
     out.write(

@@ -34,14 +34,13 @@ from repro.cluster.engine import (
 )
 from repro.cluster.memory import MemorySpec
 from repro.cluster.nic import NicSpec
-from repro.cluster.node import ComputeNode, NodeSpec
+from repro.cluster.node import NodeSpec
 from repro.cluster.state import ClusterState
 
 __all__ = [
     "Cluster",
     "ClusterEngine",
     "ClusterState",
-    "ComputeNode",
     "DvfsTable",
     "MemorySpec",
     "NicSpec",

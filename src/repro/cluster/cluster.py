@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.engine import ClusterEngine, get_engine
-from repro.cluster.node import ComputeNode, NodeSpec
+from repro.cluster.node import NodeSpec
 from repro.cluster.state import ClusterState, outside_range
 from repro.errors import ConfigurationError
 
@@ -161,10 +161,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Conveniences
     # ------------------------------------------------------------------
-    def node(self, node_id: int) -> ComputeNode:
-        """Object view of one node."""
-        return self.state.node(node_id)
-
     def set_privileged_nodes(self, node_ids: np.ndarray | list[int]) -> None:
         """Declare the privileged (uncontrollable) set ``A_uncontrollable``.
 

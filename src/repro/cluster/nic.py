@@ -65,18 +65,6 @@ class NicSpec:
             dvfs_coupling=0.2,
         )
 
-    def utilisation(self, data_bytes: float, interval_s: float) -> float:
-        """Link utilisation ``Data_NIC / (τ · BW_NIC)``, clamped to [0, 1].
-
-        Args:
-            data_bytes: Bytes moved through the device during the interval.
-            interval_s: Sampling interval τ, seconds.
-        """
-        if interval_s <= 0:
-            raise ConfigurationError("sampling interval must be positive")
-        frac = data_bytes / (interval_s * self.bandwidth_bytes_per_s)
-        return float(min(1.0, max(0.0, frac)))
-
     def dynamic_power_per_level(self, dvfs: DvfsTable) -> np.ndarray:
         """``P_NIC(l)`` for every level of ``dvfs``, watts."""
         speed = np.asarray(dvfs.speed(np.arange(dvfs.num_levels)), dtype=np.float64)

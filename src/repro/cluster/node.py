@@ -1,4 +1,4 @@
-"""Node specification and per-node object view.
+"""Node specification.
 
 :class:`NodeSpec` bundles the device specs of one compute blade and
 pre-computes the four per-level coefficient vectors that Formula (1)
@@ -13,17 +13,11 @@ consumes:
 All four are plain numpy vectors indexed by DVFS level, so evaluating the
 whole cluster's power is four gathers and a fused multiply-add (see
 :mod:`repro.power.model`).
-
-:class:`ComputeNode` is a convenience object view over one index of the
-structure-of-arrays :class:`~repro.cluster.state.ClusterState`; it exists
-for API ergonomics (examples, tests, debugging) — hot paths use the arrays
-directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,10 +27,7 @@ from repro.cluster.memory import MemorySpec
 from repro.cluster.nic import NicSpec
 from repro.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.cluster.state import ClusterState
-
-__all__ = ["NodeSpec", "ComputeNode"]
+__all__ = ["NodeSpec"]
 
 
 @dataclass(frozen=True)
@@ -139,81 +130,16 @@ class NodeSpec:
         Defaults to the top level, which is the per-node term ``P_i`` of
         the paper's theoretical maximum ``P_thy = Σ P_i``.
         """
-        l = self.top_level if level is None else level
-        self.dvfs._check_level(l)
+        lv = self.top_level if level is None else level
+        self.dvfs._check_level(lv)
         return float(
-            self.idle_power_per_level[l]
-            + self.cpu_dynamic_per_level[l]
-            + self.mem_dynamic_per_level[l]
-            + self.nic_dynamic_per_level[l]
+            self.idle_power_per_level[lv]
+            + self.cpu_dynamic_per_level[lv]
+            + self.mem_dynamic_per_level[lv]
+            + self.nic_dynamic_per_level[lv]
         )
 
     def min_power(self) -> float:
         """Idle node power at the lowest level (floor of controllability)."""
         return float(self.idle_power_per_level[0])
 
-
-class ComputeNode:
-    """Read/write object view of one node inside a cluster state.
-
-    All properties delegate to the shared structure-of-arrays, so a
-    ``ComputeNode`` is always coherent with vectorised code operating on
-    the same :class:`~repro.cluster.state.ClusterState`.
-    """
-
-    __slots__ = ("_state", "_index")
-
-    def __init__(self, state: "ClusterState", index: int) -> None:
-        self._state = state
-        self._index = index
-
-    @property
-    def node_id(self) -> int:
-        """Index of this node within the cluster."""
-        return self._index
-
-    @property
-    def level(self) -> int:
-        """Current DVFS level."""
-        return int(self._state.level[self._index])
-
-    @level.setter
-    def level(self, value: int) -> None:
-        self._state.set_level(self._index, value)
-
-    @property
-    def cpu_utilisation(self) -> float:
-        """Current CPU utilisation in [0, 1]."""
-        return float(self._state.cpu_util[self._index])
-
-    @property
-    def memory_fraction(self) -> float:
-        """``Mem_used / Mem_total`` in [0, 1]."""
-        return float(self._state.mem_frac[self._index])
-
-    @property
-    def nic_utilisation(self) -> float:
-        """``Data_NIC / (τ · BW_NIC)`` in [0, 1]."""
-        return float(self._state.nic_frac[self._index])
-
-    @property
-    def job_id(self) -> int | None:
-        """Id of the job occupying this node, or ``None`` when idle."""
-        jid = int(self._state.job_id[self._index])
-        return None if jid < 0 else jid
-
-    @property
-    def controllable(self) -> bool:
-        """Whether this node may be throttled (not privileged)."""
-        return bool(self._state.controllable[self._index])
-
-    @property
-    def frequency(self) -> float:
-        """Current core frequency, hertz."""
-        return self._state.spec.dvfs.frequency(self.level)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ComputeNode {self._index} level={self.level} "
-            f"util={self.cpu_utilisation:.2f} job={self.job_id}>"
-        )

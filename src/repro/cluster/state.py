@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ComputeNode, NodeSpec
+from repro.cluster.node import NodeSpec
 from repro.errors import ConfigurationError
 
 __all__ = ["ClusterState", "outside_range"]
@@ -122,18 +122,6 @@ class ClusterState:
         levels (``f/f_max`` of each node's own ladder)."""
         ids = np.asarray(node_ids, dtype=np.int64)
         return self._speed_tables[self.spec_index[ids], self.level[ids]]
-
-    # ------------------------------------------------------------------
-    # Node views
-    # ------------------------------------------------------------------
-    def node(self, node_id: int) -> ComputeNode:
-        """Object view of node ``node_id`` (shares this state)."""
-        self._check_node(node_id)
-        return ComputeNode(self, node_id)
-
-    def nodes(self) -> list[ComputeNode]:
-        """Object views of every node."""
-        return [ComputeNode(self, i) for i in range(self.num_nodes)]
 
     # ------------------------------------------------------------------
     # DVFS level mutation

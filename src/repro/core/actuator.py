@@ -632,10 +632,10 @@ class DvfsActuator:
         self._cycle = int(state["cycle"])
         self._pending = [
             _PendingCommand(
-                node_id=int(n), level=int(l), raise_ok=bool(r),
+                node_id=int(n), level=int(lv), raise_ok=bool(r),
                 attempts=int(a), due_cycle=int(d), epoch=int(e),
             )
-            for n, l, r, a, d, e in state["pending"]
+            for n, lv, r, a, d, e in state["pending"]
         ]
         c = state["counters"]
         self._commands_sent = int(c["commands_sent"])

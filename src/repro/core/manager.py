@@ -9,62 +9,30 @@ once per control period (normally equal to the sampling interval τ) and
 gets back a :class:`CycleReport`, the cycle's one record: the journal,
 the cycle's span tree and the experiment result are projections of it.
 
-When a :class:`~repro.faults.injector.FaultInjector` is attached, the
-manager runs a **degraded-mode fail-safe ladder** on top of Algorithm 1
-(knobs in :class:`~repro.faults.degraded.DegradedModeConfig`):
+The cycle is the paper's alone: collect, meter, classify, decide,
+actuate, record.  Each optional subsystem is a layer kept with that
+subsystem, whose hooks the manager binds at the stage boundaries once,
+at construction or restore; with none attached the cycle is bit for bit
+the paper's.  The layers, in the order their hooks run at a boundary:
 
-* **meter outage** → the cycle runs on the Formula (1) estimated
-  aggregate (§III.B) anchored to the last metered reading; threshold
-  learning freezes and no node may be upgraded while estimating;
-* **stale telemetry** → a node whose sample is older than the stale-age
-  bound is never upgraded (neither by steady-green restore nor by a
-  command that would raise its actual level), it simply waits in
-  ``A_degraded`` for fresh data;
-* **candidate-set blackout** → sustained sub-coverage telemetry forces
-  the cycle to red: with the candidate set dark, the safe assumption is
-  the worst one.
+* the degraded-mode ladder and its fault injector
+  (:class:`~repro.faults.degraded.DegradedModeLadder`);
+* power delivery (:class:`~repro.provision.emergency.PowerDelivery`);
+* crash recovery: the journal and the recovery hold
+  (:class:`~repro.ha.journal.JournalLayer`);
+* the observability projection (:class:`~repro.obs.cycle.CycleProjection`).
 
-With no injector attached every rung is compiled out of the path and the
-control cycle is bit-for-bit the paper's.
-
-When a :class:`~repro.provision.runtime.ProvisionRuntime` is attached,
-the manager additionally defends the *budget side* of Algorithm 1
-against power-delivery faults (feed loss, PDU failure, breaker trips,
-operator cap orders):
-
-* **budget renegotiation** — each cycle the surviving delivery capacity
-  is pushed into :meth:`ThresholdController.set_envelope`, shrinking
-  ``P_L``/``P_H`` the instant capacity is lost (and un-clamping them on
-  recovery) while threshold *learning* stays clamped to the envelope;
-* **emergency red** — a cycle whose draw exceeds surviving capacity is
-  forced straight to red, bypassing cadence and steady-green hysteresis;
-* **per-branch capping** — racks near their (possibly derated) branch
-  rating are degraded locally through the fenced actuator;
-* **degradation ladder** — sustained over-capacity escalates through
-  job suspension to node shedding, with gradual re-admission
-  (:class:`~repro.provision.emergency.EmergencyResponse`).
-
-With a healthy scenario attached, none of this fires and the control
-cycle remains bit-for-bit the undefended one.
-
-For controller crash-recovery (:mod:`repro.ha`) the manager can share a
-caller-supplied actuator (in-flight commands live in the network, not in
-the manager process), journal every completed cycle to a
-:class:`~repro.ha.journal.StateJournal`, emit a full
-:meth:`~PowerManager.checkpoint`, and rebuild itself from a journal via
-:meth:`~PowerManager.restore_state`.  A restored manager re-enters
-service under a **recovery hold**: it never upgrades any node until
-every candidate has reported fresh telemetry since the restore — its
-cached view of the machine is only trustworthy where it has been
-re-confirmed.  When the manager holds a fencing epoch, every command
-batch carries it and a deposed incarnation's batches (and journal
-writes) are rejected wholesale.
+Telemetry integrity (:class:`~repro.telemetry.integrity.IntegrityDefense`)
+needs no hook: its validator runs inside the collector's sweep and its
+monitor screens the meter reading through
+:func:`~repro.telemetry.integrity.screen_metered_power`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+import weakref
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -76,27 +44,26 @@ from repro.core.policies.base import PolicyContext, SelectionPolicy
 from repro.core.sets import NodeSets
 from repro.core.states import PowerState, classify_power_state
 from repro.core.thresholds import ThresholdController
-from repro.errors import ConfigurationError, DegradedModeError
-from repro.faults.degraded import DegradedModeConfig
+from repro.errors import ConfigurationError
+from repro.faults.degraded import DegradedModeConfig, DegradedModeLadder
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.ha.journal import (
     ControllerCheckpoint,
-    CycleRecord,
+    JournalLayer,
     JournalRecovery,
     StateJournal,
 )
-from repro.obs.facade import Observability, resolve_obs
-from repro.obs.trace import AttrValue
+from repro.obs.cycle import CycleProjection
+from repro.obs.facade import Observability
 from repro.power.estimator import NodePowerEstimator
 from repro.power.hetero import make_power_model
 from repro.power.meter import SystemPowerMeter
-from repro.provision.emergency import EmergencyResponse
+from repro.provision.emergency import PowerDelivery
 from repro.provision.runtime import ProvisionRuntime, ProvisionStats
 from repro.telemetry.collector import TelemetryCollector, TelemetrySnapshot
 from repro.telemetry.integrity import (
     IntegrityConfig,
-    MeterIntegrityMonitor,
-    TelemetryValidator,
+    IntegrityDefense,
     screen_metered_power,
 )
 from repro.types import Seconds
@@ -105,6 +72,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduler.scheduler import BatchScheduler
 
 __all__ = ["PowerManager", "CycleReport"]
+
+#: Cycles per state value, before the first cycle.
+_NO_CYCLES = {s.value: 0 for s in PowerState}
 
 @dataclass(frozen=True)
 class CycleReport:
@@ -149,6 +119,23 @@ class CycleReport:
 class PowerManager:
     """The global power manager of the proposed architecture.
 
+    Layers hook into :meth:`control_cycle` at five boundaries; a layer's
+    ``hooks()`` maps each boundary it uses to a callable:
+
+    * ``"start"`` ``(now)`` — before the sweep;
+    * ``"raise_mask"`` ``(snapshot, mask) -> mask`` — after the sweep,
+      folding the nodes whose actual level may not rise this cycle
+      (``None`` = all may);
+    * ``"classified"`` ``(now, power, state, snapshot, facts) -> state``
+      — after classification, possibly overriding the state;
+    * ``"actuated"`` ``(now, state, decision, facts)`` — after the
+      decision's commands;
+    * ``"recorded"`` ``(cycle, report, snapshot)`` — after the report.
+
+    ``facts`` carries the :class:`CycleReport` fields a layer owns.  A
+    layer that actuates calls :meth:`actuate_for_layer`, so the manager
+    stays the only issuer of DVFS commands.
+
     Args:
         cluster: The machine under management.
         sets: Node classification (candidate set = monitored + throttled).
@@ -157,41 +144,20 @@ class PowerManager:
         policy: Target-set selection policy for yellow cycles.
         steady_green_cycles: ``T_g`` for Algorithm 1 (paper: 10).
         fault_injector: Optional fault injector; attaching one arms the
-            degraded-mode fail-safe ladder.
+            degraded-mode ladder.
         degraded: Ladder thresholds (defaults when omitted).
         actuator: Optional caller-owned actuator to share (the HA wiring
             passes the live one so in-flight commands survive a manager
             crash); a private one is created when omitted.
-        journal: Optional state journal; when attached, every completed
-            cycle appends a :class:`~repro.ha.journal.CycleRecord` and
-            the journal is compacted with a fresh checkpoint on its
-            cadence.
-        obs: Observability facade (:mod:`repro.obs`).  When tracing is
-            on the manager emits one span tree per control cycle; when
-            metrics are on the cycle statistics are mirrored into the
-            registry; when the flight recorder is armed the manager
-            trips it on entry into the red state.  ``None`` (the
-            default) resolves to the shared disabled facade and leaves
-            the control cycle bit-for-bit unchanged.
-        integrity: Telemetry-integrity knobs
-            (:mod:`repro.telemetry.integrity`).  When given, the manager
-            builds a per-node validation/trust/quarantine pipeline into
-            its collector and a meter-residual monitor in front of
-            classification, and freezes threshold learning whenever the
-            meter is distrusted or any node is quarantined.  ``None``
-            (the default) leaves the pipeline out entirely — the
-            control cycle is bit-for-bit the undefended one.
-        provision: Power-delivery runtime (:mod:`repro.provision`).
-            When given, the manager drives its capacity events each
-            cycle, renegotiates its budget against surviving capacity,
-            runs the emergency-red / branch-capping / degradation-ladder
-            defenses (if the scenario arms them), and settles true
-            branch power into the breaker physics.  ``None`` (the
-            default) leaves the whole domain out.
-        scheduler: The batch scheduler, required for the ladder's
-            suspend and shed rungs and for killing jobs on blacked-out
-            racks; optional (without it the ladder stops at the DVFS
-            floor).
+        journal: Optional state journal every completed cycle is
+            appended to.
+        obs: Observability facade (:mod:`repro.obs`); with any
+            instrument on it attaches the observability projection.
+        integrity: Telemetry-integrity knobs; attaches the integrity
+            layer.
+        provision: Power-delivery runtime; attaches the delivery layer.
+        scheduler: The batch scheduler, for the delivery layer's suspend
+            and shed rungs and for killing jobs on blacked-out racks.
         engine: Hot-path engine for estimation and telemetry sweeps
             (instance, registry name, or ``None`` to inherit the
             cluster's engine preference).
@@ -220,32 +186,29 @@ class PowerManager:
         self._meter = meter
         self._thresholds = thresholds
         self._policy = policy
-        self._injector = fault_injector
-        self._degraded_cfg = degraded if degraded is not None else DegradedModeConfig()
-        self._obs = resolve_obs(obs)
         self._engine = get_engine(
             engine if engine is not None else getattr(cluster, "engine", None)
         )
-        self._estimator = NodePowerEstimator(
-            make_power_model(cluster), engine=self._engine
-        )
-        self._validator: TelemetryValidator | None = None
-        self._meter_monitor: MeterIntegrityMonitor | None = None
-        if integrity is not None:
-            self._validator = TelemetryValidator(
+        model = make_power_model(cluster)
+        self._estimator = NodePowerEstimator(model, engine=self._engine)
+        num_nodes = cluster.state.num_nodes
+        self._integrity = (
+            None
+            if integrity is None
+            else IntegrityDefense(
                 integrity,
                 self._estimator,
                 sets.candidates,
                 cluster.spec.top_level,
-                obs=obs,
+                obs,
             )
-            self._meter_monitor = MeterIntegrityMonitor(integrity, obs=obs)
+        )
         self._collector = TelemetryCollector(
             cluster.state,
             sets.candidates,
             fault_injector,
             obs=obs,
-            validator=self._validator,
+            validator=None if self._integrity is None else self._integrity.validator,
             engine=self._engine,
         )
         # Every snapshot shares the collector's read-only candidate ids;
@@ -260,146 +223,76 @@ class PowerManager:
             if actuator is not None
             else DvfsActuator(cluster.state, fault_injector, obs=obs)
         )
-        self._journal = journal
         self._cycles = 0
         #: Cycles per state value (a str hashes in C, an enum in Python).
-        self._state_counts = {s.value: 0 for s in PowerState}
-        # Degraded-mode ladder state.
+        self._state_counts = dict(_NO_CYCLES)
+        #: This cycle's raise mask (None = every node may be raised).
         self._upgradable: np.ndarray | None = None
-        self._blackout_streak = 0
-        self._forced_red_cycles = 0
-        self._estimated_cycles = 0
         self._aux_fenced_batches = 0
-        self._last_metered_power: float | None = None
-        self._last_metered_snapshot: TelemetrySnapshot | None = None
-        self._offset_w = 0.0
-        self._offset_valid = False
-        # Crash-recovery state (repro.ha).
         self._epoch: int | None = None
-        self._recovery_pending: set[int] = set()
         self._last_cycle_time = 0.0
-        # Observability: previous cycle's state, for the red-entry trip.
-        self._last_state: PowerState | None = None
-        self._last_power_w = 0.0
-        # Power-delivery fault domain (repro.provision).
-        self._provision = provision
-        self._emergency: EmergencyResponse | None = None
-        self._prov_last_settle: float | None = None
+
+        # The layers, in the order their hooks run at every boundary.
+        # They reach back through a weak proxy, so a finished run's
+        # manager is freed by reference counting.
+        me = weakref.proxy(self)
+        self._ladder = DegradedModeLadder(
+            fault_injector,
+            degraded if degraded is not None else DegradedModeConfig(),
+            meter,
+            num_nodes,
+            me,
+        )
+        self._delivery: PowerDelivery | None = None
         if provision is not None:
-            if provision.topology.num_nodes != cluster.state.num_nodes:
+            if provision.topology.num_nodes != num_nodes:
                 raise ConfigurationError(
                     "provision topology does not match the cluster size"
                 )
-            cand_mask = np.zeros(cluster.state.num_nodes, dtype=bool)
+            cand_mask = np.zeros(num_nodes, dtype=bool)
             cand_mask[sets.candidates] = True
-            self._emergency = EmergencyResponse(provision, scheduler, cand_mask)
-        self._register_metrics()
+            self._delivery = PowerDelivery(
+                provision,
+                scheduler,
+                cand_mask,
+                thresholds,
+                model,
+                cluster.state,
+                me,
+                obs,
+            )
+        self._recovery = JournalLayer(
+            me, journal, self._actuator, self._ladder, num_nodes
+        )
+        layers: list[Any] = [self._ladder, self._delivery, self._recovery]
+        if obs is not None and obs.enabled:
+            layers.append(
+                CycleProjection(
+                    obs,
+                    self,
+                    self._ladder,
+                    self._recovery,
+                    integrity=self._integrity is not None,
+                    delivery=self._delivery is not None,
+                )
+            )
+        self._layers = [layer for layer in layers if layer is not None]
+        self.bind_hooks()
 
-    def _power_ratio_high(self) -> float:
-        """Collected-gauge callback: last power over P_H (0 if unset)."""
-        p_high = self._thresholds.thresholds.p_high
-        return self._last_power_w / p_high if p_high > 0.0 else 0.0
+    def bind_hooks(self) -> None:
+        """Bind every layer's hooks at their boundaries, in layer order.
 
-    def _register_metrics(self) -> None:
-        """Wire the cycle-level metric series (no-op instruments when off).
-
-        Everything the manager already tracks — per-state cycle counts,
-        last power, P/P_H — is exposed as collected (export-time) series
-        at zero per-cycle cost; only the target-set histogram needs one
-        inline ``observe()`` per cycle (a distribution cannot be
-        reconstructed from a callback).
+        Called at construction and restore, and by a layer whose hook
+        has nothing left to do.
         """
-        obs = self._obs
-        reg = obs.metrics
-        self._metrics_on = obs.metrics_on
-        self._targets_hist = reg.histogram(
-            "repro_targets_per_cycle",
-            "Target-set size of each cycle's capping decision",
-            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        )
-        if not obs.metrics_on:
-            return
-        for state in PowerState:
-            reg.counter_func(
-                "repro_cycles_total",
-                "Control cycles by classified power state",
-                (lambda v=state.value: float(self._state_counts[v])),
-                labels={"state": state.value},
-            )
-        reg.gauge_func(
-            "repro_system_power_watts",
-            "Last observed system power, watts",
-            lambda: self._last_power_w,
-        )
-        reg.gauge_func(
-            "repro_power_ratio_high",
-            "Last system power over the high threshold P/P_H",
-            self._power_ratio_high,
-        )
-        reg.counter_func(
-            "repro_forced_red_cycles_total",
-            "Cycles the blackout rung forced to red",
-            lambda: float(self._forced_red_cycles),
-        )
-        reg.counter_func(
-            "repro_estimated_power_cycles_total",
-            "Cycles run on the Formula (1) fallback estimate",
-            lambda: float(self._estimated_cycles),
-        )
-        reg.counter_func(
-            "repro_aux_fenced_batches_total",
-            "Out-of-band actuation batches rejected by epoch fencing",
-            lambda: float(self._aux_fenced_batches),
-        )
-        reg.gauge_func(
-            "repro_time_in_green",
-            "Algorithm 1 steady-green counter Time_g",
-            lambda: float(self._capping.time_in_green),
-        )
-        reg.gauge_func(
-            "repro_degraded_nodes",
-            "Size of A_degraded (nodes currently capped)",
-            lambda: float(len(self._capping.degraded_nodes)),
-        )
-        reg.gauge_func(
-            "repro_recovery_pending_nodes",
-            "Candidates awaiting fresh telemetry under the recovery hold",
-            lambda: float(len(self._recovery_pending)),
-        )
-        if self._provision is not None:
-            prov = self._provision
-            reg.counter_func(
-                "repro_breaker_trips_total",
-                "Branch breakers tripped (racks blacked out)",
-                lambda: float(prov.breaker_trips),
-            )
-            reg.counter_func(
-                "repro_capacity_lost_watt_seconds_total",
-                "Integrated (design - surviving) delivery capacity, W*s",
-                lambda: prov.capacity_lost_w_seconds,
-            )
-            reg.counter_func(
-                "repro_branch_cap_violation_seconds_total",
-                "Seconds any branch drew above its deliverable limit",
-                lambda: prov.branch_cap_violation_seconds,
-            )
-            reg.gauge_func(
-                "repro_delivery_capacity_watts",
-                "Surviving delivery capacity, watts",
-                lambda: prov.capacity_w,
-            )
-        if self._emergency is not None:
-            emr = self._emergency
-            reg.counter_func(
-                "repro_emergency_red_cycles_total",
-                "Cycles forced red by the capacity emergency path",
-                lambda: float(emr.emergency_red_cycles),
-            )
-            reg.counter_func(
-                "repro_jobs_suspended_total",
-                "Jobs suspended by the degradation ladder",
-                lambda: float(emr.jobs_suspended),
-            )
+        hooks: list[dict[str, Callable[..., Any]]] = [
+            layer.hooks() for layer in self._layers
+        ]
+        self._at_start = [h["start"] for h in hooks if "start" in h]
+        self._at_raise_mask = [h["raise_mask"] for h in hooks if "raise_mask" in h]
+        self._at_classified = [h["classified"] for h in hooks if "classified" in h]
+        self._at_actuated = [h["actuated"] for h in hooks if "actuated" in h]
+        self._at_recorded = [h["recorded"] for h in hooks if "recorded" in h]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -441,33 +334,8 @@ class PowerManager:
 
     @property
     def fault_injector(self) -> FaultInjector | None:
-        """The attached fault injector (None when fault-free)."""
-        return self._injector
-
-    @property
-    def validator(self) -> TelemetryValidator | None:
-        """The telemetry-integrity validator (None when undefended)."""
-        return self._validator
-
-    @property
-    def meter_monitor(self) -> MeterIntegrityMonitor | None:
-        """The meter-integrity monitor (None when undefended)."""
-        return self._meter_monitor
-
-    @property
-    def journal(self) -> StateJournal | None:
-        """The attached state journal (None when not journaling)."""
-        return self._journal
-
-    @property
-    def provision(self) -> ProvisionRuntime | None:
-        """The attached power-delivery runtime (None when absent)."""
-        return self._provision
-
-    @property
-    def emergency(self) -> EmergencyResponse | None:
-        """The capacity-emergency response (None without provision)."""
-        return self._emergency
+        """The run's fault injector (None when fault-free)."""
+        return self._ladder.injector
 
     @property
     def fencing_epoch(self) -> int | None:
@@ -478,16 +346,6 @@ class PowerManager:
     def deposed(self) -> bool:
         """Whether a successor's takeover has fenced this incarnation out."""
         return self._epoch is not None and self._epoch != self._actuator.epoch
-
-    @property
-    def in_recovery_hold(self) -> bool:
-        """Whether the post-restore no-upgrade hold is still active."""
-        return bool(self._recovery_pending)
-
-    @property
-    def recovery_pending_nodes(self) -> int:
-        """Candidates not yet freshly re-observed since the restore."""
-        return len(self._recovery_pending)
 
     def set_fencing_epoch(self, epoch: int) -> None:
         """Adopt the fencing epoch this incarnation's commands carry.
@@ -500,18 +358,8 @@ class PowerManager:
         self._epoch = int(epoch)
 
     @property
-    def forced_red_cycles(self) -> int:
-        """Cycles the blackout rung forced to red."""
-        return self._forced_red_cycles
-
-    @property
-    def estimated_power_cycles(self) -> int:
-        """Cycles run on the Formula (1) fallback estimate."""
-        return self._estimated_cycles
-
-    @property
     def aux_fenced_batches(self) -> int:
-        """Out-of-band actuation batches rejected by epoch fencing."""
+        """Layer actuation batches rejected by epoch fencing."""
         return self._aux_fenced_batches
 
     def state_count(self, state: PowerState) -> int:
@@ -524,173 +372,66 @@ class PowerManager:
 
     def fault_report(self) -> FaultStats | None:
         """Aggregate fault accounting for the run (None when fault-free)."""
-        inj = self._injector
-        if inj is None:
-            return None
-        act = self._actuator
-        val = self._validator
-        mon = self._meter_monitor
-        return FaultStats(
-            dropped_samples=self._collector.dropped_samples,
-            meter_outages=inj.meter_outages,
-            meter_outage_cycles=inj.meter_outage_cycles,
-            node_crashes=inj.node_crashes,
-            offline_node_cycles=inj.offline_node_cycles,
-            commands_lost=act.lost_commands,
-            commands_retried=act.retried_commands,
-            commands_abandoned=act.abandoned_commands,
-            forced_red_cycles=self._forced_red_cycles,
-            estimated_power_cycles=self._estimated_cycles,
-            corrupted_samples=inj.corrupted_samples,
-            corrupted_meter_readings=inj.corrupted_meter_readings,
-            corrupt_samples_rejected=0 if val is None else val.rejected_samples,
-            quarantine_entries=0 if val is None else val.quarantine_entries,
-            quarantined_node_cycles=(
-                0 if val is None else val.quarantined_node_cycles
-            ),
-            meter_distrusted_cycles=0 if mon is None else mon.distrusted_cycles,
-            meter_clamped_readings=self._meter.clamped_readings,
+        defense = self._integrity
+        return self._ladder.stats(
+            self._collector,
+            self._actuator,
+            {} if defense is None else defense.fault_counts(),
         )
 
     def provision_report(self) -> ProvisionStats | None:
-        """Aggregate power-delivery accounting (None when no runtime).
-
-        Delivery-side counters come from the runtime; the emergency
-        response's ladder counters are folded in here because the
-        manager owns the response object.
-        """
-        emr = self._emergency
-        if emr is None:
-            return None
-        return replace(
-            emr.runtime.stats(),
-            emergency_red_cycles=emr.emergency_red_cycles,
-            envelope_renegotiations=emr.envelope_renegotiations,
-            branch_cap_interventions=emr.branch_cap_interventions,
-            jobs_suspended=emr.jobs_suspended,
-            jobs_resumed=emr.jobs_resumed,
-            jobs_killed=emr.jobs_killed,
-            nodes_shed=emr.nodes_shed,
-            nodes_readmitted=emr.nodes_readmitted,
-        )
+        """Aggregate power-delivery accounting (None when no runtime)."""
+        return None if self._delivery is None else self._delivery.stats()
 
     # ------------------------------------------------------------------
     # The control cycle
     # ------------------------------------------------------------------
     def control_cycle(self, now: Seconds) -> CycleReport:
-        """Sense → classify → decide → actuate → journal, once.
+        """Collect → meter → classify → decide → actuate → record, once.
 
-        The returned :class:`CycleReport` is the cycle's one record:
-        the journal stores it, and when tracing is on the cycle's span
-        tree is projected from it (:meth:`_trace_cycle`).  A cycle that
-        raises emits no tree.
+        The layers' hooks run at the boundaries (see the class
+        docstring).  The returned :class:`CycleReport` is the cycle's
+        one record.
         """
-        inj = self._injector
-        if inj is not None:
-            inj.begin_cycle(now)
-        # An EmergencyResponse exists exactly when a provision runtime
-        # does, so ``emr`` gates the whole power-delivery domain.
-        emr = self._emergency
-        if emr is not None:
-            emr.runtime.begin_cycle(now)
-            if emr.defended:
-                # Budget renegotiation: thresholds (and any later
-                # learning) are clamped to the surviving capacity's
-                # envelope the moment delivery changes, both downward on
-                # a loss and back up on recovery.
-                if self._thresholds.set_envelope(emr.envelope_w()):
-                    emr.envelope_renegotiations += 1
+        facts: dict[str, Any] = {}
+        for hook in self._at_start:
+            hook(now)
 
         snapshot = self._collector.collect(now)
-        if self._recovery_pending:
-            # Recovery hold: tick off candidates that have reported
-            # fresh since the restore (age 0 = sampled this sweep; age
-            # is non-negative, so <= avoids exact float equality).
-            fresh_ids = snapshot.node_ids[np.asarray(snapshot.age) <= 0.0]
-            self._recovery_pending.difference_update(fresh_ids.tolist())
-        metered = inj is None or inj.meter_available()
-        if inj is not None:
-            # Nodes eligible for an actual level raise this cycle:
-            # fresh telemetry, and only on a real meter reading.
-            allow = np.ones(self._cluster.state.num_nodes, dtype=bool)
-            if metered:
-                stale = snapshot.stale_mask(self._degraded_cfg.max_stale_age_s)
-                allow[snapshot.node_ids[stale]] = False
-            else:
-                allow[:] = False
-        else:
-            allow = None
-        if self._recovery_pending:
-            # A restored manager upgrades nothing until every candidate
-            # has been re-observed: its inherited view of the machine is
-            # only trustworthy where it has been re-confirmed.
-            if allow is None:
-                allow = np.zeros(self._cluster.state.num_nodes, dtype=bool)
-            else:
-                allow[:] = False
-        self._upgradable = allow
+        raise_ok: np.ndarray | None = None
+        for mask in self._at_raise_mask:
+            raise_ok = mask(snapshot, raise_ok)
+        self._upgradable = raise_ok
         # Flush in-flight commands after the sweep so late-landing
         # raises are clamped against this cycle's staleness; their
         # effect shows in the next sweep.
-        self._actuator.begin_cycle(raise_ok=self._upgradable)
+        self._actuator.begin_cycle(raise_ok=raise_ok)
 
-        quarantine_active = (
-            self._validator is not None and self._validator.any_quarantined
-        )
-        meter_distrusted = False
+        metered = self._meter.available
         if metered:
-            raw_power = self._meter.read()
-            if inj is not None:
-                raw_power = inj.perturb_meter(raw_power)
-            # All raw meter readings pass the integrity layer's single
-            # trusted egress before they may drive learning or control
-            # (the cross-check uses the *raw* Formula (1) candidate sum
-            # — the outage anchor would launder a byzantine meter's
-            # error into the reference).
+            # A raw reading passes the integrity layer's single trusted
+            # egress before it may drive learning or control; the
+            # cross-check uses the raw Formula (1) candidate sum.
             screened = screen_metered_power(
-                self._meter_monitor,
-                raw_power,
-                lambda: self._candidate_estimate_w(snapshot),
-                quarantine_active,
+                self._integrity,
+                self._meter.read(),
+                lambda: self.candidate_power_w(snapshot),
+                self._collector.quarantined_nodes > 0,
                 now,
             )
             power = screened.power_w
-            meter_distrusted = screened.meter_distrusted
+            facts["meter_distrusted"] = screened.meter_distrusted
             if screened.learnable:
-                # P_peak observations taken from a distrusted meter or a
-                # quarantine-inflated estimate would poison the learned
-                # thresholds for every later cycle.
+                # Readings from a distrusted meter or a quarantine-
+                # inflated estimate would poison the learned thresholds.
                 self._thresholds.observe(power)
-            self._last_metered_power = power
-            self._last_metered_snapshot = snapshot
-            self._offset_valid = False
         else:
-            power = self._estimate_system_power(snapshot)
-            self._estimated_cycles += 1
+            power = self._ladder.estimate_power(snapshot)
 
         th = self._thresholds.thresholds
         state = classify_power_state(power, th.p_low, th.p_high)
-        forced_red = False
-        if inj is not None:
-            cfg = self._degraded_cfg
-            if snapshot.coverage < cfg.blackout_coverage:
-                self._blackout_streak += 1
-            else:
-                self._blackout_streak = 0
-            if (
-                self._blackout_streak >= cfg.blackout_cycles
-                and state is not PowerState.RED
-            ):
-                state = PowerState.RED
-                forced_red = True
-                self._forced_red_cycles += 1
-        emergency_red = False
-        if emr is not None and emr.update(now, power):
-            # Capacity emergency: draw exceeds surviving delivery
-            # capacity.  Red, now — cadence and steady-green hysteresis
-            # are for budget *management*, not for physics.
-            emergency_red = True
-            state = PowerState.RED
+        for hook in self._at_classified:
+            state = hook(now, power, state, snapshot, facts)
 
         ctx = PolicyContext(
             snapshot=snapshot,
@@ -701,10 +442,10 @@ class PowerManager:
         )
         decision = self._decide(state, ctx)
         actuation = self._actuator.apply(
-            decision, raise_ok=self._upgradable, epoch=self._epoch
+            decision, raise_ok=raise_ok, epoch=self._epoch
         )
-        if emr is not None:
-            self._provision_settle(emr, now, state, decision)
+        for hook in self._at_actuated:
+            hook(now, state, decision, facts)
 
         self._cycles += 1
         self._state_counts[state.value] += 1
@@ -718,252 +459,47 @@ class PowerManager:
             p_high=th.p_high,
             metered=metered,
             coverage=snapshot.coverage,
-            forced_red=forced_red,
             actuation=actuation,
-            quarantined_nodes=(
-                0 if self._validator is None else self._validator.quarantined_nodes
-            ),
-            meter_distrusted=meter_distrusted,
-            capacity_w=None if emr is None else emr.runtime.capacity_w,
-            emergency_red=emergency_red,
+            quarantined_nodes=self._collector.quarantined_nodes,
+            **facts,
         )
-
-        # Journal the completed cycle — unless this incarnation has
-        # been deposed: fencing guards the log exactly like the
-        # actuator, so a zombie primary cannot interleave its
-        # timeline into the successor's journal.
-        journaled = self._journal is not None and not self.deposed
-        compacted = False
-        if self._journal is not None and journaled:
-            self._journal.append(
-                CycleRecord(
-                    cycle=self._cycles,
-                    report=report,
-                    blackout_streak=self._blackout_streak,
-                    snapshot=snapshot,
-                    actuator=self._actuator.state_dict(),
-                )
-            )
-            if self._journal.should_compact():
-                self._journal.compact(self.checkpoint())
-                compacted = True
-
-        if self._metrics_on:
-            self._last_power_w = power
-            self._targets_hist.observe(float(decision.num_targets))
-        if self._obs.tracing:
-            self._trace_cycle(report, snapshot.size, journaled, compacted)
-        if state is PowerState.RED and self._last_state is not PowerState.RED:
-            # Trip after the tree is delivered so the dump includes the
-            # red cycle.
-            self._obs.trip("red_state_entry", now)
-        self._last_state = state
+        for hook in self._at_recorded:
+            hook(self._cycles, report, snapshot)
         return report
 
-    def _trace_cycle(
-        self, report: CycleReport, size: int, journaled: bool, compacted: bool
+    def actuate_for_layer(
+        self,
+        node_ids: np.ndarray,
+        new_levels: np.ndarray | None,
+        state: PowerState,
+        time_in_green: int,
     ) -> None:
-        """Project a finished cycle into its span tree and deliver it.
+        """Actuate on a layer's behalf, fenced by this incarnation's epoch.
 
-        The tree is ``cycle`` → ``collect`` / ``estimate`` /
-        ``classify`` / ``select_targets`` / ``actuate`` / ``journal``.
-        Every attribute comes from the report, the snapshot size, the
-        recovery hold and the journal outcome; the attributes of an
-        unattached subsystem (integrity, provision) are left out.
+        With ``new_levels`` the nodes are degraded as a yellow decision
+        would be: recorded in ``A_degraded`` (so steady green restores
+        them later) and clamped by the cycle's raise mask.  With
+        ``None`` they are forced to the DVFS floor through the release
+        path — a blackout is still actuation, never a raw level write
+        (RL301).  A batch fenced out whole means a successor owns the
+        machine; it is counted, never hidden (RL502).
         """
-        decision = report.decision
-        act = report.actuation
-        assert act is not None  # every cycle this manager runs actuates
-        state = report.state.value
-        action = decision.action.value
-        estimate: dict[str, AttrValue] = {
-            "metered": report.metered,
-            "power_w": report.power_w,
-        }
-        if self._meter_monitor is not None:
-            estimate["meter_distrusted"] = report.meter_distrusted
-        classify: dict[str, AttrValue] = {
-            "state": state,
-            "p_low_w": report.p_low,
-            "p_high_w": report.p_high,
-            "forced_red": report.forced_red,
-        }
-        if self._emergency is not None:
-            classify["emergency_red"] = report.emergency_red
-        tracer = self._obs.tracer
-        root = tracer.begin_cycle(report.time)
-        leaf = tracer.leaf
-        leaf(
-            "collect",
-            {
-                "size": size,
-                "coverage": report.coverage,
-                "recovery_pending": len(self._recovery_pending),
-            },
-        )
-        leaf("estimate", estimate)
-        leaf("classify", classify)
-        leaf(
-            "select_targets",
-            {
-                "action": action,
-                "targets": decision.num_targets,
-                "time_in_green": decision.time_in_green,
-            },
-        )
-        leaf(
-            "actuate",
-            {
-                "commands": act.commands,
-                "effective": act.effective,
-                "noop": act.noop,
-                "suppressed": act.suppressed,
-                "lost": act.lost,
-                "delayed": act.delayed,
-                "fenced": act.fenced,
-            },
-        )
-        leaf("journal", {"journaled": journaled, "compacted": compacted})
-        p_high = report.p_high
-        root.attrs = {
-            "cycle": self._cycles,
-            "power_w": report.power_w,
-            "ratio_high": (report.power_w / p_high) if p_high > 0.0 else None,
-            "state": state,
-            "metered": report.metered,
-            "coverage": report.coverage,
-            "forced_red": report.forced_red,
-            "degraded": report.degraded,
-            "action": action,
-            "targets": decision.num_targets,
-            "epoch": self._epoch,
-            "recovery_hold": bool(self._recovery_pending),
-        }
-        if self._validator is not None:
-            root.attrs["quarantined_nodes"] = report.quarantined_nodes
-        if self._emergency is not None:
-            root.attrs["capacity_w"] = report.capacity_w
-            root.attrs["emergency_red"] = report.emergency_red
-        tracer.end_cycle()
-
-    def _true_node_power_w(self) -> np.ndarray:
-        """Per-node true power from the full live cluster state, watts.
-
-        The estimator's model is the one the meter integrates, so
-        evaluating it over the *actual* state arrays (not the telemetry
-        snapshot, which may be stale, partial or corrupted) is the
-        ground-truth branch power the breakers experience.  Read-only,
-        so the provision runtime folds it into racks once.
-        """
-        power = self._estimator.model.node_power(self._cluster.state)
-        power.setflags(write=False)
-        return power
-
-    def _note_aux_actuation(self, fenced: bool) -> None:
-        """Status check for out-of-band actuation (RL502).
-
-        Branch caps and blackout releases bypass the main per-cycle
-        actuation span, so their outcome must be accounted here: a fully
-        fenced batch means a successor owns the machine, and this
-        incarnation's telemetry records the refusal instead of silently
-        pretending the command landed.
-        """
+        if new_levels is None:
+            fenced = self._actuator.release(node_ids, 0, epoch=self._epoch) == 0
+        else:
+            self._capping.mark_degraded(node_ids)
+            report = self._actuator.apply(
+                CappingDecision(
+                    state, CappingAction.DEGRADE, node_ids, new_levels, time_in_green
+                ),
+                raise_ok=self._upgradable,
+                epoch=self._epoch,
+            )
+            fenced = report.fenced == report.commands
         if fenced:
             self._aux_fenced_batches += 1
 
-    def _provision_settle(
-        self,
-        emr: EmergencyResponse,
-        now: Seconds,
-        state: PowerState,
-        decision: CappingDecision,
-    ) -> None:
-        """The delivery-side tail of one cycle: branch caps + physics.
-
-        After the global decision has been actuated, (1) per-branch
-        capping degrades candidates on racks near their deliverable
-        limit (through the fenced actuator, recorded in ``A_degraded``
-        so steady-green restores them later), (2) the cycle's true
-        branch power is settled into the breaker thermal model, and
-        (3) any breaker that tripped blacks out its rack: jobs killed,
-        nodes fenced offline and forced idle.
-        """
-        node_power = self._true_node_power_w()
-        if emr.branch_caps_on:
-            ids, new_levels = emr.branch_targets(
-                self._cluster.state.level, node_power
-            )
-            if len(ids) > 0:
-                self._capping.mark_degraded(ids)
-                branch_decision = CappingDecision(
-                    state,
-                    CappingAction.DEGRADE,
-                    ids,
-                    new_levels,
-                    decision.time_in_green,
-                )
-                branch_report = self._actuator.apply(
-                    branch_decision,
-                    raise_ok=self._upgradable,
-                    epoch=self._epoch,
-                )
-                self._note_aux_actuation(
-                    branch_report.fenced == branch_report.commands
-                )
-                # Branch capping changed levels inside this interval;
-                # settle the physics against the post-cap draw.
-                node_power = self._true_node_power_w()
-        dt = (
-            0.0
-            if self._prov_last_settle is None
-            else float(now) - self._prov_last_settle
-        )
-        self._prov_last_settle = float(now)
-        tripped = emr.runtime.settle(now, dt, node_power)
-        if len(tripped) > 0:
-            dark = emr.handle_trips(tripped, now)
-            if len(dark) > 0:
-                # A dark rack draws nothing: force its nodes to the
-                # floor through the fenced release path (RL301 — a
-                # blackout is still actuation, never a raw level write).
-                written = self._actuator.release(dark, 0, epoch=self._epoch)
-                self._note_aux_actuation(written == 0)
-
-    def _estimate_system_power(self, snapshot: TelemetrySnapshot) -> float:
-        """Formula (1) fallback for total power during a meter outage.
-
-        The candidate set's estimated aggregate tracks the part of the
-        system the manager can observe; the remainder (privileged and
-        unmonitored nodes) is carried as a constant offset anchored at
-        the last metered cycle::
-
-            P ≈ Σ_candidates P_formula1(now) + (P_metered − Σ P_formula1)|_last
-
-        The offset is computed once per outage burst and reused until
-        the meter returns.
-
-        Raises:
-            DegradedModeError: if there is neither telemetry nor any
-                previously metered reading to anchor an estimate.
-        """
-        if snapshot.size == 0 and self._last_metered_power is None:
-            raise DegradedModeError(
-                "meter outage with no telemetry and no prior metered "
-                "reading: the fail-safe ladder has no estimation basis"
-            )
-        est = self._candidate_estimate_w(snapshot)
-        if not self._offset_valid:
-            last = self._last_metered_snapshot
-            if self._last_metered_power is not None and last is not None:
-                self._offset_w = self._last_metered_power - self._candidate_estimate_w(
-                    last
-                )
-            else:
-                self._offset_w = 0.0
-            self._offset_valid = True
-        return max(0.0, est + self._offset_w)
-
-    def _candidate_estimate_w(self, snapshot: TelemetrySnapshot) -> float:
+    def candidate_power_w(self, snapshot: TelemetrySnapshot) -> float:
         """Σ over monitored nodes of the Formula (1) estimate, watts.
 
         Accumulated in the canonical ascending-node-id order so the sum
@@ -991,8 +527,8 @@ class PowerManager:
         the configured target-selection policy; baseline controllers
         (:mod:`repro.core.baselines`) override this single method and
         inherit all sensing, actuation and reporting machinery —
-        including the degraded-mode ladder, whose raise clamp is applied
-        at the actuator regardless of how the decision was made.
+        including the cycle's raise mask, which the actuator applies
+        regardless of how the decision was made.
         """
         return self._capping.decide(
             state, ctx, self._policy, upgradable=self._upgradable
@@ -1012,6 +548,7 @@ class PowerManager:
         n = self._cluster.state.num_nodes
         mask = np.zeros(n, dtype=bool)
         mask[self._capping.degraded_nodes] = True
+        ladder = self._ladder
         return ControllerCheckpoint(
             cycle=self._cycles,
             time=self._last_cycle_time,
@@ -1019,14 +556,14 @@ class PowerManager:
             degraded_mask=tuple(mask.tolist()),
             time_in_green=self._capping.time_in_green,
             state_counts=dict(self._state_counts),
-            forced_red_cycles=self._forced_red_cycles,
-            estimated_cycles=self._estimated_cycles,
-            blackout_streak=self._blackout_streak,
+            forced_red_cycles=ladder.forced_red_cycles,
+            estimated_cycles=ladder.estimated_cycles,
+            blackout_streak=ladder.blackout_streak,
             snapshot=self._collector.current,
             collections=self._collector.collections,
             dropped_samples=self._collector.dropped_samples,
-            last_metered_power=self._last_metered_power,
-            last_metered_snapshot=self._last_metered_snapshot,
+            last_metered_power=ladder.last_metered_power,
+            last_metered_snapshot=ladder.last_metered_snapshot,
             actuator=self._actuator.state_dict(),
         )
 
@@ -1041,10 +578,11 @@ class PowerManager:
         sequence), the journaled *decisions* replay onto ``A_degraded``
         — policies are never re-run, so stochastic policies consume no
         RNG during recovery — and the final record's snapshot rebuilds
-        the collector's last-known-good cache.  With no checkpoint the
-        fold starts from this manager's pristine state, which is why the
-        HA factory must construct successors with the same initial
-        configuration (thresholds, margins, ``T_g``) as the primary.
+        the collector's last-known-good cache.  The degraded-mode ladder
+        folds its own counters.  With no checkpoint the fold starts from
+        this manager's pristine state, which is why the HA factory must
+        construct successors with the same initial configuration
+        (thresholds, margins, ``T_g``) as the primary.
 
         After the restore the recovery hold is armed: no node is
         upgraded until every candidate has reported fresh telemetry.
@@ -1058,17 +596,13 @@ class PowerManager:
                 queue is the network's truth, not the journal's.
         """
         cp = recovery.checkpoint
+        records = recovery.records
         n = self._cluster.state.num_nodes
         if cp is not None:
             self._thresholds.restore_state(cp.thresholds)
             self._state_counts = {
-                s.value: int(cp.state_counts.get(s.value, 0)) for s in PowerState
+                v: int(cp.state_counts.get(v, 0)) for v in _NO_CYCLES
             }
-            self._forced_red_cycles = int(cp.forced_red_cycles)
-            self._estimated_cycles = int(cp.estimated_cycles)
-            self._blackout_streak = int(cp.blackout_streak)
-            self._last_metered_power = cp.last_metered_power
-            self._last_metered_snapshot = cp.last_metered_snapshot
             mask = np.asarray(cp.degraded_mask, dtype=bool)
             time_g = int(cp.time_in_green)
         else:
@@ -1077,18 +611,11 @@ class PowerManager:
             time_g = self._capping.time_in_green
 
         top = self._cluster.spec.top_level
-        for r in recovery.records:
+        for r in records:
             report = r.report
             if report.metered:
                 self._thresholds.observe(report.power_w)
-                self._last_metered_power = report.power_w
-                self._last_metered_snapshot = r.snapshot
-            else:
-                self._estimated_cycles += 1
             self._state_counts[report.state.value] += 1
-            if report.forced_red:
-                self._forced_red_cycles += 1
-            self._blackout_streak = int(r.blackout_streak)
             decision = report.decision
             ids = decision.node_ids
             if decision.action is CappingAction.DEGRADE:
@@ -1100,9 +627,9 @@ class PowerManager:
                 mask[ids] = True
             time_g = int(decision.time_in_green)
         self._capping.restore(mask, time_g)
+        self._ladder.restore(cp, records)
 
         # Collector: the newest journaled sweep is the cache.
-        records = recovery.records
         snapshot = records[-1].snapshot if records else (
             cp.snapshot if cp is not None else None
         )
@@ -1131,10 +658,9 @@ class PowerManager:
             if records
             else (cp.time if cp is not None else 0.0)
         )
-        self._offset_w = 0.0
-        self._offset_valid = False
         self._upgradable = None
-        self._recovery_pending = set(self._sets.candidates.tolist())
+        self._recovery.arm(self._sets.candidates)
+        self.bind_hooks()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -29,20 +29,33 @@ A crash mid-cycle loses at most that one uncommitted cycle — the append
 happens only after actuation completes — which mirrors a write-ahead
 log's torn-tail rule: the tail record is either wholly present or
 wholly absent, never half-applied.
+
+:class:`JournalLayer` is crash recovery's part of one manager
+incarnation: the per-cycle append and the post-restore recovery hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
+
+import numpy as np
 
 from repro.errors import PowerManagementError
 from repro.telemetry.collector import TelemetrySnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.manager import CycleReport
+    from repro.core.actuator import DvfsActuator
+    from repro.core.manager import CycleReport, PowerManager
+    from repro.faults.degraded import DegradedModeLadder
 
-__all__ = ["CycleRecord", "ControllerCheckpoint", "JournalRecovery", "StateJournal"]
+__all__ = [
+    "CycleRecord",
+    "ControllerCheckpoint",
+    "JournalLayer",
+    "JournalRecovery",
+    "StateJournal",
+]
 
 
 @dataclass(frozen=True)
@@ -96,16 +109,18 @@ class ControllerCheckpoint:
             first sweep).
         collections / dropped_samples: Collector accounting.
         last_metered_power / last_metered_snapshot: The estimation
-            anchor for meter-outage cycles.
+            anchor for meter-outage cycles (``None`` without a fault
+            injector: only the degraded-mode ladder keeps one).
         actuator: :meth:`DvfsActuator.state_dict` section — counters and
             the in-flight command queue.  In the shared-actuator HA
             wiring this is informational (the live queue survives the
             controller), but a journal restored onto a *fresh* actuator
             reconstructs the queue from here.
 
-    The recovery hold (``_recovery_pending``) is deliberately absent:
-    a restored manager always starts with the full re-observation hold,
-    even if the crashed manager was itself mid-recovery.
+    The recovery hold (:attr:`JournalLayer.pending`) is deliberately
+    absent: a restored manager always starts with the full
+    re-observation hold, even if the crashed manager was itself
+    mid-recovery.
     """
 
     cycle: int
@@ -249,3 +264,101 @@ class StateJournal:
     def recover(self) -> JournalRecovery:
         """The latest checkpoint plus every record after it."""
         return JournalRecovery(checkpoint=self._base, records=tuple(self._records))
+
+
+class JournalLayer:
+    """Crash recovery's part of one manager incarnation.
+
+    Every manager has one.  Each of its two hooks is bound only while it
+    has work:
+
+    * **after collect** (the raise mask), while the recovery hold is
+      armed: tick off the candidates that reported fresh since the
+      restore, and allow no raise until all have — a restored manager's
+      inherited view of the machine is only trustworthy where it has
+      been re-confirmed.  The last candidate's report ends the hold, and
+      the hook rebinds the manager's hooks without itself;
+    * **after record**, with a journal attached: append the cycle's
+      :class:`CycleRecord` and compact on cadence — unless this
+      incarnation has been deposed: fencing guards the log exactly like
+      the actuator, so a zombie primary cannot interleave its timeline
+      into the successor's journal.
+
+    Args:
+        manager: The incarnation (its fencing state and checkpoint).
+        journal: The run's shared journal, or ``None``.
+        actuator: The actuator whose state each record carries.
+        ladder: The incarnation's degraded-mode ladder (its latch is
+            journaled).
+        num_nodes: Cluster size (a raise mask covers every node).
+    """
+
+    def __init__(
+        self,
+        manager: "PowerManager",
+        journal: StateJournal | None,
+        actuator: "DvfsActuator",
+        ladder: "DegradedModeLadder",
+        num_nodes: int,
+    ) -> None:
+        self._manager = manager
+        self._journal = journal
+        self._actuator = actuator
+        self._ladder = ladder
+        self._num_nodes = num_nodes
+        #: Candidates not yet freshly re-observed since the restore.
+        self.pending: set[int] = set()
+        #: Whether the last cycle was journaled, and compacted the journal.
+        self.journaled = False
+        self.compacted = False
+
+    def hooks(self) -> dict[str, Callable[..., Any]]:
+        """The layer's hooks by boundary (only those with work left)."""
+        hooks: dict[str, Callable[..., Any]] = {}
+        if self.pending:
+            hooks["raise_mask"] = self.hold
+        if self._journal is not None:
+            hooks["recorded"] = self.append
+        return hooks
+
+    def arm(self, candidates: np.ndarray) -> None:
+        """Arm the recovery hold over every candidate (at restore)."""
+        self.pending = set(candidates.tolist())
+
+    def hold(
+        self, snapshot: TelemetrySnapshot, allow: np.ndarray | None
+    ) -> np.ndarray | None:
+        """The recovery hold's raise mask."""
+        # Age 0 = sampled this sweep; age is non-negative, so <= avoids
+        # exact float equality.
+        fresh_ids = snapshot.node_ids[np.asarray(snapshot.age) <= 0.0]
+        self.pending.difference_update(fresh_ids.tolist())
+        if not self.pending:
+            self._manager.bind_hooks()
+            return allow
+        if allow is None:
+            return np.zeros(self._num_nodes, dtype=bool)
+        allow[:] = False
+        return allow
+
+    def append(
+        self, cycle: int, report: "CycleReport", snapshot: TelemetrySnapshot
+    ) -> None:
+        """Journal the completed cycle unless deposed."""
+        journal = self._journal
+        assert journal is not None
+        self.journaled = not self._manager.deposed
+        self.compacted = False
+        if self.journaled:
+            journal.append(
+                CycleRecord(
+                    cycle=cycle,
+                    report=report,
+                    blackout_streak=self._ladder.blackout_streak,
+                    snapshot=snapshot,
+                    actuator=self._actuator.state_dict(),
+                )
+            )
+            if journal.should_compact():
+                journal.compact(self._manager.checkpoint())
+                self.compacted = True

@@ -99,24 +99,6 @@ class HeterogeneousPowerModel:
         """Total cluster power, watts (canonical ascending-id order)."""
         return canonical_power_sum(self.node_power(state))
 
-    def power_at_level(
-        self, state: ClusterState, node_ids: np.ndarray, levels: np.ndarray | int
-    ) -> np.ndarray:
-        """What-if power of the given nodes at hypothetical levels."""
-        ids = np.asarray(node_ids, dtype=np.int64)
-        lv = np.broadcast_to(np.asarray(levels, dtype=np.int64), ids.shape)
-        lv = np.clip(lv, 0, self.spec.top_level)
-        return self.evaluate_for_nodes(
-            ids, lv, state.cpu_util[ids], state.mem_frac[ids], state.nic_frac[ids]
-        )
-
-    def degrade_savings(self, state: ClusterState, node_ids: np.ndarray) -> np.ndarray:
-        """Per-node watts saved by one level of degradation."""
-        ids = np.asarray(node_ids, dtype=np.int64)
-        current = self.power_at_level(state, ids, state.level[ids])
-        lower = self.power_at_level(state, ids, np.maximum(state.level[ids] - 1, 0))
-        return current - lower
-
 
 def make_power_model(cluster: Cluster) -> PowerModel | HeterogeneousPowerModel:
     """The right Formula (1) implementation for ``cluster``.

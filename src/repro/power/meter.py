@@ -4,10 +4,17 @@ The architecture's Observability assumption says the *total* system power
 "can be measured directly" — in the machine room that is a wall-power
 meter; here it is the ground-truth power model plus an optional gaussian
 sensor-noise term and a record of readings.  The power manager consumes
-exactly one scalar per control cycle from :meth:`SystemPowerMeter.read`.
+exactly one scalar per control cycle from :meth:`SystemPowerMeter.read`,
+unless the meter is down: the degraded-mode ladder
+(:class:`~repro.faults.degraded.DegradedModeLadder`) clears
+:attr:`SystemPowerMeter.available` during an outage and puts the fault
+injector's sensor error on every reading through
+:attr:`SystemPowerMeter.perturbation`.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +61,10 @@ class SystemPowerMeter:
         self._last_reading: float | None = None
         self._readings = 0
         self._clamped_readings = 0
+        #: Whether the meter produces a reading this cycle.
+        self.available = True
+        #: Sensor error applied to each reading after the noise, or None.
+        self.perturbation: Callable[[float], float] | None = None
         facade = resolve_obs(obs)
         if facade.metrics_on:
             facade.metrics.counter_func(
@@ -92,7 +103,9 @@ class SystemPowerMeter:
         """One metered sample of total system power, watts.
 
         Noise is multiplicative and clamped so a reading can never go
-        negative even under extreme noise settings.
+        negative even under extreme noise settings; the
+        :attr:`perturbation` (if any) is applied last, after
+        :attr:`last_reading` is recorded.
         """
         power = self._model.system_power(self._state)
         if self._noise_std > 0.0:
@@ -104,4 +117,4 @@ class SystemPowerMeter:
             power *= factor
         self._last_reading = power
         self._readings += 1
-        return power
+        return power if self.perturbation is None else self.perturbation(power)

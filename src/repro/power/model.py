@@ -118,38 +118,3 @@ class PowerModel:
     def system_power(self, state: ClusterState) -> float:
         """Total cluster power, watts (canonical ascending-id order)."""
         return canonical_power_sum(self.node_power(state))
-
-    # ------------------------------------------------------------------
-    # What-if evaluation (used by MPC-C's ``P'(x)`` and BFP)
-    # ------------------------------------------------------------------
-    def power_at_level(
-        self, state: ClusterState, node_ids: np.ndarray, levels: np.ndarray | int
-    ) -> np.ndarray:
-        """Power the given nodes *would* draw at hypothetical ``levels``.
-
-        Holds the nodes' current load fixed and re-evaluates Formula (1)
-        at the proposed DVFS levels — exactly the estimate ``P'(x)``
-        Algorithm 2 uses for "power consumption of node x when the power
-        budget is decreased by one level".
-        """
-        ids = np.asarray(node_ids, dtype=np.int64)
-        lv = np.broadcast_to(np.asarray(levels, dtype=np.int64), ids.shape)
-        lv = np.clip(lv, 0, self.spec.top_level)
-        return (
-            self._idle[lv]
-            + state.cpu_util[ids] * self._cpu[lv]
-            + state.mem_frac[ids] * self._mem[lv]
-            + state.nic_frac[ids] * self._nic[lv]
-        )
-
-    def degrade_savings(self, state: ClusterState, node_ids: np.ndarray) -> np.ndarray:
-        """Per-node watts saved by one level of degradation, ``P(x) − P'(x)``.
-
-        Nodes already at the lowest level save exactly zero.
-        """
-        ids = np.asarray(node_ids, dtype=np.int64)
-        current = self.power_at_level(state, ids, state.level[ids])
-        lower = self.power_at_level(
-            state, ids, np.maximum(state.level[ids] - 1, 0)
-        )
-        return current - lower

@@ -66,15 +66,6 @@ class PowerProvision:
         """Necessity: ``P_Max < P_thy``."""
         return self.capability_w < cluster.theoretical_max_power()
 
-    def satisfies_controllability(self, cluster: Cluster) -> bool:
-        """Controllability: full throttling certainly fits under ``P_Max``.
-
-        Conservative check: even with *no* privileged nodes, the cluster
-        at its lowest levels must draw less than the capability.  Callers
-        with privileged sets should use :meth:`throttled_floor` directly.
-        """
-        return cluster.minimum_power() < self.capability_w
-
     def throttled_floor(self, cluster: Cluster) -> float:
         """Power with every controllable node idle at level 0, privileged
         nodes saturated at the top level — the worst-case floor reachable

@@ -262,7 +262,6 @@ class ReliabilityTracker:
         self._reference_c = float(reference_c)
         self._expected_failures = 0.0
         self._peak_c = float("-inf")
-        self._node_seconds = 0.0
 
     @property
     def expected_failures(self) -> float:
@@ -282,11 +281,3 @@ class ReliabilityTracker:
         mult = np.asarray(failure_rate_multiplier(t, self._reference_c))
         self._expected_failures += float(self._lambda0_per_s * dt * mult.sum())
         self._peak_c = max(self._peak_c, float(t.max()))
-        self._node_seconds += dt * len(t)
-
-    def mean_rate_multiplier(self) -> float:
-        """Average failure-rate multiplier over the run so far."""
-        if self._node_seconds <= 0.0:
-            return 0.0
-        baseline = self._lambda0_per_s * self._node_seconds
-        return self._expected_failures / baseline

@@ -22,27 +22,39 @@ anything, while a breaker upstream is integrating toward a trip.
   satisfied, so no local breaker ever accumulates a trip integral.
 
 The response performs scheduler-side actions itself (suspend / resume /
-offline); every DVFS command it *proposes* is returned to the manager,
-which applies it through the fenced actuator — this module never writes
-a level (RL301) and never writes a threshold (RL303; the manager calls
-:meth:`~repro.core.thresholds.ThresholdController.set_envelope` with
-:meth:`envelope_w`).
+offline); every DVFS command it *proposes* goes back through the
+manager, which applies it through the fenced actuator — this module
+never writes a level (RL301), and it moves thresholds only through
+:meth:`~repro.core.thresholds.ThresholdController.set_envelope` (RL303).
+
+:class:`PowerDelivery` is the layer one manager incarnation attaches: it
+drives the shared :class:`~repro.provision.runtime.ProvisionRuntime`
+and its own response at the control cycle's stage boundaries.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.provision.runtime import ProvisionRuntime
+from repro.core.states import PowerState
+from repro.obs.facade import Observability
+from repro.provision.runtime import ProvisionRuntime, ProvisionStats
 from repro.types import Seconds, Watts
 from repro.workload.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.state import ClusterState
+    from repro.core.capping import CappingDecision
+    from repro.core.manager import PowerManager
+    from repro.core.thresholds import ThresholdController
+    from repro.power.hetero import HeterogeneousPowerModel
+    from repro.power.model import PowerModel
     from repro.scheduler.scheduler import BatchScheduler
 
-__all__ = ["EmergencyResponse"]
+__all__ = ["EmergencyResponse", "PowerDelivery"]
 
 #: Ladder rungs (kept as plain ints so they journal/serialize trivially).
 RUNG_NORMAL = 0  #: capacity covers the draw
@@ -87,7 +99,7 @@ class EmergencyResponse:
         self._forced_this_emergency = False
         self._suspended_ids: list[int] = []
         self._shed_nodes: list[np.ndarray] = []
-        # Counters (folded into ProvisionStats by the manager).
+        # Counters (folded into ProvisionStats by PowerDelivery).
         self.emergency_red_cycles = 0
         self.envelope_renegotiations = 0
         self.branch_cap_interventions = 0
@@ -100,21 +112,6 @@ class EmergencyResponse:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def runtime(self) -> ProvisionRuntime:
-        """The delivery state being defended."""
-        return self._runtime
-
-    @property
-    def defended(self) -> bool:
-        """Whether the emergency response is armed at all."""
-        return self._scenario.defend
-
-    @property
-    def branch_caps_on(self) -> bool:
-        """Whether per-branch capping is armed."""
-        return self._scenario.defend and self._scenario.branch_caps
-
     @property
     def rung(self) -> int:
         """Current ladder rung (derived from outstanding actions)."""
@@ -148,7 +145,7 @@ class EmergencyResponse:
         ``recover_after_cycles`` consecutive cycles comfortably inside
         capacity, one outstanding action is undone per cycle.
         """
-        if not self.defended:
+        if not self._scenario.defend:
             return False
         cap = self._runtime.capacity_w
         over = float(power_w) > cap
@@ -306,3 +303,195 @@ class EmergencyResponse:
                     self._suspended_ids.remove(job.job_id)
             sched.take_offline(nodes, now)
         return nodes
+
+
+class PowerDelivery:
+    """The power-delivery layer of one manager incarnation.
+
+    Its hooks run at three boundaries of the control cycle:
+
+    * **cycle start** — the runtime's capacity events, then budget
+      renegotiation: thresholds (and any later learning) are clamped to
+      the surviving capacity's envelope the moment delivery changes,
+      downward on a loss and back up on recovery;
+    * **after classify** — emergency red, when the response is armed;
+    * **after actuate** — per-branch caps, the breaker physics and the
+      blackout of any rack whose breaker tripped (:meth:`settle`).
+
+    The runtime is shared by every incarnation of a run; the response
+    and the settle clock belong to this one.
+
+    Args:
+        runtime: The run's delivery state.
+        scheduler: For the response's suspend/shed rungs and blackouts.
+        candidate_mask: Boolean mask of the candidate set over all nodes.
+        thresholds: The incarnation's threshold controller.
+        model: The power model the meter integrates (true branch power).
+        state: The live cluster state.
+        manager: The incarnation, whose
+            :meth:`~repro.core.manager.PowerManager.actuate_for_layer`
+            issues this layer's DVFS commands.
+        obs: Observability facade; the delivery series are mirrored
+            when metrics are on.
+    """
+
+    def __init__(
+        self,
+        runtime: ProvisionRuntime,
+        scheduler: "BatchScheduler | None",
+        candidate_mask: np.ndarray,
+        thresholds: "ThresholdController",
+        model: "PowerModel | HeterogeneousPowerModel",
+        state: "ClusterState",
+        manager: "PowerManager",
+        obs: Observability | None = None,
+    ) -> None:
+        self.response = EmergencyResponse(runtime, scheduler, candidate_mask)
+        self._runtime = runtime
+        self._thresholds = thresholds
+        self._model = model
+        self._state = state
+        self._manager = manager
+        scenario = runtime.scenario
+        self._defended = scenario.defend
+        self._branch_caps = scenario.defend and scenario.branch_caps
+        self._last_settle: float | None = None
+        if obs is not None and obs.metrics_on:
+            self._register_metrics(obs)
+
+    def _register_metrics(self, obs: Observability) -> None:
+        reg = obs.metrics
+        prov = self._runtime
+        emr = self.response
+        reg.counter_func(
+            "repro_breaker_trips_total",
+            "Branch breakers tripped (racks blacked out)",
+            lambda: float(prov.breaker_trips),
+        )
+        reg.counter_func(
+            "repro_capacity_lost_watt_seconds_total",
+            "Integrated (design - surviving) delivery capacity, W*s",
+            lambda: prov.capacity_lost_w_seconds,
+        )
+        reg.counter_func(
+            "repro_branch_cap_violation_seconds_total",
+            "Seconds any branch drew above its deliverable limit",
+            lambda: prov.branch_cap_violation_seconds,
+        )
+        reg.gauge_func(
+            "repro_delivery_capacity_watts",
+            "Surviving delivery capacity, watts",
+            lambda: prov.capacity_w,
+        )
+        reg.counter_func(
+            "repro_emergency_red_cycles_total",
+            "Cycles forced red by the capacity emergency path",
+            lambda: float(emr.emergency_red_cycles),
+        )
+        reg.counter_func(
+            "repro_jobs_suspended_total",
+            "Jobs suspended by the degradation ladder",
+            lambda: float(emr.jobs_suspended),
+        )
+
+    def hooks(self) -> dict[str, Callable[..., Any]]:
+        """The layer's hooks by boundary."""
+        hooks: dict[str, Callable[..., Any]] = {
+            "start": self.begin_cycle,
+            "actuated": self.settle,
+        }
+        if self._defended:
+            hooks["classified"] = self.classified
+        return hooks
+
+    def begin_cycle(self, now: Seconds) -> None:
+        """Fire the runtime's events, then renegotiate the budget."""
+        self._runtime.begin_cycle(now)
+        if self._defended and self._thresholds.set_envelope(
+            self.response.envelope_w()
+        ):
+            self.response.envelope_renegotiations += 1
+
+    def classified(
+        self,
+        now: Seconds,
+        power: Watts,
+        state: PowerState,
+        snapshot: Any,
+        facts: dict[str, Any],
+    ) -> PowerState:
+        """Capacity emergency: draw exceeds surviving delivery capacity.
+        Red, now — cadence and steady-green hysteresis are for budget
+        *management*, not for physics."""
+        if self.response.update(now, power):
+            facts["emergency_red"] = True
+            return PowerState.RED
+        return state
+
+    def _node_power_w(self) -> np.ndarray:
+        """True per-node power over the live state, read-only.
+
+        The meter's model over the *actual* state arrays (not the
+        snapshot, which may be stale, partial or corrupted) is the
+        branch power the breakers experience.  Read-only, so the runtime
+        folds it into racks once.
+        """
+        power = self._model.node_power(self._state)
+        power.setflags(write=False)
+        return power
+
+    def settle(
+        self,
+        now: Seconds,
+        state: PowerState,
+        decision: "CappingDecision",
+        facts: dict[str, Any],
+    ) -> None:
+        """The delivery-side tail of one cycle.
+
+        After the global decision has been actuated, (1) per-branch
+        capping degrades candidates on racks near their deliverable
+        limit, (2) the cycle's true branch power is settled into the
+        breaker thermal model, and (3) any breaker that tripped blacks
+        out its rack: jobs killed, nodes fenced offline and forced idle.
+        """
+        node_power = self._node_power_w()
+        if self._branch_caps:
+            ids, new_levels = self.response.branch_targets(
+                self._state.level, node_power
+            )
+            if len(ids) > 0:
+                self._manager.actuate_for_layer(
+                    ids, new_levels, state, decision.time_in_green
+                )
+                # Branch capping changed levels inside this interval;
+                # settle the physics against the post-cap draw.
+                node_power = self._node_power_w()
+        last, self._last_settle = self._last_settle, float(now)
+        tripped = self._runtime.settle(
+            now, 0.0 if last is None else float(now) - last, node_power
+        )
+        if len(tripped) > 0:
+            dark = self.response.handle_trips(tripped, now)
+            if len(dark) > 0:
+                # A dark rack draws nothing: floor its nodes.
+                self._manager.actuate_for_layer(
+                    dark, None, state, decision.time_in_green
+                )
+        facts["capacity_w"] = self._runtime.capacity_w
+
+    def stats(self) -> ProvisionStats:
+        """The run's delivery accounting, with the response's ladder
+        counters folded in."""
+        emr = self.response
+        return replace(
+            self._runtime.stats(),
+            emergency_red_cycles=emr.emergency_red_cycles,
+            envelope_renegotiations=emr.envelope_renegotiations,
+            branch_cap_interventions=emr.branch_cap_interventions,
+            jobs_suspended=emr.jobs_suspended,
+            jobs_resumed=emr.jobs_resumed,
+            jobs_killed=emr.jobs_killed,
+            nodes_shed=emr.nodes_shed,
+            nodes_readmitted=emr.nodes_readmitted,
+        )

@@ -273,8 +273,8 @@ class ProvisionRuntime:
         return rack_p
 
     def stats(self) -> ProvisionStats:
-        """Delivery-side accounting (emergency counters are folded in by
-        the manager, which owns the response object)."""
+        """Delivery-side accounting (the delivery layer folds in its
+        response's emergency counters)."""
         return ProvisionStats(
             feed_losses=self._feed_losses,
             feed_restores=self._feed_restores,

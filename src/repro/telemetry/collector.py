@@ -170,8 +170,13 @@ class TelemetryCollector:
         self._zero_age.setflags(write=False)
         self._injector = fault_injector
         self._validator = validator
-        self._current: TelemetrySnapshot | None = None
-        self._previous: TelemetrySnapshot | None = None
+        #: Most recent snapshot (``P^t`` inputs).
+        self.current: TelemetrySnapshot | None = None
+        #: Snapshot before the most recent (``P^{t−1}`` inputs).
+        self.previous: TelemetrySnapshot | None = None
+        #: Rows of the most recent sweep the validator served as
+        #: quarantine envelopes (0 with no validator attached).
+        self.quarantined_nodes = 0
         self._collections = 0
         self._dropped_samples = 0
         # Last-known-good cache, primed at deploy time (each agent reads
@@ -230,16 +235,6 @@ class TelemetryCollector:
         return self._pool.size
 
     @property
-    def current(self) -> TelemetrySnapshot | None:
-        """Most recent snapshot (``P^t`` inputs)."""
-        return self._current
-
-    @property
-    def previous(self) -> TelemetrySnapshot | None:
-        """Snapshot before the most recent (``P^{t−1}`` inputs)."""
-        return self._previous
-
-    @property
     def collections(self) -> int:
         """Number of sweeps performed."""
         return self._collections
@@ -295,7 +290,8 @@ class TelemetryCollector:
                     result = self._validator.validate(
                         level, cpu, mem, nic, job, fresh
                     )
-                    if self._validator.any_quarantined:
+                    self.quarantined_nodes = self._validator.quarantined_nodes
+                    if self.quarantined_nodes:
                         quarantined = result.quarantined
                     fresh &= ~result.rejected
                 # The cache takes every fresh row and keeps every other:
@@ -337,8 +333,8 @@ class TelemetryCollector:
             age=age,
             coverage=coverage,
         )
-        self._previous = self._current
-        self._current = snapshot
+        self.previous = self.current
+        self.current = snapshot
         self._collections += 1
         if self._metrics_on and self._node_ids.size:
             if self._injector is None:
@@ -384,9 +380,9 @@ class TelemetryCollector:
         """
         self._collections = int(collections)
         self._dropped_samples = int(dropped_samples)
-        self._previous = None
+        self.previous = None
         if snapshot is None:
-            self._current = None
+            self.current = None
             return
         if not np.array_equal(snapshot.node_ids, self._node_ids):
             raise TelemetryError(
@@ -400,4 +396,4 @@ class TelemetryCollector:
         self._lkg_time = float(snapshot.time) - np.asarray(
             snapshot.age, dtype=np.float64
         )
-        self._current = snapshot
+        self.current = snapshot

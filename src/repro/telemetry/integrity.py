@@ -52,6 +52,11 @@ thresholds learned from lying sensors would poison every later cycle.
 Quarantine state is deliberately **not** journaled for crash recovery
 (:mod:`repro.ha`): a restored manager re-earns trust from scratch, which
 is conservative in exactly the same direction as its recovery hold.
+
+:class:`IntegrityDefense` is the layer one manager incarnation attaches:
+its validator screens every sweep inside the collector, and its monitor
+every meter reading at the cycle's meter stage, through
+:func:`screen_metered_power`.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from repro.types import Seconds, Watts
 
 __all__ = [
     "IntegrityConfig",
+    "IntegrityDefense",
     "MeterIntegrityMonitor",
     "ScreenedPower",
     "TelemetryValidator",
@@ -304,11 +310,6 @@ class TelemetryValidator:
         return self._quarantined.copy()
 
     @property
-    def any_quarantined(self) -> bool:
-        """Whether any node is currently quarantined."""
-        return self._quarantined_nodes > 0
-
-    @property
     def quarantined_nodes(self) -> int:
         """Number of nodes currently quarantined."""
         return self._quarantined_nodes
@@ -539,6 +540,41 @@ class MeterIntegrityMonitor:
         return metered_w
 
 
+class IntegrityDefense:
+    """The telemetry-integrity layer of one manager incarnation.
+
+    Args:
+        config: Pipeline knobs.
+        estimator: The manager's Formula (1) evaluator.
+        candidate_ids: The monitored candidate set.
+        top_level: The cluster's highest DVFS level.
+        obs: Observability facade, shared by the validator and monitor.
+    """
+
+    def __init__(
+        self,
+        config: IntegrityConfig,
+        estimator: NodePowerEstimator,
+        candidate_ids: np.ndarray,
+        top_level: int,
+        obs: Observability | None = None,
+    ) -> None:
+        self.validator = TelemetryValidator(
+            config, estimator, candidate_ids, top_level, obs=obs
+        )
+        self.monitor = MeterIntegrityMonitor(config, obs=obs)
+
+    def fault_counts(self) -> dict[str, int]:
+        """This layer's fields of :class:`~repro.faults.injector.FaultStats`."""
+        validator = self.validator
+        return {
+            "corrupt_samples_rejected": validator.rejected_samples,
+            "quarantine_entries": validator.quarantine_entries,
+            "quarantined_node_cycles": validator.quarantined_node_cycles,
+            "meter_distrusted_cycles": self.monitor.distrusted_cycles,
+        }
+
+
 @dataclass(frozen=True)
 class ScreenedPower:
     """Outcome of screening one metered reading through the integrity layer.
@@ -559,7 +595,7 @@ class ScreenedPower:
 
 
 def screen_metered_power(
-    monitor: MeterIntegrityMonitor | None,
+    defense: IntegrityDefense | None,
     metered_w: Watts,
     estimate_w: Callable[[], Watts],
     quarantine_active: bool,
@@ -576,8 +612,8 @@ def screen_metered_power(
     meter and quarantine-inflated estimate is higher.
 
     Args:
-        monitor: The meter's residual cross-check, or ``None`` when the
-            run is undefended (no validator configured).
+        defense: The integrity layer whose monitor cross-checks the
+            meter, or ``None`` when the run is undefended.
         metered_w: The raw (possibly byzantine) metered reading.
         estimate_w: Lazy Formula (1) candidate aggregate; only evaluated
             when a monitor is attached, so undefended runs skip the
@@ -587,7 +623,8 @@ def screen_metered_power(
     """
     power = metered_w
     distrusted = False
-    if monitor is not None:
+    if defense is not None:
+        monitor = defense.monitor
         if quarantine_active:
             # With lying sensors in the aggregate the residual can no
             # longer testify for or against the meter: the monitor's

@@ -108,24 +108,6 @@ def test_tianhe_nic_figures():
     assert nic.bandwidth_bytes_per_s == pytest.approx(20e9)
 
 
-def test_nic_utilisation_formula():
-    nic = NicSpec.tianhe_interconnect()
-    # Half the link's capacity over a 2-second interval.
-    assert nic.utilisation(20e9, 2.0) == pytest.approx(0.5)
-
-
-def test_nic_utilisation_clamped():
-    nic = NicSpec.tianhe_interconnect()
-    assert nic.utilisation(1e15, 1.0) == 1.0
-    assert nic.utilisation(0.0, 1.0) == 0.0
-
-
-def test_nic_utilisation_invalid_interval():
-    nic = NicSpec.tianhe_interconnect()
-    with pytest.raises(ConfigurationError):
-        nic.utilisation(1e9, 0.0)
-
-
 def test_nic_dynamic_power_per_level():
     nic = NicSpec.tianhe_interconnect()
     p = nic.dynamic_power_per_level(DvfsTable.xeon_x5670())

@@ -22,7 +22,7 @@ def test_xeon_frequency_range():
 
 def test_frequencies_strictly_increasing():
     t = DvfsTable.xeon_x5670()
-    freqs = [t.frequency(l) for l in range(t.num_levels)]
+    freqs = [t.frequency(lv) for lv in range(t.num_levels)]
     assert all(b > a for a, b in zip(freqs, freqs[1:]))
 
 
@@ -45,8 +45,8 @@ def test_vectorised_speed_matches_scalar():
     t = DvfsTable.xeon_x5670()
     levels = np.array([0, 3, 9])
     vec = np.asarray(t.speed(levels))
-    for i, l in enumerate(levels):
-        assert vec[i] == pytest.approx(t.speed(int(l)))
+    for i, lv in enumerate(levels):
+        assert vec[i] == pytest.approx(t.speed(int(lv)))
 
 
 def test_clamp():

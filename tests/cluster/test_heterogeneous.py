@@ -7,7 +7,12 @@ import pytest
 from repro.cluster import Cluster, DvfsTable, MemorySpec, NicSpec, NodeSpec
 from repro.cluster.cpu import ProcessorSpec
 from repro.errors import ConfigurationError
-from repro.power import HeterogeneousPowerModel, PowerModel, make_power_model
+from repro.power import (
+    HeterogeneousPowerModel,
+    NodePowerEstimator,
+    PowerModel,
+    make_power_model,
+)
 from repro.units import gib
 
 
@@ -142,8 +147,11 @@ def test_speed_of_uses_each_nodes_ladder(hetero_cluster):
 def test_degrade_savings_hetero(hetero_cluster):
     state = hetero_cluster.state
     state.set_load(np.arange(16), 0.9, 0.5, 0.2)
-    model = HeterogeneousPowerModel(state)
-    savings = model.degrade_savings(state, np.arange(16))
+    ids = np.arange(16)
+    estimator = NodePowerEstimator(HeterogeneousPowerModel(state))
+    savings = estimator.estimate_savings(
+        state.level, state.cpu_util, state.mem_frac, state.nic_frac, node_ids=ids
+    )
     assert np.all(savings > 0)
     # The hotter type saves more watts per level step.
     assert savings[:8].mean() > savings[8:].mean()

@@ -1,4 +1,4 @@
-"""Unit tests for NodeSpec and the ComputeNode view."""
+"""Unit tests for NodeSpec and the cluster-level node queries."""
 
 import numpy as np
 import pytest
@@ -28,18 +28,18 @@ def test_idle_power_composition(node_spec):
 
 
 def test_max_power_is_sum_of_components(node_spec):
-    l = node_spec.top_level
+    lv = node_spec.top_level
     expected = (
-        node_spec.idle_power_per_level[l]
-        + node_spec.cpu_dynamic_per_level[l]
-        + node_spec.mem_dynamic_per_level[l]
-        + node_spec.nic_dynamic_per_level[l]
+        node_spec.idle_power_per_level[lv]
+        + node_spec.cpu_dynamic_per_level[lv]
+        + node_spec.mem_dynamic_per_level[lv]
+        + node_spec.nic_dynamic_per_level[lv]
     )
     assert node_spec.max_power() == pytest.approx(expected)
 
 
 def test_max_power_monotone_in_level(node_spec):
-    powers = [node_spec.max_power(l) for l in range(node_spec.num_levels)]
+    powers = [node_spec.max_power(lv) for lv in range(node_spec.num_levels)]
     assert all(b > a for a, b in zip(powers, powers[1:]))
 
 
@@ -66,30 +66,6 @@ def test_node_spec_validation():
         NodeSpec(cpu, 0, mem, nic, 70.0)
     with pytest.raises(ConfigurationError):
         NodeSpec(cpu, 2, mem, nic, -1.0)
-
-
-def test_compute_node_view_reflects_state(small_cluster):
-    node = small_cluster.node(3)
-    assert node.node_id == 3
-    assert node.level == small_cluster.spec.top_level
-    assert node.job_id is None
-    assert node.controllable
-
-    node.level = 2
-    assert small_cluster.state.level[3] == 2
-    assert node.frequency == pytest.approx(
-        small_cluster.spec.dvfs.frequency(2)
-    )
-
-
-def test_compute_node_shows_job(small_cluster):
-    small_cluster.state.assign_job(np.array([3]), 77)
-    small_cluster.state.set_load(np.array([3]), 0.5, 0.4, 0.1)
-    node = small_cluster.node(3)
-    assert node.job_id == 77
-    assert node.cpu_utilisation == pytest.approx(0.5)
-    assert node.memory_fraction == pytest.approx(0.4)
-    assert node.nic_utilisation == pytest.approx(0.1)
 
 
 def test_cluster_capacity_queries(small_cluster):

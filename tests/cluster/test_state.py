@@ -140,10 +140,3 @@ def test_copy_is_deep(node_spec):
     s.assign_job(np.array([1]), 3)
     assert clone.level[0] == node_spec.top_level
     assert clone.job_id[1] == -1
-
-
-def test_node_view_bounds(node_spec):
-    s = ClusterState(node_spec, 4)
-    with pytest.raises(ConfigurationError):
-        s.node(4)
-    assert len(s.nodes()) == 4

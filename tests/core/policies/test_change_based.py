@@ -1,7 +1,6 @@
 """Unit tests for HRI and HRI-C (§IV.B)."""
 
 import numpy as np
-import pytest
 
 from repro.core.policies import make_policy
 

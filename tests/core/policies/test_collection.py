@@ -1,7 +1,6 @@
 """Unit tests for MPC-C (Algorithm 2) and LPC-C."""
 
 import numpy as np
-import pytest
 
 from repro.core.policies import make_policy
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.policies import (
-    PolicyContext,
     SelectionPolicy,
     available_policies,
     make_policy,

@@ -6,7 +6,6 @@ Power ranking: job 1 > job 2 > job 0.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.policies import make_policy
 

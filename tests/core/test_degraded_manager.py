@@ -90,7 +90,7 @@ def test_meter_outage_runs_on_formula1_estimate(busy_cluster):
     # The estimate is anchored to the last metered reading, so with an
     # unchanged machine it stays near it.
     assert report.power_w == pytest.approx(metered.power_w, rel=0.15)
-    assert manager.estimated_power_cycles == 1
+    assert manager.fault_report().estimated_power_cycles == 1
 
 
 def test_no_upgrade_while_meter_is_out(busy_cluster):
@@ -184,7 +184,7 @@ def test_telemetry_blackout_forces_red(busy_cluster):
     assert all(r.coverage == 0.0 for r in reports)
     assert [r.forced_red for r in reports] == [False, False, True, True]
     assert reports[2].state is PowerState.RED
-    assert manager.forced_red_cycles == 2
+    assert manager.fault_report().forced_red_cycles == 2
     assert np.all(state.level == 0)  # emergency floor landed
 
     inj.drop[:] = False  # telemetry returns: streak resets

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import run_experiment
 from repro.faults import FaultScenario, FaultStats
 from repro.ha import HaConfig
 from repro.telemetry import IntegrityConfig

@@ -56,6 +56,7 @@ def build_manager(
     journal=None,
     actuator: DvfsActuator | None = None,
     fault_injector=None,
+    obs=None,
 ) -> PowerManager:
     sets = NodeSets(cluster)
     model = PowerModel(cluster.spec)
@@ -70,6 +71,7 @@ def build_manager(
         fault_injector=fault_injector,
         journal=journal,
         actuator=actuator,
+        obs=obs,
     )
 
 

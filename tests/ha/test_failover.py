@@ -8,6 +8,7 @@ from repro.core.actuator import DvfsActuator
 from repro.errors import PowerManagementError
 from repro.faults import FaultScenario
 from repro.ha import HaConfig, HaController, StateJournal
+from repro.obs import Observability, ObsConfig
 
 from tests.ha.conftest import build_manager, drive_load, tight_thresholds
 
@@ -15,7 +16,7 @@ from tests.ha.conftest import build_manager, drive_load, tight_thresholds
 class _Harness:
     """A world + HA controller with a scripted crash schedule."""
 
-    def __init__(self, world, config, injector=None):
+    def __init__(self, world, config, injector=None, obs=None):
         self.world = world
         self.rng = np.random.default_rng(7)
         p_low, p_high = tight_thresholds(world)
@@ -31,6 +32,7 @@ class _Harness:
                 journal=self.journal,
                 actuator=self.actuator,
                 fault_injector=injector,
+                obs=obs,
             )
 
         self.factory = factory
@@ -190,12 +192,19 @@ def test_deposed_primary_is_fenced_out(world):
 
 def test_restored_manager_holds_upgrades_until_candidates_reobserved(world):
     inj = _ScriptedInjector(16)
+    obs = Observability(ObsConfig(metrics=True))
     h = _Harness(
         world,
         HaConfig.warm(lease_timeout_cycles=1, crash_at_cycles=(6,)),
         injector=inj,
+        obs=obs,
     )
+
+    def pending() -> float:
+        return obs.metrics.value_of("repro_recovery_pending_nodes")
+
     h.run(6)  # cycles 1..5 act, cycle 6 crashes
+    assert pending() == 0
 
     # Node 5 goes dark across the takeover: the successor may not
     # upgrade anything until node 5 reports fresh telemetry again.
@@ -203,13 +212,11 @@ def test_restored_manager_holds_upgrades_until_candidates_reobserved(world):
     h.run(4, start=7)  # cycle 7 is downtime, 8..10 run the successor
     successor = h.ha.manager
     assert successor is not h.primary
-    assert successor.in_recovery_hold
-    assert successor.recovery_pending_nodes == 1
+    assert pending() == 1
 
     inj.drop[5] = False
     h.run(1, start=11)
-    assert not successor.in_recovery_hold
-    assert successor.recovery_pending_nodes == 0
+    assert pending() == 0
 
 
 def test_journal_and_fault_free_run_agree(world):

@@ -1,6 +1,5 @@
 """Robustness and fidelity checks across the sensing chain."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment

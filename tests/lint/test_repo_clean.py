@@ -18,6 +18,12 @@ from tools.reprolint.runner import lint_paths, run
 #: every runnable entry point, never the test suite.
 CALLER_ROOTS = ("src", "benchmarks", "examples", "perfbench", "tools")
 
+#: Trees the stdlib stand-in for ruff's F401 and E741 checks walks.
+RUFF_ROOTS = ("src", "tools", "tests")
+
+#: Names ruff's E741 rejects: each reads like a digit in some fonts.
+AMBIGUOUS_NAMES = frozenset({"l", "O", "I"})
+
 #: Definitions kept although nothing outside the tests uses them.
 ORPHAN_EXEMPT = {
     # The unit vocabulary: RL203's advice points code at its
@@ -133,3 +139,106 @@ def test_every_public_definition_has_a_caller_outside_tests() -> None:
     assert orphans == [], "defined but never used outside tests:\n" + "\n".join(
         orphans
     )
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names inside string annotations (``"BatchScheduler | None"``)."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            annotation = node.annotation
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                try:
+                    parsed = ast.parse(part.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """Module-level imports (top level, or under a top-level ``if`` or
+    ``try``) whose name the module never loads or lists in ``__all__``."""
+    bound: list[tuple[int, str]] = []
+    blocks = [tree.body]
+    while blocks:
+        for stmt in blocks.pop():
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound += [
+                    (stmt.lineno, alias.asname or alias.name.split(".")[0])
+                    for alias in stmt.names
+                ]
+            elif isinstance(stmt, (ast.If, ast.Try)):
+                blocks += [stmt.body, stmt.orelse]
+                blocks += [h.body for h in getattr(stmt, "handlers", [])]
+    used = _annotation_names(tree) | {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                c.value
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def _ambiguous_bindings(tree: ast.AST) -> list[tuple[int, str]]:
+    """Every binding of an ``l``, ``O`` or ``I`` name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            name = node.name
+        elif isinstance(node, (ast.ExceptHandler, ast.alias)):
+            name = node.name if isinstance(node, ast.ExceptHandler) else node.asname
+        else:
+            continue
+        if name in AMBIGUOUS_NAMES:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_no_unused_imports_or_ambiguous_names() -> None:
+    """A stdlib stand-in for ruff's F401 and E741 where ruff is absent:
+    no module-level import goes unused (package ``__init__`` re-exports
+    excepted, as ruff's per-file ignore has it) and no name is ``l``,
+    ``O`` or ``I``.  The lint fixtures are exempt: they are bad on
+    purpose."""
+    fixtures = REPO_ROOT / "tests" / "lint" / "fixtures"
+    problems = []
+    for root in RUFF_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            if path.is_relative_to(fixtures):
+                continue
+            rel = path.relative_to(REPO_ROOT).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if path.name != "__init__.py":
+                problems += [
+                    f"{rel}:{line} unused import {name}"
+                    for line, name in _unused_imports(tree)
+                ]
+            problems += [
+                f"{rel}:{line} ambiguous name {name}"
+                for line, name in _ambiguous_bindings(tree)
+            ]
+    assert problems == [], "\n".join(problems)

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.power import NodePowerEstimator
-
 
 def test_estimate_nodes_matches_model(estimator, power_model):
     levels = np.array([9, 5, 0])

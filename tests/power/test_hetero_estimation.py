@@ -1,7 +1,6 @@
 """Estimation and policy plumbing on heterogeneous clusters."""
 
 import numpy as np
-import pytest
 
 from repro.core import NodeSets, PowerThresholds
 from repro.core.policies import PolicyContext, make_policy

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.power import HeterogeneousPowerModel, PowerModel, make_power_model
+from repro.power import (
+    HeterogeneousPowerModel,
+    NodePowerEstimator,
+    PowerModel,
+    make_power_model,
+)
 
 from tests.cluster.test_heterogeneous import hetero_cluster  # noqa: F401 (fixture)
 
@@ -61,36 +66,6 @@ def test_broadcast_levels_give_level_by_node_matrix(hetero_cluster):
         np.testing.assert_array_equal(grid[row], expected)
 
 
-def test_power_at_level_clips_hypothetical_levels(hetero_cluster):
-    state = hetero_cluster.state
-    model = HeterogeneousPowerModel(state)
-    ids = np.array([0, 8])
-    top = hetero_cluster.spec.top_level
-    over = model.power_at_level(state, ids, top + 5)
-    at_top = model.power_at_level(state, ids, top)
-    np.testing.assert_array_equal(over, at_top)
-    under = model.power_at_level(state, ids, -3)
-    at_zero = model.power_at_level(state, ids, 0)
-    np.testing.assert_array_equal(under, at_zero)
-
-
-def test_degrade_savings_is_current_minus_one_level(hetero_cluster):
-    state = hetero_cluster.state
-    state.set_load(np.arange(16), cpu_util=0.9, mem_frac=0.5, nic_frac=0.2)
-    model = HeterogeneousPowerModel(state)
-    ids = np.arange(16)
-    savings = model.degrade_savings(state, ids)
-    current = model.power_at_level(state, ids, state.level[ids])
-    lower = model.power_at_level(
-        state, ids, np.maximum(state.level[ids] - 1, 0)
-    )
-    np.testing.assert_array_equal(savings, current - lower)
-    assert (savings > 0).all()  # everyone starts at the top level
-    # A node already at the floor has nothing left to give.
-    state.set_level(np.array([3]), 0)
-    assert model.degrade_savings(state, np.array([3]))[0] == 0.0
-
-
 def test_node_power_uses_each_types_table(hetero_cluster):
     state = hetero_cluster.state
     state.set_load(np.arange(16), cpu_util=0.8, mem_frac=0.4, nic_frac=0.2)
@@ -131,3 +106,25 @@ def test_mismatched_ladder_depth_is_rejected(hetero_cluster):
 def test_make_power_model_dispatch(hetero_cluster, small_cluster):
     assert isinstance(make_power_model(hetero_cluster), HeterogeneousPowerModel)
     assert isinstance(make_power_model(small_cluster), PowerModel)
+
+
+def test_degrade_savings_is_current_minus_one_level(hetero_cluster):
+    state = hetero_cluster.state
+    state.set_load(np.arange(16), cpu_util=0.9, mem_frac=0.5, nic_frac=0.2)
+    model = HeterogeneousPowerModel(state)
+    estimator = NodePowerEstimator(model)
+    ids = np.arange(16)
+    loads = (state.cpu_util[ids], state.mem_frac[ids], state.nic_frac[ids])
+
+    def savings() -> np.ndarray:
+        return estimator.estimate_savings(state.level[ids], *loads, node_ids=ids)
+
+    current = model.evaluate_for_nodes(ids, state.level[ids], *loads)
+    lower = model.evaluate_for_nodes(
+        ids, np.maximum(state.level[ids] - 1, 0), *loads
+    )
+    np.testing.assert_array_equal(savings(), current - lower)
+    assert (savings() > 0).all()  # everyone starts at the top level
+    # A node already at the floor has nothing left to give.
+    state.set_level(np.array([3]), 0)
+    assert savings()[3] == 0.0

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
 from repro.errors import ConfigurationError
 from repro.power import PowerModel, PowerProvision, SystemPowerMeter
 
@@ -108,13 +107,6 @@ def test_for_cluster_rejects_invalid_fraction(small_cluster):
         PowerProvision.for_cluster(small_cluster, 1.0)
     with pytest.raises(ConfigurationError):
         PowerProvision.for_cluster(small_cluster, 0.0)
-
-
-def test_controllability_check(small_cluster):
-    prov = PowerProvision.for_cluster(small_cluster, 0.85)
-    assert prov.satisfies_controllability(small_cluster)
-    tiny = PowerProvision(capability_w=small_cluster.minimum_power() * 0.5)
-    assert not tiny.satisfies_controllability(small_cluster)
 
 
 def test_check_assumptions_raises_on_violation(small_cluster):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.cluster import ClusterState
 from repro.errors import ConfigurationError
-from repro.power import PowerModel
 
 
 def test_idle_node_draws_idle_power(power_model, node_spec):
@@ -14,16 +13,16 @@ def test_idle_node_draws_idle_power(power_model, node_spec):
 
 
 def test_formula_components_add_linearly(power_model, node_spec):
-    l = 5
-    base = power_model.evaluate(l, 0.0, 0.0, 0.0)
-    cpu_only = power_model.evaluate(l, 0.5, 0.0, 0.0)
-    mem_only = power_model.evaluate(l, 0.0, 0.5, 0.0)
-    nic_only = power_model.evaluate(l, 0.0, 0.0, 0.5)
-    combined = power_model.evaluate(l, 0.5, 0.5, 0.5)
+    lv = 5
+    base = power_model.evaluate(lv, 0.0, 0.0, 0.0)
+    cpu_only = power_model.evaluate(lv, 0.5, 0.0, 0.0)
+    mem_only = power_model.evaluate(lv, 0.0, 0.5, 0.0)
+    nic_only = power_model.evaluate(lv, 0.0, 0.0, 0.5)
+    combined = power_model.evaluate(lv, 0.5, 0.5, 0.5)
     assert combined == pytest.approx(cpu_only + mem_only + nic_only - 2 * base)
-    assert cpu_only - base == pytest.approx(0.5 * node_spec.cpu_dynamic_per_level[l])
-    assert mem_only - base == pytest.approx(0.5 * node_spec.mem_dynamic_per_level[l])
-    assert nic_only - base == pytest.approx(0.5 * node_spec.nic_dynamic_per_level[l])
+    assert cpu_only - base == pytest.approx(0.5 * node_spec.cpu_dynamic_per_level[lv])
+    assert mem_only - base == pytest.approx(0.5 * node_spec.mem_dynamic_per_level[lv])
+    assert nic_only - base == pytest.approx(0.5 * node_spec.nic_dynamic_per_level[lv])
 
 
 def test_full_load_top_level_equals_max_power(power_model, node_spec):
@@ -32,7 +31,7 @@ def test_full_load_top_level_equals_max_power(power_model, node_spec):
 
 
 def test_power_monotone_in_level(power_model):
-    powers = [power_model.evaluate(l, 0.8, 0.5, 0.2) for l in range(10)]
+    powers = [power_model.evaluate(lv, 0.8, 0.5, 0.2) for lv in range(10)]
     assert all(b > a for a, b in zip(powers, powers[1:]))
 
 
@@ -72,42 +71,24 @@ def test_system_power_is_sum(power_model, node_spec):
     )
 
 
-def test_power_at_level_what_if(power_model, node_spec):
-    state = ClusterState(node_spec, 4)
-    state.set_load(np.arange(4), 0.8, 0.5, 0.2)
-    ids = np.array([0, 1])
-    current = power_model.power_at_level(state, ids, state.level[ids])
-    np.testing.assert_allclose(current, power_model.node_power(state)[ids])
-    lower = power_model.power_at_level(state, ids, state.level[ids] - 1)
-    assert np.all(lower < current)
+def _one_level_savings(estimator, state):
+    """Formula (1) watts each node would save one level down."""
+    return estimator.estimate_savings(
+        state.level, state.cpu_util, state.mem_frac, state.nic_frac
+    )
 
 
-def test_power_at_level_clips_below_zero(power_model, node_spec):
-    state = ClusterState(node_spec, 2, initial_level=0)
-    ids = np.array([0])
-    lower = power_model.power_at_level(state, ids, np.array([-5]))
-    same = power_model.power_at_level(state, ids, np.array([0]))
-    np.testing.assert_allclose(lower, same)
-
-
-def test_degrade_savings_positive_above_bottom(power_model, node_spec):
+def test_degrade_savings_positive_above_bottom(estimator, node_spec):
     state = ClusterState(node_spec, 4)
     state.set_load(np.arange(4), 0.9, 0.5, 0.3)
-    savings = power_model.degrade_savings(state, np.arange(4))
-    assert np.all(savings > 0)
+    assert np.all(_one_level_savings(estimator, state) > 0)
 
 
-def test_degrade_savings_zero_at_bottom(power_model, node_spec):
-    state = ClusterState(node_spec, 2, initial_level=0)
-    savings = power_model.degrade_savings(state, np.arange(2))
-    np.testing.assert_allclose(savings, 0.0)
-
-
-def test_savings_grow_with_utilisation(power_model, node_spec):
+def test_savings_grow_with_utilisation(estimator, node_spec):
     """Degrading a busy node saves more than degrading an idle one —
-    the property MPC's job ranking exploits."""
+    the property the savings-ranked policies exploit."""
     state = ClusterState(node_spec, 2)
     state.set_load(np.array([0]), 1.0, 0.5, 0.3)
     state.set_load(np.array([1]), 0.1, 0.5, 0.3)
-    savings = power_model.degrade_savings(state, np.arange(2))
+    savings = _one_level_savings(estimator, state)
     assert savings[0] > savings[1]

@@ -93,7 +93,6 @@ def test_reliability_tracker_accumulates():
     temps = np.full(10, 50.0)
     tracker.accumulate(temps, dt=3600.0)  # 10 node-hours at reference
     assert tracker.expected_failures == pytest.approx(10.0)
-    assert tracker.mean_rate_multiplier() == pytest.approx(1.0)
 
 
 def test_reliability_hotter_means_more_failures():
@@ -111,7 +110,6 @@ def test_reliability_validation():
     tracker = ReliabilityTracker()
     with pytest.raises(ConfigurationError):
         tracker.accumulate(np.array([50.0]), 0.0)
-    assert tracker.mean_rate_multiplier() == 0.0
 
 
 # ----------------------------------------------------------------------

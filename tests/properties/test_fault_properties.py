@@ -119,4 +119,4 @@ def test_total_blackout_never_raises_a_level(seed):
         manager.control_cycle(float(t))
         assert np.all(state.level <= baseline)
     # The blackout ladder eventually forces red.
-    assert manager.forced_red_cycles > 0
+    assert manager.fault_report().forced_red_cycles > 0

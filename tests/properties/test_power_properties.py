@@ -22,22 +22,22 @@ level = st.integers(min_value=0, max_value=SPEC.top_level)
 
 
 @given(level, fraction, fraction, fraction)
-def test_power_bounded_by_idle_and_max(l, u, m, d):
-    p = MODEL.evaluate(l, u, m, d)
-    assert SPEC.idle_power_per_level[l] <= p + 1e-9
-    assert p <= SPEC.max_power(l) + 1e-9
+def test_power_bounded_by_idle_and_max(lv, u, m, d):
+    p = MODEL.evaluate(lv, u, m, d)
+    assert SPEC.idle_power_per_level[lv] <= p + 1e-9
+    assert p <= SPEC.max_power(lv) + 1e-9
 
 
 @given(level, fraction, fraction, fraction)
-def test_power_monotone_in_level(l, u, m, d):
-    if l < SPEC.top_level:
-        assert MODEL.evaluate(l, u, m, d) < MODEL.evaluate(l + 1, u, m, d) + 1e-9
+def test_power_monotone_in_level(lv, u, m, d):
+    if lv < SPEC.top_level:
+        assert MODEL.evaluate(lv, u, m, d) < MODEL.evaluate(lv + 1, u, m, d) + 1e-9
 
 
 @given(level, fraction, fraction, fraction, fraction)
-def test_power_monotone_in_load(l, u, m, d, delta):
+def test_power_monotone_in_load(lv, u, m, d, delta):
     u2 = min(1.0, u + delta)
-    assert MODEL.evaluate(l, u, m, d) <= MODEL.evaluate(l, u2, m, d) + 1e-9
+    assert MODEL.evaluate(lv, u, m, d) <= MODEL.evaluate(lv, u2, m, d) + 1e-9
 
 
 @given(

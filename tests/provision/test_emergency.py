@@ -1,7 +1,6 @@
 """Unit tests for the capacity-emergency response ladder."""
 
 import numpy as np
-import pytest
 
 from repro.provision import (
     EmergencyResponse,
@@ -72,8 +71,8 @@ def _response(cluster, sched=None, scenario=None, candidate_mask=None):
 # Forcing red
 # ----------------------------------------------------------------------
 def test_undefended_response_never_forces_red(small_cluster):
-    emr, _ = _response(small_cluster, scenario=_scenario(defend=False))
-    assert not emr.defended
+    emr, runtime = _response(small_cluster, scenario=_scenario(defend=False))
+    assert not runtime.scenario.defend
     assert emr.update(0.0, 5000.0) is False
     assert emr.emergency_red_cycles == 0
 

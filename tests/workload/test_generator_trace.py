@@ -1,6 +1,5 @@
 """Unit tests for the random job generator."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError

@@ -26,7 +26,8 @@ Each counted call is charged to the innermost layer on the stack:
 * ``cycle.<stage>`` — :meth:`PowerManager.control_cycle`, split into the
   stages of its span tree.  A stage starts where the cycle calls its
   first function: ``collect`` from the cycle's start,
-  ``estimate`` at the meter read (or the outage estimate), ``classify``
+  ``estimate`` at the meter read (or the degraded-mode ladder's outage
+  estimate), ``classify``
   at :func:`classify_power_state`, ``select_targets`` at the
   :class:`PolicyContext`, ``actuate`` at :meth:`DvfsActuator.apply` and
   ``journal`` at the :class:`CycleReport`;
@@ -83,6 +84,7 @@ from repro.core.policies.base import PolicyContext
 from repro.core.actuator import DvfsActuator
 from repro.core.states import classify_power_state
 from repro.experiments.common import ExperimentConfig, ExperimentResult, run_experiment
+from repro.faults.degraded import DegradedModeLadder
 from repro.ha.failover import HaController
 from repro.metrics.summary import RunMetrics
 from repro.power.meter import SystemPowerMeter
@@ -115,7 +117,7 @@ _ROOTS: dict[CodeType, str] = {
 #: Stage a control cycle enters when it calls one of these directly.
 _STAGE_ANCHORS: dict[CodeType, str] = {
     _code(SystemPowerMeter.read): "estimate",
-    _code(PowerManager._estimate_system_power): "estimate",
+    _code(DegradedModeLadder.estimate_power): "estimate",
     _code(classify_power_state): "classify",
     _code(PolicyContext.__init__): "select_targets",
     _code(DvfsActuator.apply): "actuate",
