@@ -48,7 +48,7 @@ from repro.core import (
     make_policy,
 )
 from repro.experiments import ExperimentConfig, ExperimentResult, run_experiment
-from repro.faults import DegradedModeConfig, FaultInjector, FaultScenario, FaultStats
+from repro.faults import FaultInjector, FaultScenario, FaultStats
 from repro.metrics import RunMetrics, compare_runs
 from repro.obs import Observability, ObsConfig
 from repro.power import PowerModel, PowerProvision, SystemPowerMeter
@@ -58,7 +58,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Cluster",
-    "DegradedModeConfig",
     "ExperimentConfig",
     "ExperimentResult",
     "FaultInjector",

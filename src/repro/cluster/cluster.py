@@ -150,14 +150,6 @@ class Cluster:
         """``P_thy``: all nodes saturated at the top DVFS level, watts."""
         return self.state.theoretical_max_power()
 
-    def minimum_power(self) -> float:
-        """All nodes idle at the lowest DVFS level, watts.
-
-        This is the floor the Controllability assumption relies on: a red
-        state that drops every candidate to level 0 can always reach it.
-        """
-        return self.state.minimum_power()
-
     # ------------------------------------------------------------------
     # Conveniences
     # ------------------------------------------------------------------

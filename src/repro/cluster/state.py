@@ -231,11 +231,6 @@ class ClusterState:
         per_spec = np.asarray([s.max_power() for s in self.specs])
         return float(per_spec[self.spec_index].sum())
 
-    def minimum_power(self) -> float:
-        """Every node idle at its lowest level (controllability floor)."""
-        per_spec = np.asarray([s.min_power() for s in self.specs])
-        return float(per_spec[self.spec_index].sum())
-
     def copy(self) -> "ClusterState":
         """Deep copy (used by what-if evaluation in policies and tests)."""
         clone = ClusterState.__new__(ClusterState)

@@ -37,13 +37,12 @@ from repro.core.policies import (
     available_policies,
     make_policy,
 )
-from repro.core.sets import CandidateSelector, NodeSets
+from repro.core.sets import NodeSets
 from repro.core.states import PowerState, classify_power_state
 from repro.core.thresholds import PowerThresholds, ThresholdController
 
 __all__ = [
     "ActuationReport",
-    "CandidateSelector",
     "CappingAction",
     "CappingDecision",
     "CycleReport",

@@ -45,7 +45,7 @@ from repro.core.sets import NodeSets
 from repro.core.states import PowerState, classify_power_state
 from repro.core.thresholds import ThresholdController
 from repro.errors import ConfigurationError
-from repro.faults.degraded import DegradedModeConfig, DegradedModeLadder
+from repro.faults.degraded import DegradedModeLadder
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.ha.journal import (
     ControllerCheckpoint,
@@ -145,7 +145,6 @@ class PowerManager:
         steady_green_cycles: ``T_g`` for Algorithm 1 (paper: 10).
         fault_injector: Optional fault injector; attaching one arms the
             degraded-mode ladder.
-        degraded: Ladder thresholds (defaults when omitted).
         actuator: Optional caller-owned actuator to share (the HA wiring
             passes the live one so in-flight commands survive a manager
             crash); a private one is created when omitted.
@@ -172,7 +171,6 @@ class PowerManager:
         policy: SelectionPolicy,
         steady_green_cycles: int = 10,
         fault_injector: FaultInjector | None = None,
-        degraded: DegradedModeConfig | None = None,
         actuator: DvfsActuator | None = None,
         journal: StateJournal | None = None,
         obs: Observability | None = None,
@@ -236,13 +234,7 @@ class PowerManager:
         # They reach back through a weak proxy, so a finished run's
         # manager is freed by reference counting.
         me = weakref.proxy(self)
-        self._ladder = DegradedModeLadder(
-            fault_injector,
-            degraded if degraded is not None else DegradedModeConfig(),
-            meter,
-            num_nodes,
-            me,
-        )
+        self._ladder = DegradedModeLadder(fault_injector, meter, num_nodes, me)
         self._delivery: PowerDelivery | None = None
         if provision is not None:
             if provision.topology.num_nodes != num_nodes:

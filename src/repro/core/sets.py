@@ -5,35 +5,18 @@ or throttled: privileged nodes (no DVFS facility, or running urgent /
 SLA-critical work) are *uncontrollable*, and even among controllable nodes
 only a subset — the *candidate set* — is worth the monitoring cost
 (Figure 5's scalability argument).  :class:`NodeSets` captures the
-classification; :class:`CandidateSelector` provides the strategies the
-Figure 6 sweep uses to pick candidate sets of a given size.
+classification, and :meth:`NodeSets.select` picks the candidate sets of
+a given size the Figure 6 sweep uses.
 """
 
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.errors import ConfigurationError
 
-__all__ = ["NodeSets", "CandidateSelector"]
-
-
-class CandidateSelector(enum.Enum):
-    """Strategy for choosing ``k`` candidate nodes out of the total set.
-
-    * ``FIRST_K`` — the ``k`` lowest-numbered controllable nodes.  With a
-      first-fit allocator these are the busiest nodes, so this matches
-      deploying agents on the most load-bearing part of the machine.
-    * ``SPREAD_K`` — every ``n/k``-th controllable node (even coverage).
-    * ``RANDOM_K`` — a uniform sample (requires an rng).
-    """
-
-    FIRST_K = "first_k"
-    SPREAD_K = "spread_k"
-    RANDOM_K = "random_k"
+__all__ = ["NodeSets"]
 
 
 class NodeSets:
@@ -101,49 +84,27 @@ class NodeSets:
         return bool(self._candidate_mask[node_id])
 
     # ------------------------------------------------------------------
-    # Candidate-set construction strategies (Figure 6 sweep)
+    # Candidate-set construction (Figure 6 sweep)
     # ------------------------------------------------------------------
     @classmethod
-    def select(
-        cls,
-        cluster: Cluster,
-        size: int,
-        strategy: CandidateSelector = CandidateSelector.FIRST_K,
-        rng: np.random.Generator | None = None,
-    ) -> "NodeSets":
-        """Build a candidate set of ``size`` controllable nodes.
+    def select(cls, cluster: Cluster, size: int) -> "NodeSets":
+        """Build a candidate set of the ``size`` lowest-numbered
+        controllable nodes.  With a first-fit allocator these are the
+        busiest nodes, so this matches deploying agents on the most
+        load-bearing part of the machine.
 
         Args:
             cluster: The machine.
             size: ``|A_candidate|``; 0 yields an empty candidate set
                 (the "no power management" end of the Figure 6 sweep).
-            strategy: How to choose among controllable nodes.
-            rng: Required for ``RANDOM_K``.
 
         Raises:
             ConfigurationError: if fewer controllable nodes exist than
-                requested, or RANDOM_K is used without an rng.
+                requested.
         """
         controllable = np.flatnonzero(cluster.state.controllable).astype(np.int64)
         if size < 0 or size > len(controllable):
             raise ConfigurationError(
                 f"candidate size {size} outside [0, {len(controllable)}]"
             )
-        if size == 0:
-            ids = np.empty(0, dtype=np.int64)
-        elif strategy is CandidateSelector.FIRST_K:
-            ids = controllable[:size]
-        elif strategy is CandidateSelector.SPREAD_K:
-            positions = np.linspace(0, len(controllable) - 1, size)
-            ids = controllable[np.unique(np.round(positions).astype(np.int64))]
-            # rounding collisions can shrink the set; top up from the front
-            if len(ids) < size:
-                extra = np.setdiff1d(controllable, ids)[: size - len(ids)]
-                ids = np.sort(np.concatenate([ids, extra]))
-        elif strategy is CandidateSelector.RANDOM_K:
-            if rng is None:
-                raise ConfigurationError("RANDOM_K needs an rng")
-            ids = np.sort(rng.choice(controllable, size=size, replace=False))
-        else:  # pragma: no cover - enum is exhaustive
-            raise ConfigurationError(f"unknown strategy {strategy}")
-        return cls(cluster, ids)
+        return cls(cluster, controllable[:size])

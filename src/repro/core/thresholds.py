@@ -191,8 +191,7 @@ class ThresholdController:
         The provision layer calls this when delivery capacity changes
         (feed loss, PDU failure, operator cap order, or recovery).  The
         envelope caps both what the *current* thresholds may be and what
-        any later learning (:meth:`observe`, :meth:`complete_training`)
-        may re-derive — a peak recorded under full capacity must not
+        any later learning (:meth:`observe`) may re-derive — a peak recorded under full capacity must not
         widen the budget while capacity is down.  It applies to frozen
         (admin-pinned) controllers too: physics outranks policy.
 
@@ -233,19 +232,6 @@ class ThresholdController:
             return False
         if self._observations % self._adjust_every != 0:
             return False
-        return self._apply_peak(self._running_peak)
-
-    def complete_training(self, training_peak_w: Watts) -> bool:
-        """End the training period: adopt its recorded maximum as P_peak.
-
-        Returns True if the thresholds changed.
-        """
-        if training_peak_w <= 0:
-            raise PowerManagementError("training peak must be positive")
-        if self._frozen:
-            return False
-        if training_peak_w > self._running_peak:
-            self._running_peak = float(training_peak_w)
         return self._apply_peak(self._running_peak)
 
     def _apply_peak(self, peak: float) -> bool:

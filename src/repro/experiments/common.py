@@ -34,13 +34,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.engine import available_engines, canonical_power_sums
 from repro.core.manager import PowerManager
 from repro.core.policies.base import SelectionPolicy, make_policy
-from repro.core.sets import CandidateSelector, NodeSets
+from repro.core.sets import NodeSets
 from repro.core.states import PowerState
 from repro.core.thresholds import ThresholdController
 from repro.errors import ConfigurationError
 from repro.core.actuator import DvfsActuator
 from repro.faults.corruption import CorruptionScenario
-from repro.faults.degraded import DegradedModeConfig
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.scenario import FaultScenario
 from repro.ha import HaConfig, HaController, HaStats, StateJournal
@@ -60,7 +59,7 @@ from repro.scheduler.backfill import BackfillScheduler
 from repro.scheduler.feeder import KeepQueueFilledFeeder
 from repro.scheduler.scheduler import BatchScheduler
 from repro.sim.random import RandomSource
-from repro.telemetry.cost import ManagementCostModel
+from repro.telemetry.cost import cpu_utilization
 from repro.telemetry.integrity import IntegrityConfig
 from repro.workload.executor import JobExecutor
 from repro.workload.generator import RandomJobGenerator
@@ -92,9 +91,9 @@ class ExperimentConfig:
     run_duration_s: float = 3600.0
     #: ``T_g``, control cycles of steady green before upgrades (paper: 10).
     steady_green_cycles: int = 10
-    #: Candidate-set size; None = all controllable nodes.
+    #: Candidate-set size (the lowest-numbered controllable nodes);
+    #: None = all controllable nodes.
     candidate_size: int | None = None
-    candidate_strategy: CandidateSelector = CandidateSelector.FIRST_K
     #: Privileged node ids (``A_uncontrollable``).
     privileged_nodes: tuple[int, ...] = ()
     #: Threshold margins (paper: 7% / 16% below ``P_peak``).
@@ -108,16 +107,6 @@ class ExperimentConfig:
     #: overspend; that is what makes the ΔP×T reductions land near the
     #: paper's 73%/66% rather than a trivial 100%.
     provision_fraction: float = 0.82
-    #: Gaussian meter noise (fraction of reading); paper treats the
-    #: system meter as accurate, so default 0.
-    meter_noise_fraction: float = 0.0
-    #: Cluster-wide correlated load-modulation strength (see
-    #: :class:`repro.workload.executor.JobExecutor`); this is what makes
-    #: power show occasional excursions above the thresholds.
-    modulation_std: float = 0.12
-    #: Modulation correlation time, seconds; None derives it from the
-    #: runtime scale (excursions last minutes at paper scale).
-    modulation_tau_s: float | None = None
     #: Track per-node temperatures and expected failures during the main
     #: window (the §I.A reliability motivation, quantified via the RC
     #: thermal model and Feng's doubling law).
@@ -128,14 +117,9 @@ class ExperimentConfig:
     #: Priority classes the generator draws uniformly (higher = more
     #: important); only the ``sla`` policy consults priorities.
     priority_choices: tuple[int, ...] = (0,)
-    #: Management-cost model for Figure 5 accounting.
-    cost_model: ManagementCostModel = field(default_factory=ManagementCostModel)
     #: Monitoring-plane fault scenario; the default injects nothing and
     #: reproduces the fault-free run bit for bit.
     faults: FaultScenario = field(default_factory=FaultScenario.none)
-    #: Degraded-mode fail-safe ladder thresholds (used only when
-    #: ``faults`` injects something).
-    degraded: DegradedModeConfig = field(default_factory=DegradedModeConfig)
     #: Sensor-corruption scenario (telemetry that arrives but lies); the
     #: default corrupts nothing and reproduces the clean run bit for bit.
     corruption: CorruptionScenario = field(default_factory=CorruptionScenario.none)
@@ -181,10 +165,6 @@ class ExperimentConfig:
             raise ConfigurationError("T_g must be >= 1")
         if not 0.0 < self.provision_fraction < 1.5:
             raise ConfigurationError("provision_fraction out of range")
-        if self.modulation_std < 0:
-            raise ConfigurationError("modulation_std must be non-negative")
-        if self.modulation_tau_s is not None and self.modulation_tau_s <= 0:
-            raise ConfigurationError("modulation_tau_s must be positive")
         if self.scheduler not in ("fcfs", "backfill"):
             raise ConfigurationError(
                 f"scheduler must be 'fcfs' or 'backfill', got {self.scheduler!r}"
@@ -200,14 +180,12 @@ class ExperimentConfig:
 
     @property
     def effective_modulation_tau_s(self) -> float:
-        """Modulation correlation time: explicit, or scaled from runtime.
+        """Modulation correlation time, scaled from the runtime scale.
 
         Derived as 400 s × runtime_scale clamped to [20 s, 400 s]:
         excursions last minutes at paper scale and shrink with the
         compression so a compressed run sees a similar *number* of
         excursions per job."""
-        if self.modulation_tau_s is not None:
-            return self.modulation_tau_s
         return float(min(400.0, max(20.0, 400.0 * self.runtime_scale)))
 
     @classmethod
@@ -324,6 +302,11 @@ class ExperimentResult:
 #: ``(ticks, N)`` arrays a step holds.
 BLOCK_TICKS = 512
 
+#: Cluster-wide correlated load-modulation strength (see
+#: :class:`repro.workload.executor.JobExecutor`); this is what makes
+#: power show occasional excursions above the thresholds.
+MODULATION_STD = 0.12
+
 
 class _World:
     """A fresh simulated world: cluster + scheduler + stream + model."""
@@ -351,7 +334,7 @@ class _World:
         executor = JobExecutor(
             self.cluster.state,
             self.rng.stream("workload.executor"),
-            modulation_std=config.modulation_std,
+            modulation_std=MODULATION_STD,
             modulation_tau_s=config.effective_modulation_tau_s,
             engine=self.cluster.engine,
         )
@@ -491,20 +474,9 @@ def run_experiment(
         sets = (
             NodeSets(world.cluster)
             if config.candidate_size is None
-            else NodeSets.select(
-                world.cluster,
-                config.candidate_size,
-                config.candidate_strategy,
-                rng=world.rng.stream("candidate.selection"),
-            )
+            else NodeSets.select(world.cluster, config.candidate_size)
         )
-        meter = SystemPowerMeter(
-            world.model,
-            world.cluster.state,
-            noise_std_fraction=config.meter_noise_fraction,
-            rng=world.rng.stream("meter.noise"),
-            obs=world.obs,
-        )
+        meter = SystemPowerMeter(world.model, world.cluster.state, obs=world.obs)
         factory = PowerManager if manager_factory is None else manager_factory
         manager_kwargs: dict[str, Any] = {"obs": world.obs}
         if injected:
@@ -517,15 +489,12 @@ def run_experiment(
                 ),
                 obs=world.obs,
             )
-            manager_kwargs["degraded"] = config.degraded
         if config.integrity is not None:
             manager_kwargs["integrity"] = config.integrity
         if config.provision.enabled or config.attach_provision:
             topology = PowerTopology.for_cluster(
                 world.cluster,
                 nodes_per_rack=config.provision.nodes_per_rack,
-                feeds=config.provision.feeds,
-                feed_headroom=config.provision.feed_headroom,
                 rack_headroom=config.provision.rack_headroom,
             )
             # §II.D, branch edition: a rack that overloads its breaker
@@ -543,7 +512,7 @@ def run_experiment(
             # HA wiring: the actuator and journal outlive any single
             # manager incarnation (in-flight commands are in the
             # network; the journal is the recovery source).
-            journal = StateJournal(config.ha.journal_compact_every)
+            journal = StateJournal()
             manager_kwargs["actuator"] = DvfsActuator(
                 world.cluster.state,
                 manager_kwargs.get("fault_injector"),
@@ -678,7 +647,7 @@ def run_experiment(
         management_cpu=(
             0.0
             if manager is None
-            else float(config.cost_model.cpu_utilization(manager.collector.size))
+            else float(cpu_utilization(manager.collector.size))
         ),
         commands_sent=0 if manager is None else manager.actuator.commands_sent,
         entered_red=manager is not None and manager.ever_entered_red(),

@@ -5,8 +5,8 @@ against ``|A_candidate|`` and observes nonlinear growth — the argument
 for monitoring only a subset of nodes.  This harness produces the curve
 two ways:
 
-1. **modelled** — the calibrated
-   :class:`~repro.telemetry.cost.ManagementCostModel` evaluated at each
+1. **modelled** — the calibrated cost model
+   (:func:`~repro.telemetry.cost.cpu_utilization`) evaluated at each
    size (the figure's curve);
 2. **measured** — the wall-clock time our own collector + estimator +
    policy-ranking pipeline takes per control cycle at each size, on a
@@ -30,7 +30,7 @@ from repro.power.estimator import NodePowerEstimator
 from repro.power.model import PowerModel
 from repro.sim.random import RandomSource
 from repro.telemetry.collector import TelemetryCollector
-from repro.telemetry.cost import ManagementCostModel
+from repro.telemetry.cost import cpu_utilization
 
 __all__ = ["Fig5Result", "run_fig5", "measure_collection_cycle_s"]
 
@@ -111,7 +111,6 @@ def measure_collection_cycle_s(
 
 def run_fig5(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
-    cost_model: ManagementCostModel | None = None,
     measure: bool = True,
     num_nodes: int = 128,
 ) -> Fig5Result:
@@ -119,15 +118,13 @@ def run_fig5(
 
     Args:
         sizes: Candidate-set sizes to sweep (must be within the cluster).
-        cost_model: The calibrated cost model; default coefficients.
         measure: Also measure this implementation's per-cycle cost.
         num_nodes: Cluster size for the measured path.
     """
     if any(s < 0 or s > num_nodes for s in sizes):
         raise ConfigurationError("sizes must lie within [0, num_nodes]")
-    model = cost_model if cost_model is not None else ManagementCostModel()
     sizes_arr = np.asarray(sizes, dtype=np.int64)
-    modelled = np.asarray(model.cpu_utilization(sizes_arr), dtype=np.float64)
+    modelled = np.asarray(cpu_utilization(sizes_arr), dtype=np.float64)
     measured = None
     if measure:
         measured = np.asarray(

@@ -45,11 +45,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.sets import CandidateSelector
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentConfig, ExperimentResult
 from repro.faults.corruption import CorruptionScenario
-from repro.faults.degraded import DegradedModeConfig
 from repro.faults.injector import FaultStats
 from repro.faults.scenario import FaultScenario
 from repro.ha.config import HaConfig
@@ -58,7 +56,6 @@ from repro.metrics.summary import RunMetrics
 from repro.obs.config import ObsConfig
 from repro.provision.runtime import ProvisionStats
 from repro.provision.scenario import ProvisionScenario
-from repro.telemetry.cost import ManagementCostModel
 from repro.telemetry.integrity import IntegrityConfig
 from repro.workload.applications import ApplicationProfile
 from repro.workload.job import Job, JobState
@@ -90,14 +87,12 @@ _DATACLASS_REGISTRY: dict[str, type] = {
         ExperimentConfig,
         ExperimentResult,
         CorruptionScenario,
-        DegradedModeConfig,
         FaultScenario,
         FaultStats,
         HaConfig,
         HaStats,
         IntegrityConfig,
         Job,
-        ManagementCostModel,
         ObsConfig,
         Phase,
         ProvisionScenario,
@@ -107,7 +102,7 @@ _DATACLASS_REGISTRY: dict[str, type] = {
 }
 
 _ENUM_REGISTRY: dict[str, type[enum.Enum]] = {
-    cls.__name__: cls for cls in (CandidateSelector, JobState)
+    cls.__name__: cls for cls in (JobState,)
 }
 
 _TAGS = ("__dc__", "__enum__", "__tuple__", "__nd__", "__ps__")

@@ -78,14 +78,11 @@ __all__ = [
 #: new manager-only field is added.
 MANAGER_ONLY_FIELDS: tuple[str, ...] = (
     "candidate_size",
-    "candidate_strategy",
     "steady_green_cycles",
     "margin_high",
     "margin_low",
     "adjust_every_cycles",
-    "cost_model",
     "faults",
-    "degraded",
     "ha",
     "provision",
     "attach_provision",

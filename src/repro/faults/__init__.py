@@ -5,8 +5,8 @@ every profiling agent and every DVFS command work on every control
 cycle; its own motivation (§I.A) is that large systems fail constantly.
 This package closes that gap: deterministic, seeded fault models for the
 *monitoring plane* — telemetry dropout, meter outage and noise, command
-loss and delay, per-node monitoring crashes — plus the configuration of
-the manager's degraded-mode fail-safe ladder.
+loss and delay, per-node monitoring crashes — plus the manager's
+degraded-mode fail-safe ladder.
 
 * :class:`~repro.faults.scenario.FaultScenario` — frozen description of
   the failure rates of one run (``FaultScenario.none()`` is the paper's
@@ -15,8 +15,8 @@ the manager's degraded-mode fail-safe ladder.
 * :class:`~repro.faults.injector.FaultInjector` — the per-run object
   the manager, collector and actuator query each cycle, plus
   :class:`~repro.faults.injector.FaultStats` accounting;
-* :class:`~repro.faults.degraded.DegradedModeConfig` — thresholds of
-  the fail-safe ladder (stale-age bound, blackout detection);
+* :class:`~repro.faults.degraded.DegradedModeLadder` — the fail-safe
+  ladder (stale-age bound, blackout detection);
 * :mod:`repro.faults.corruption` — sensor-corruption models: telemetry
   that keeps arriving but is wrong (stuck-at, drift, gain error,
   spikes, garbage, byzantine meter), defended by
@@ -24,7 +24,6 @@ the manager's degraded-mode fail-safe ladder.
 """
 
 from repro.faults.corruption import CorruptionScenario, SensorCorruptionModel
-from repro.faults.degraded import DegradedModeConfig
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.models import (
     ActuationFaultModel,
@@ -39,7 +38,6 @@ __all__ = [
     "ActuationFaultModel",
     "ControllerCrashModel",
     "CorruptionScenario",
-    "DegradedModeConfig",
     "FaultInjector",
     "FaultScenario",
     "FaultStats",

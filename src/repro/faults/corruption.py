@@ -22,15 +22,15 @@ are exercised by the validator, not crashed by the generator):
 
 * **stuck-at-last** — the sensor freezes at its value from the onset
   cycle and repeats it forever;
-* **stuck-at-constant** — the sensor reports a fixed constant (a stuck
-  ADC reading 0 is the classic silent under-estimate);
+* **stuck-at-constant** — the sensor reports :data:`STUCK_CONSTANT`
+  (a stuck ADC reading 0 is the classic silent under-estimate);
 * **additive drift** — a slow signed ramp, the calibration-loss model;
 * **multiplicative gain error** — a constant scale factor;
 * **transient spikes** — occasional large additive excursions;
 * **garbage** — NaN / negative nonsense (a wedged agent's stale DMA);
 * **byzantine meter** — the *system* wattmeter itself reports
-  ``gain * true + bias``, fooling the green/yellow/red classification
-  directly rather than through Formula (1);
+  ``gain * true``, fooling the green/yellow/red classification directly
+  rather than through Formula (1);
 * **stuck meter** — the wattmeter freezes at its onset-cycle reading
   (a constant, plausible number: the hardest lie to notice);
 * **drifting meter** — the wattmeter's gain decays a little every
@@ -49,6 +49,10 @@ from repro.errors import PRESET_HINT, FaultInjectionError
 __all__ = ["CorruptionScenario", "SensorCorruptionModel"]
 
 _STUCK_MODES = ("last", "constant")
+
+#: What a ``"constant"``-mode stuck sensor reports, in utilization units:
+#: a stuck ADC reading zero.
+STUCK_CONSTANT = 0.0
 
 
 def _check_fraction(name: str, value: float) -> None:
@@ -69,9 +73,7 @@ class CorruptionScenario:
         stuck_fraction: Fraction of nodes with a stuck utilization
             sensor.
         stuck_mode: ``"last"`` (freeze at the onset-cycle value) or
-            ``"constant"`` (report ``stuck_constant`` forever).
-        stuck_constant: The constant a ``"constant"``-mode stuck sensor
-            reports (utilization units, normally in [0, 1]).
+            ``"constant"`` (report :data:`STUCK_CONSTANT` forever).
         drift_fraction: Fraction of nodes whose sensors drift.
         drift_per_cycle: Signed additive drift per cycle in utilization
             units (negative drift under-reports — the dangerous case).
@@ -87,8 +89,6 @@ class CorruptionScenario:
             (the sample becomes NaN or a negative value, alternating).
         meter_gain: Multiplicative error of the byzantine system meter
             (1.0 = honest).
-        meter_bias_w: Additive error of the byzantine system meter in
-            watts (0 = honest).
         meter_stuck: Whether the system meter freezes at its first
             post-onset reading and repeats it forever.
         meter_drift_per_cycle: Signed per-cycle decay of the meter's
@@ -100,7 +100,6 @@ class CorruptionScenario:
 
     stuck_fraction: float = 0.0
     stuck_mode: str = "last"
-    stuck_constant: float = 0.0
     drift_fraction: float = 0.0
     drift_per_cycle: float = 0.0
     gain_fraction: float = 0.0
@@ -111,7 +110,6 @@ class CorruptionScenario:
     garbage_fraction: float = 0.0
     garbage_rate: float = 0.0
     meter_gain: float = 1.0
-    meter_bias_w: float = 0.0
     meter_stuck: bool = False
     meter_drift_per_cycle: float = 0.0
     onset_cycle: int = 0
@@ -129,8 +127,6 @@ class CorruptionScenario:
                 f"stuck_mode must be one of {', '.join(_STUCK_MODES)}; "
                 f"got {self.stuck_mode!r}"
             )
-        if not np.isfinite(self.stuck_constant):
-            raise FaultInjectionError("stuck_constant must be finite")
         if not np.isfinite(self.drift_per_cycle):
             raise FaultInjectionError("drift_per_cycle must be finite")
         if self.gain < 0.0 or not np.isfinite(self.gain):
@@ -141,8 +137,6 @@ class CorruptionScenario:
             )
         if self.meter_gain < 0.0 or not np.isfinite(self.meter_gain):
             raise FaultInjectionError("meter_gain must be finite and non-negative")
-        if not np.isfinite(self.meter_bias_w):
-            raise FaultInjectionError("meter_bias_w must be finite")
         if not np.isfinite(self.meter_drift_per_cycle):
             raise FaultInjectionError("meter_drift_per_cycle must be finite")
         if self.onset_cycle < 0:
@@ -165,7 +159,6 @@ class CorruptionScenario:
         drift = self.drift_fraction > 0.0 and abs(self.drift_per_cycle) > 0.0
         meter = (
             abs(self.meter_gain - 1.0) > 0.0
-            or abs(self.meter_bias_w) > 0.0
             or self.meter_stuck
             or abs(self.meter_drift_per_cycle) > 0.0
         )
@@ -191,12 +184,7 @@ class CorruptionScenario:
         """Sensors latch: a tenth of the fleet's utilization sensors
         stuck at zero, and the system wattmeter frozen at its onset
         reading — the classic silent under-estimate, at both levels."""
-        base = cls(
-            stuck_fraction=0.10,
-            stuck_mode="constant",
-            stuck_constant=0.0,
-            meter_stuck=True,
-        )
+        base = cls(stuck_fraction=0.10, stuck_mode="constant", meter_stuck=True)
         return replace(base, **overrides)  # type: ignore[arg-type]
 
     @classmethod
@@ -423,7 +411,7 @@ class SensorCorruptionModel:
         if tmask.any():
             if sc.stuck_mode == "constant":
                 for values in (cpu_util, mem_frac, nic_frac):
-                    values[tmask] = sc.stuck_constant
+                    values[tmask] = STUCK_CONSTANT
             else:
                 stuck_ids = ids[tmask]
                 latch = np.isnan(self._stuck_cpu[stuck_ids])
@@ -443,7 +431,7 @@ class SensorCorruptionModel:
         """Byzantine system-meter error on an available reading.
 
         A stuck meter latches the first post-onset reading (after any
-        gain/bias error — a real meter latches what it displays).
+        gain error — a real meter latches what it displays).
         Clamped at zero like every other meter path — even a lying
         wattmeter reports a physical (non-negative) number.
         """
@@ -454,11 +442,10 @@ class SensorCorruptionModel:
             self._cycle - sc.onset_cycle
         )
         gain = max(0.0, gain)
-        biased = abs(gain - 1.0) > 0.0 or abs(sc.meter_bias_w) > 0.0
-        if not biased and not sc.meter_stuck:
+        if gain == 1.0 and not sc.meter_stuck:
             return reading_w
         self._corrupted_meter_readings += 1
-        corrupted = max(0.0, reading_w * gain + sc.meter_bias_w)
+        corrupted = max(0.0, reading_w * gain)
         if sc.meter_stuck:
             if np.isnan(self._stuck_meter_w):
                 self._stuck_meter_w = corrupted

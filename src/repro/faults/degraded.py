@@ -1,4 +1,4 @@
-"""Configuration of the manager's degraded-mode fail-safe ladder.
+"""The manager's degraded-mode fail-safe ladder.
 
 When the monitoring plane misbehaves, the power manager steps down a
 ladder of increasingly conservative behaviours instead of acting on bad
@@ -8,17 +8,18 @@ data (each rung documented in ``docs/robustness.md``):
    aggregate (§III.B) anchored to the last metered reading, freeze
    threshold learning, and allow no upgrades while estimating.
 2. **Stale telemetry** → a node whose sample is older than
-   ``max_stale_age_s`` is never upgraded (its true operating point is
-   unknown; raising its frequency could overshoot the cap).
+   :data:`MAX_STALE_AGE_S` is never upgraded (its true operating point
+   is unknown; raising its frequency could overshoot the cap).
 3. **Candidate-set blackout** → if telemetry coverage stays below
-   ``blackout_coverage`` for ``blackout_cycles`` consecutive cycles, the
-   cycle is treated as **red** regardless of the metered state: with the
-   candidate set dark, the safe assumption is the worst one.
+   :data:`BLACKOUT_COVERAGE` for :data:`BLACKOUT_CYCLES` consecutive
+   cycles, the cycle is treated as **red** regardless of the metered
+   state: with the candidate set dark, the safe assumption is the worst
+   one.
 
-These are control-behaviour knobs, not fault rates — they stay fixed
-while scenarios sweep — and with a healthy monitoring plane none of the
-rungs ever triggers, so the ladder is exactly the paper's Algorithm 1 in
-the fault-free limit.
+These are control-behaviour constants, not fault rates — they stay
+fixed while scenarios sweep — and with a healthy monitoring plane none
+of the rungs ever triggers, so the ladder is exactly the paper's
+Algorithm 1 in the fault-free limit.
 
 :class:`DegradedModeLadder` runs the rungs for one manager incarnation,
 at the control cycle's stage boundaries.
@@ -26,13 +27,12 @@ at the control cycle's stage boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.core.states import PowerState
-from repro.errors import ConfigurationError, DegradedModeError
+from repro.errors import DegradedModeError
 from repro.faults.injector import FaultInjector, FaultStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,35 +42,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.power.meter import SystemPowerMeter
     from repro.telemetry.collector import TelemetryCollector, TelemetrySnapshot
 
-__all__ = ["DegradedModeConfig", "DegradedModeLadder"]
+__all__ = ["DegradedModeLadder"]
 
-
-@dataclass(frozen=True)
-class DegradedModeConfig:
-    """Thresholds of the fail-safe ladder.
-
-    Attributes:
-        max_stale_age_s: Maximum telemetry age (seconds) at which a
-            node's data still counts as fresh enough to justify an
-            upgrade.  The default tolerates a couple of dropped samples
-            at the paper's τ = 1 s before declaring a node stale.
-        blackout_coverage: Coverage fraction below which a cycle counts
-            toward a candidate-set blackout.
-        blackout_cycles: Consecutive low-coverage cycles before the
-            ladder forces red.
-    """
-
-    max_stale_age_s: float = 3.0
-    blackout_coverage: float = 0.5
-    blackout_cycles: int = 5
-
-    def __post_init__(self) -> None:
-        if self.max_stale_age_s <= 0.0:
-            raise ConfigurationError("max_stale_age_s must be positive")
-        if not 0.0 <= self.blackout_coverage <= 1.0:
-            raise ConfigurationError("blackout_coverage must lie in [0, 1]")
-        if self.blackout_cycles < 1:
-            raise ConfigurationError("blackout_cycles must be >= 1")
+#: Maximum telemetry age (seconds) at which a node's data still counts
+#: as fresh enough to justify an upgrade: a couple of dropped samples at
+#: the paper's τ = 1 s before a node is declared stale.
+MAX_STALE_AGE_S = 3.0
+#: Coverage fraction below which a cycle counts toward a candidate-set
+#: blackout.
+BLACKOUT_COVERAGE = 0.5
+#: Consecutive low-coverage cycles before the ladder forces red.
+BLACKOUT_CYCLES = 5
 
 
 class DegradedModeLadder:
@@ -93,7 +75,6 @@ class DegradedModeLadder:
 
     Args:
         injector: The run's fault injector, or ``None``.
-        config: Ladder thresholds.
         meter: The system meter the manager reads.
         num_nodes: Cluster size (a raise mask covers every node).
         manager: The incarnation (its Formula (1) candidate sum).
@@ -102,13 +83,11 @@ class DegradedModeLadder:
     def __init__(
         self,
         injector: FaultInjector | None,
-        config: DegradedModeConfig,
         meter: "SystemPowerMeter",
         num_nodes: int,
         manager: "PowerManager",
     ) -> None:
         self.injector = injector
-        self._config = config
         self._meter = meter
         self._num_nodes = num_nodes
         self._manager = manager
@@ -142,7 +121,7 @@ class DegradedModeLadder:
         metered = self._meter.available = self.injector.meter_available()
         allow = np.ones(self._num_nodes, dtype=bool)
         if metered:
-            stale = snapshot.stale_mask(self._config.max_stale_age_s)
+            stale = snapshot.stale_mask(MAX_STALE_AGE_S)
             allow[snapshot.node_ids[stale]] = False
         else:
             allow[:] = False
@@ -162,15 +141,11 @@ class DegradedModeLadder:
             self.last_metered_power = power
             self.last_metered_snapshot = snapshot
             self._offset_valid = False
-        config = self._config
-        if snapshot.coverage < config.blackout_coverage:
+        if snapshot.coverage < BLACKOUT_COVERAGE:
             self.blackout_streak += 1
         else:
             self.blackout_streak = 0
-        if (
-            self.blackout_streak >= config.blackout_cycles
-            and state is not PowerState.RED
-        ):
+        if self.blackout_streak >= BLACKOUT_CYCLES and state is not PowerState.RED:
             facts["forced_red"] = True
             self.forced_red_cycles += 1
             return PowerState.RED

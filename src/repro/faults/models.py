@@ -239,8 +239,10 @@ class ControllerCrashModel:
     Unlike the node models this is an *event* process, not an
     availability chain: each cycle the model draws whether the active
     controller fails right now.  Repair timing is not random — a crashed
-    controller comes back after a fixed ``controller_restart_cycles``
-    (journal recovery plus process restart), which the
+    controller comes back after the HA layer's fixed downtime
+    (:class:`~repro.ha.config.HaConfig`'s ``lease_timeout_cycles`` for a
+    warm standby's takeover, ``restart_cycles`` for a cold restart:
+    journal recovery plus process restart), which the
     :class:`~repro.ha.failover.HaController` enforces; the model only
     decides *when* crashes strike, so primary/standby and
     restart-in-place variants face the identical crash schedule under

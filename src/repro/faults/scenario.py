@@ -64,11 +64,9 @@ class FaultScenario:
             only has an effect when the run uses the high-availability
             harness (:mod:`repro.ha`): the crashed manager loses all
             in-memory state and a successor (warm standby, or the same
-            process after ``controller_restart_cycles``) recovers from
-            the state journal under a new fencing epoch.
-        controller_restart_cycles: How many cycles a crashed controller
-            needs before it can serve again (restart-after-k: journal
-            recovery, process restart and re-attach latency).
+            process after :class:`~repro.ha.config.HaConfig`'s
+            ``restart_cycles``) recovers from the state journal under a
+            new fencing epoch.
     """
 
     telemetry_dropout: float = 0.0
@@ -81,7 +79,6 @@ class FaultScenario:
     node_crash_rate: float = 0.0
     node_recovery_rate: float = 0.1
     controller_crash_rate: float = 0.0
-    controller_restart_cycles: int = 20
 
     def __post_init__(self) -> None:
         _check_probability("telemetry_dropout", self.telemetry_dropout)
@@ -92,8 +89,6 @@ class FaultScenario:
         _check_probability("node_crash_rate", self.node_crash_rate)
         _check_probability("node_recovery_rate", self.node_recovery_rate)
         _check_probability("controller_crash_rate", self.controller_crash_rate)
-        if self.controller_restart_cycles < 1:
-            raise FaultInjectionError("controller_restart_cycles must be >= 1")
         if self.meter_noise_fraction < 0.0:
             raise FaultInjectionError("meter_noise_fraction must be non-negative")
         if self.command_delay_cycles < 1:
@@ -168,7 +163,6 @@ class FaultScenario:
             command_delay=0.05,
             command_delay_cycles=3,
             controller_crash_rate=0.005,
-            controller_restart_cycles=20,
         )
         return replace(base, **overrides)
 

@@ -3,11 +3,12 @@
 The paper's architecture (Figure 1) has exactly one global power
 manager; §I.A motivates the whole design with component failure rates at
 scale, yet the manager itself is a single point of failure.
-:class:`HaConfig` describes how a deployment closes that gap: how often
-the state journal compacts, whether a warm standby is provisioned, how
-long detection-plus-takeover (the lease timeout) or a cold restart
-takes, and — for deterministic experiments — an explicit script of
-controller-crash cycles.
+:class:`HaConfig` describes how a deployment closes that gap: whether a
+warm standby is provisioned, how long detection-plus-takeover (the lease
+timeout) or a cold restart takes, and — for deterministic experiments —
+an explicit script of controller-crash cycles.  How often the state
+journal compacts is :class:`~repro.ha.journal.StateJournal`'s own
+default (every 64 records).
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ class HaConfig:
         restart_cycles: Control cycles to cold-restart a crashed
             manager (process launch + journal recovery) — the downtime
             when no ready standby exists.
-        journal_compact_every: Append a compacted full checkpoint after
-            this many journal records, bounding both recovery replay
-            length and journal memory.
         crash_at_cycles: Explicit 1-based controller-cycle indices at
             which the primary crashes, independent of any stochastic
             crash process — the deterministic sweep the failover
@@ -49,7 +47,6 @@ class HaConfig:
     warm_standby: bool = True
     lease_timeout_cycles: int = 3
     restart_cycles: int = 20
-    journal_compact_every: int = 64
     crash_at_cycles: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -57,8 +54,6 @@ class HaConfig:
             raise ConfigurationError("lease_timeout_cycles must be >= 1")
         if self.restart_cycles < 1:
             raise ConfigurationError("restart_cycles must be >= 1")
-        if self.journal_compact_every < 1:
-            raise ConfigurationError("journal_compact_every must be >= 1")
         if any(c < 1 for c in self.crash_at_cycles):
             raise ConfigurationError("crash_at_cycles are 1-based cycle indices")
         if len(set(self.crash_at_cycles)) != len(self.crash_at_cycles):

@@ -62,6 +62,18 @@ RUNG_CAP = 1  #: emergency red: every candidate at the DVFS floor
 RUNG_SUSPEND = 2  #: + lowest-priority jobs suspended
 RUNG_SHED = 3  #: + idle candidate nodes removed from the pool
 
+#: Branch power above this fraction of the branch limit triggers branch
+#: capping.
+ALARM_FRACTION = 0.9
+#: Consecutive over-capacity cycles before the ladder climbs a rung.
+ESCALATE_AFTER_CYCLES = 5
+#: Consecutive recovered cycles before the ladder steps down a rung.
+RECOVER_AFTER_CYCLES = 30
+#: "Recovered" means draw below this fraction of surviving capacity.
+RECOVER_FRACTION = 0.95
+#: At most this fraction of active jobs may be suspended by the ladder.
+MAX_SUSPEND_FRACTION = 0.5
+
 
 class EmergencyResponse:
     """The capacity-emergency ladder and branch-capping decision logic.
@@ -138,11 +150,11 @@ class EmergencyResponse:
         """Advance the ladder one cycle; returns True to force red.
 
         Called after classification with the cycle's acted-on power.
-        Escalation: each ``escalate_after_cycles`` consecutive cycles of
+        Escalation: each :data:`ESCALATE_AFTER_CYCLES` consecutive cycles of
         draw above surviving capacity climbs one rung (suspending one
         more job, then shedding one more rack's worth of idle nodes,
         per over cycle while at that rung).  De-escalation: after
-        ``recover_after_cycles`` consecutive cycles comfortably inside
+        :data:`RECOVER_AFTER_CYCLES` consecutive cycles comfortably inside
         capacity, one outstanding action is undone per cycle.
         """
         if not self._scenario.defend:
@@ -153,7 +165,7 @@ class EmergencyResponse:
             self._over_streak += 1
             self._under_streak = 0
             self.emergency_red_cycles += 1
-        elif float(power_w) <= self._scenario.recover_fraction * cap:
+        elif float(power_w) <= RECOVER_FRACTION * cap:
             self._under_streak += 1
             self._over_streak = 0
         else:
@@ -165,14 +177,14 @@ class EmergencyResponse:
             if not self._forced_this_emergency:
                 self._forced_this_emergency = True
                 self._runtime.obs.trip("capacity_emergency", now)
-            if self._over_streak >= self._scenario.escalate_after_cycles:
+            if self._over_streak >= ESCALATE_AFTER_CYCLES:
                 self._escalate(now)
         else:
             self._forced_this_emergency = (
                 self._forced_this_emergency and self._under_streak == 0
             )
             if (
-                self._under_streak >= self._scenario.recover_after_cycles
+                self._under_streak >= RECOVER_AFTER_CYCLES
                 and self.rung > RUNG_CAP
             ):
                 self._deescalate(now)
@@ -183,7 +195,7 @@ class EmergencyResponse:
         sched = self._scheduler
         if sched is None:
             return
-        if self._over_streak < 2 * self._scenario.escalate_after_cycles:
+        if self._over_streak < 2 * ESCALATE_AFTER_CYCLES:
             self._suspend_one(now)
         elif not self._suspend_one(now):
             self._shed_idle_nodes(now)
@@ -198,7 +210,7 @@ class EmergencyResponse:
         total = len(active) + len(self._suspended_ids)
         if total == 0:
             return False
-        budget = int(self._scenario.max_suspend_fraction * total)
+        budget = int(MAX_SUSPEND_FRACTION * total)
         if len(self._suspended_ids) >= budget or not active:
             return False
         victim = min(active, key=lambda j: (j.priority, -j.job_id))
@@ -254,14 +266,14 @@ class EmergencyResponse:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-branch capping proposal for the manager to actuate.
 
-        Racks drawing above ``alarm_fraction`` of their branch limit get
+        Racks drawing above :data:`ALARM_FRACTION` of their branch limit get
         every candidate node still above the DVFS floor stepped down one
         level — local, immediate, independent of the global state
         machine.  Returns ``(node_ids, new_levels)``; both empty when
         every branch is comfortable.
         """
         hot_racks = self._runtime.branch_overloads(
-            node_power_w, self._scenario.alarm_fraction
+            node_power_w, ALARM_FRACTION
         )
         if len(hot_racks) == 0:
             empty = np.empty(0, dtype=np.int64)

@@ -37,6 +37,14 @@ __all__ = ["ProvisionRuntime", "ProvisionCycleEvents", "ProvisionStats"]
 
 #: Name of the dedicated random substream for power-side faults.
 STREAM_NAME = "faults.provision"
+#: Feeds the scheduled feed loss drops (the lowest-numbered ones).
+FEED_LOSS_COUNT = 1
+#: The rack whose PDU the scheduled PDU failure derates.
+PDU_FAILURE_RACK = 0
+#: Fraction of the branch rating surviving a PDU failure.
+PDU_DERATE_FRACTION = 0.6
+#: Per-cycle probability a stochastically lost feed returns.
+FEED_RECOVERY_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -132,14 +140,6 @@ class ProvisionRuntime:
                 "scenario has stochastic provision events but no "
                 "RandomSource was provided"
             )
-        if (
-            scenario.pdu_failure_at_cycle is not None
-            and scenario.pdu_failure_rack >= topology.num_racks
-        ):
-            raise ConfigurationError(
-                f"pdu_failure_rack {scenario.pdu_failure_rack} outside the "
-                f"topology's {topology.num_racks} racks"
-            )
         self.topology = topology
         self.scenario = scenario
         self._gen = None if rng is None else rng.stream(STREAM_NAME)
@@ -151,12 +151,7 @@ class ProvisionRuntime:
         self._feed_live = np.ones(topology.num_feeds, dtype=bool)
         self._feed_stochastic = np.zeros(topology.num_feeds, dtype=bool)
         self._derate = np.ones(topology.num_racks, dtype=np.float64)
-        self._breakers = BreakerThermalModel(
-            self._base_ratings,
-            trip_time_s=scenario.breaker_trip_time_s,
-            cool_time_s=scenario.breaker_cool_time_s,
-            cooldown_fraction=scenario.breaker_cooldown_fraction,
-        )
+        self._breakers = BreakerThermalModel(self._base_ratings)
         self._operator_cap_w: float | None = None
         self._cap_order_end_cycle: int | None = None
         self._cycle = -1
@@ -303,7 +298,7 @@ class ProvisionRuntime:
         # Scheduled feed loss / restore.
         if sc.feed_loss_at_cycle is not None:
             if self._cycle == sc.feed_loss_at_cycle:
-                for feed in range(sc.feed_loss_count):
+                for feed in range(FEED_LOSS_COUNT):
                     if self._feed_live[feed]:
                         self._feed_live[feed] = False
                         feed_losses += 1
@@ -312,7 +307,7 @@ class ProvisionRuntime:
                 and self._cycle
                 == sc.feed_loss_at_cycle + sc.feed_restore_after_cycles
             ):
-                for feed in range(sc.feed_loss_count):
+                for feed in range(FEED_LOSS_COUNT):
                     if not self._feed_live[feed] and not self._feed_stochastic[feed]:
                         self._feed_live[feed] = True
                         feed_restores += 1
@@ -321,9 +316,9 @@ class ProvisionRuntime:
         if (
             sc.pdu_failure_at_cycle is not None
             and self._cycle == sc.pdu_failure_at_cycle
-            and self._derate[sc.pdu_failure_rack] == 1.0
+            and self._derate[PDU_FAILURE_RACK] == 1.0
         ):
-            self._derate[sc.pdu_failure_rack] = sc.pdu_derate_fraction
+            self._derate[PDU_FAILURE_RACK] = PDU_DERATE_FRACTION
             pdu_failures += 1
 
         # Operator cap order onset / expiry.
@@ -355,7 +350,7 @@ class ProvisionRuntime:
                 self._feed_stochastic[feed] = True
                 feed_losses += 1
             for feed in np.flatnonzero(self._feed_stochastic):
-                if float(gen.random()) < sc.feed_recovery_rate:
+                if float(gen.random()) < FEED_RECOVERY_RATE:
                     self._feed_live[feed] = True
                     self._feed_stochastic[feed] = False
                     feed_restores += 1
@@ -363,7 +358,7 @@ class ProvisionRuntime:
             healthy = np.flatnonzero(self._derate >= 1.0)
             if len(healthy) > 0 and float(gen.random()) < sc.pdu_failure_rate:
                 rack = int(healthy[int(gen.integers(len(healthy)))])
-                self._derate[rack] = sc.pdu_derate_fraction
+                self._derate[rack] = PDU_DERATE_FRACTION
                 pdu_failures += 1
 
         self._feed_losses += feed_losses

@@ -11,7 +11,14 @@ dedicated ``faults.provision`` substream inside
 change a single decision.
 
 Cycle counts are in *managed* control cycles (the manager's τ), counted
-from the start of the managed window.
+from the start of the managed window.  What no scenario varies is fixed
+where it is read: the feeds' count and headroom are
+:meth:`~repro.provision.topology.PowerTopology.for_cluster`'s defaults,
+the breaker time constants are
+:class:`~repro.power.thermal.BreakerThermalModel`'s, the fault events'
+sizes are constants of :mod:`repro.provision.runtime`, and the
+emergency ladder's thresholds are constants of
+:mod:`repro.provision.emergency`.
 """
 
 from __future__ import annotations
@@ -36,15 +43,12 @@ def _check_fraction(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class ProvisionScenario:
-    """Topology shape, power-side fault processes and defense knobs.
+    """Topology shape, power-side fault processes and defense switches.
 
     Topology (sizing of :class:`~repro.provision.topology.PowerTopology`):
 
     Attributes:
         nodes_per_rack: Nodes per branch circuit.
-        feeds: Redundant utility feeds.
-        feed_headroom: Fractional feed margin over ``P_thy`` (feeds
-            jointly deliver ``(1+h)·P_thy``).
         rack_headroom: Fractional branch margin over each rack's
             flat-out maximum; negative values under-provision the
             branches (the ``breaker-stress`` setting).
@@ -52,16 +56,12 @@ class ProvisionScenario:
     Deterministic scheduled events:
 
     Attributes:
-        feed_loss_at_cycle: Managed cycle at which ``feed_loss_count``
-            feeds drop (None = never).
-        feed_loss_count: Feeds lost by the scheduled loss.
-        feed_restore_after_cycles: Cycles until the lost feeds return
+        feed_loss_at_cycle: Managed cycle at which a feed drops (None =
+            never).
+        feed_restore_after_cycles: Cycles until the lost feed returns
             (None = permanent).
-        pdu_failure_at_cycle: Managed cycle at which one rack's PDU
+        pdu_failure_at_cycle: Managed cycle at which rack 0's PDU
             partially fails (None = never).
-        pdu_failure_rack: Which rack's PDU fails.
-        pdu_derate_fraction: Fraction of the branch rating surviving a
-            PDU failure.
         cap_order_at_cycle: Managed cycle at which an operator
             cap-reduction order arrives (None = never).
         cap_order_fraction: The ordered cap as a fraction of the design
@@ -72,20 +72,8 @@ class ProvisionScenario:
 
     Attributes:
         feed_loss_rate: Per-cycle probability of losing one live feed.
-        feed_recovery_rate: Per-cycle probability a stochastically lost
-            feed returns.
         pdu_failure_rate: Per-cycle probability a random healthy rack's
             PDU derates.
-
-    Breaker model (see
-    :class:`~repro.power.thermal.BreakerThermalModel`):
-
-    Attributes:
-        breaker_trip_time_s: Sustained 2× overload seconds that trip.
-        breaker_cool_time_s: Deep cool-down seconds draining a full
-            trip integral.
-        breaker_cooldown_fraction: Lower edge of the breaker's
-            no-heat/no-cool band.
 
     Defense (the emergency response; all inert when ``defend`` is off):
 
@@ -94,56 +82,29 @@ class ProvisionScenario:
             fast path and the degradation ladder.
         branch_caps: Per-branch (rack/PDU) capping that protects local
             breakers even when the global budget is satisfied.
-        alarm_fraction: Branch power above this fraction of the branch
-            limit triggers branch capping.
-        escalate_after_cycles: Consecutive over-capacity cycles before
-            the ladder climbs a rung.
-        recover_after_cycles: Consecutive recovered cycles before the
-            ladder steps down a rung.
-        recover_fraction: "Recovered" means draw below this fraction of
-            surviving capacity.
-        max_suspend_fraction: At most this fraction of active jobs may
-            be suspended by the ladder.
     """
 
     nodes_per_rack: int = 8
-    feeds: int = 2
-    feed_headroom: float = 0.2
     rack_headroom: float = 0.25
 
     feed_loss_at_cycle: int | None = None
-    feed_loss_count: int = 1
     feed_restore_after_cycles: int | None = None
     pdu_failure_at_cycle: int | None = None
-    pdu_failure_rack: int = 0
-    pdu_derate_fraction: float = 0.6
     cap_order_at_cycle: int | None = None
     cap_order_fraction: float = 0.75
     cap_order_duration_cycles: int = 200
 
     feed_loss_rate: float = 0.0
-    feed_recovery_rate: float = 0.05
     pdu_failure_rate: float = 0.0
-
-    breaker_trip_time_s: float = 60.0
-    breaker_cool_time_s: float = 300.0
-    breaker_cooldown_fraction: float = 0.9
 
     defend: bool = True
     branch_caps: bool = True
-    alarm_fraction: float = 0.9
-    escalate_after_cycles: int = 5
-    recover_after_cycles: int = 30
-    recover_fraction: float = 0.95
-    max_suspend_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.nodes_per_rack < 1:
             raise FaultInjectionError("nodes_per_rack must be >= 1")
-        if self.feeds < 1:
-            raise FaultInjectionError("need at least one feed")
-        if self.feed_headroom <= -1.0 or self.rack_headroom <= -1.0:
-            raise FaultInjectionError("headroom fractions must exceed -1")
+        if self.rack_headroom <= -1.0:
+            raise FaultInjectionError("rack_headroom must exceed -1")
         for name in (
             "feed_loss_at_cycle",
             "pdu_failure_at_cycle",
@@ -152,43 +113,16 @@ class ProvisionScenario:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise FaultInjectionError(f"{name} must be >= 0")
-        if not 1 <= self.feed_loss_count <= self.feeds:
-            raise FaultInjectionError(
-                "feed_loss_count must lie in [1, feeds] "
-                f"(got {self.feed_loss_count} of {self.feeds})"
-            )
         if (
             self.feed_restore_after_cycles is not None
             and self.feed_restore_after_cycles < 1
         ):
             raise FaultInjectionError("feed_restore_after_cycles must be >= 1")
-        if self.pdu_failure_rack < 0:
-            raise FaultInjectionError("pdu_failure_rack must be >= 0")
-        _check_fraction("pdu_derate_fraction", self.pdu_derate_fraction)
         _check_fraction("cap_order_fraction", self.cap_order_fraction)
         if self.cap_order_duration_cycles < 1:
             raise FaultInjectionError("cap_order_duration_cycles must be >= 1")
         _check_probability("feed_loss_rate", self.feed_loss_rate)
-        _check_probability("feed_recovery_rate", self.feed_recovery_rate)
         _check_probability("pdu_failure_rate", self.pdu_failure_rate)
-        if self.feed_loss_rate > 0.0 and self.feed_recovery_rate == 0.0:
-            raise FaultInjectionError(
-                "stochastic feed losses enabled but feed_recovery_rate is 0 "
-                "(lost feeds would never come back)"
-            )
-        if self.breaker_trip_time_s <= 0 or self.breaker_cool_time_s <= 0:
-            raise FaultInjectionError("breaker time constants must be positive")
-        _check_fraction(
-            "breaker_cooldown_fraction", self.breaker_cooldown_fraction
-        )
-        _check_fraction("alarm_fraction", self.alarm_fraction)
-        if self.escalate_after_cycles < 1:
-            raise FaultInjectionError("escalate_after_cycles must be >= 1")
-        if self.recover_after_cycles < 1:
-            raise FaultInjectionError("recover_after_cycles must be >= 1")
-        _check_fraction("recover_fraction", self.recover_fraction)
-        if not 0.0 <= self.max_suspend_fraction <= 1.0:
-            raise FaultInjectionError("max_suspend_fraction must lie in [0, 1]")
 
     @property
     def enabled(self) -> bool:
@@ -256,11 +190,7 @@ class ProvisionScenario:
         substream: feeds drop and return at random and rack PDUs derate
         at random — the renegotiation path is exercised repeatedly in
         both directions."""
-        base = cls(
-            feed_loss_rate=0.01,
-            feed_recovery_rate=0.05,
-            pdu_failure_rate=0.002,
-        )
+        base = cls(feed_loss_rate=0.01, pdu_failure_rate=0.002)
         return replace(base, **overrides)
 
     @classmethod

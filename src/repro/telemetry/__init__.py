@@ -10,7 +10,7 @@ sample and estimates per-node and per-job power:
 * :class:`~repro.telemetry.collector.TelemetryCollector` — the central
   collection step, which samples *all* candidate agents in one vectorised
   snapshot;
-* :class:`~repro.telemetry.cost.ManagementCostModel` — the CPU cost of
+* :func:`~repro.telemetry.cost.cpu_utilization` — the CPU cost of
   central monitoring as a function of candidate-set size, the quantity
   Figure 5 plots to argue that monitoring must be restricted to a subset;
 * :mod:`repro.telemetry.integrity` — the telemetry-integrity defense:
@@ -21,7 +21,6 @@ sample and estimates per-node and per-job power:
 
 from repro.telemetry.agent import AgentPool, NodeSample
 from repro.telemetry.collector import TelemetryCollector, TelemetrySnapshot
-from repro.telemetry.cost import ManagementCostModel
 from repro.telemetry.integrity import (
     IntegrityConfig,
     MeterIntegrityMonitor,
@@ -32,7 +31,6 @@ from repro.telemetry.integrity import (
 __all__ = [
     "AgentPool",
     "IntegrityConfig",
-    "ManagementCostModel",
     "MeterIntegrityMonitor",
     "NodeSample",
     "TelemetryCollector",

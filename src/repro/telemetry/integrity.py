@@ -84,82 +84,65 @@ __all__ = [
 #: Guard against division by a vanishing estimate in residual fractions.
 _TINY_W = 1e-9
 
+# The pipeline's fixed thresholds.  They are conservative in the
+# false-positive direction: on honest telemetry under the default
+# workload jitter no stage-1/2 check can fire at all, and the soft
+# penalties are sized so occasional legitimate phase steps never drag a
+# node anywhere near the quarantine threshold.
+
+#: Slack beyond [0, 1] a utilization may report before stage 1 calls it
+#: impossible (sensor quantisation).
+RANGE_MARGIN = 0.05
+#: Relative slack on the DVFS power envelope for the stage-2
+#: model-residual cross-check.
+ENVELOPE_MARGIN = 0.02
+#: Per-cycle utilization step beyond which stage 3 charges a soft
+#: penalty.
+SPIKE_DELTA = 0.60
+#: Consecutive exactly-repeating busy samples before stage 4 starts
+#: charging penalties.
+STUCK_WINDOW = 8
+#: Repetition tolerance of stage 4 (bit-identical readings, allowing
+#: only float-noise).
+STUCK_EPSILON = 1e-9
+#: Trust charged by a hard (stage 1–2) failure.
+HARD_PENALTY = 0.35
+#: Trust charged by a stage-3 spike event.
+SOFT_PENALTY = 0.03
+#: Trust charged per cycle a stage-4 stuck window persists.
+STUCK_PENALTY = 0.08
+#: Minimum quarantine dwell, cycles.
+MIN_QUARANTINE_CYCLES = 30
+#: Relative meter-vs-estimate residual beyond which a cycle counts
+#: toward meter distrust.  Only meaningful when the candidate set covers
+#: (nearly) the whole machine — the aggregate estimate of a partial
+#: candidate set cannot vouch for unmonitored nodes.
+METER_RESIDUAL_FRACTION = 0.10
+#: Consecutive high-residual cycles before the meter is distrusted.
+METER_DISTRUST_CYCLES = 5
+#: Consecutive low-residual cycles before a distrusted meter is trusted
+#: again.
+METER_RECOVERY_CYCLES = 10
+
 
 @dataclass(frozen=True)
 class IntegrityConfig:
-    """Knobs of the validation/trust/quarantine pipeline.
-
-    The defaults are deliberately conservative in the false-positive
-    direction: on honest telemetry under the default workload jitter no
-    stage-1/2 check can fire at all, and the soft penalties are sized so
-    occasional legitimate phase steps never drag a node anywhere near
-    the quarantine threshold.
+    """Trust knobs of the validation/trust/quarantine pipeline.
 
     Attributes:
-        range_margin: Slack beyond [0, 1] a utilization may report
-            before stage 1 calls it impossible (sensor quantisation).
-        envelope_margin: Relative slack on the DVFS power envelope for
-            the stage-2 model-residual cross-check.
-        spike_delta: Per-cycle utilization step beyond which stage 3
-            charges a soft penalty.
-        stuck_window: Consecutive exactly-repeating busy samples before
-            stage 4 starts charging penalties.
-        stuck_epsilon: Repetition tolerance of stage 4 (bit-identical
-            readings, allowing only float-noise).
-        hard_penalty: Trust charged by a hard (stage 1–2) failure.
-        soft_penalty: Trust charged by a stage-3 spike event.
-        stuck_penalty: Trust charged per cycle a stage-4 stuck window
-            persists.
         trust_recovery: Trust restored by one clean fresh sample.
         quarantine_trust: Trust below which a node is quarantined.
         release_trust: Trust a quarantined node must recover to be
             released (hysteresis; must exceed ``quarantine_trust``).
-        min_quarantine_cycles: Minimum quarantine dwell, cycles.
-        meter_residual_fraction: Relative meter-vs-estimate residual
-            beyond which a cycle counts toward meter distrust.  Only
-            meaningful when the candidate set covers (nearly) the whole
-            machine — the aggregate estimate of a partial candidate set
-            cannot vouch for unmonitored nodes.
-        meter_distrust_cycles: Consecutive high-residual cycles before
-            the meter is distrusted.
-        meter_recovery_cycles: Consecutive low-residual cycles before a
-            distrusted meter is trusted again.
     """
 
-    range_margin: float = 0.05
-    envelope_margin: float = 0.02
-    spike_delta: float = 0.60
-    stuck_window: int = 8
-    stuck_epsilon: float = 1e-9
-    hard_penalty: float = 0.35
-    soft_penalty: float = 0.03
-    stuck_penalty: float = 0.08
     trust_recovery: float = 0.02
     quarantine_trust: float = 0.30
     release_trust: float = 0.90
-    min_quarantine_cycles: int = 30
-    meter_residual_fraction: float = 0.10
-    meter_distrust_cycles: int = 5
-    meter_recovery_cycles: int = 10
 
     def __post_init__(self) -> None:
-        for name in (
-            "range_margin",
-            "envelope_margin",
-            "spike_delta",
-            "stuck_epsilon",
-        ):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be non-negative")
-        for name in (
-            "hard_penalty",
-            "soft_penalty",
-            "stuck_penalty",
-            "trust_recovery",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.trust_recovery <= 1.0:
+            raise ConfigurationError("trust_recovery must lie in [0, 1]")
         for name in ("quarantine_trust", "release_trust"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -168,16 +151,6 @@ class IntegrityConfig:
             raise ConfigurationError(
                 "release_trust must exceed quarantine_trust "
                 "(the hysteresis band would be empty or inverted)"
-            )
-        if self.stuck_window < 2:
-            raise ConfigurationError("stuck_window must be >= 2")
-        if self.min_quarantine_cycles < 1:
-            raise ConfigurationError("min_quarantine_cycles must be >= 1")
-        if self.meter_residual_fraction <= 0.0:
-            raise ConfigurationError("meter_residual_fraction must be > 0")
-        if self.meter_distrust_cycles < 1 or self.meter_recovery_cycles < 1:
-            raise ConfigurationError(
-                "meter distrust/recovery cycle counts must be >= 1"
             )
 
 
@@ -208,7 +181,7 @@ class TelemetryValidator:
     ``candidate_ids[k]``).
 
     Args:
-        config: Pipeline knobs.
+        config: Trust knobs.
         estimator: The Formula (1) evaluator used for the stage-2
             envelope cross-check (shared with the manager).
         candidate_ids: The monitored candidate set.
@@ -248,8 +221,8 @@ class TelemetryValidator:
             level, load, load, load, node_ids=np.tile(self._ids, 2 * levels)
         ).reshape(2, levels * n)
         # Flat: entry ``lv * n + k`` is level ``lv`` of candidate ``k``.
-        self._env_floor = bounds[0] * (1.0 - config.envelope_margin)
-        self._env_ceil = bounds[1] * (1.0 + config.envelope_margin)
+        self._env_floor = bounds[0] * (1.0 - ENVELOPE_MARGIN)
+        self._env_ceil = bounds[1] * (1.0 + ENVELOPE_MARGIN)
         self._columns = np.arange(n)
         self._cycle = -1
         self._rejected_samples = 0
@@ -364,8 +337,8 @@ class TelemetryValidator:
             # Stage 1: garbage — NaN/inf or physically impossible
             # readings (np.isfinite is the NaN guard).
             sane = np.isfinite(readings)
-            sane &= readings >= -cfg.range_margin
-            sane &= readings <= 1.0 + cfg.range_margin
+            sane &= readings >= -RANGE_MARGIN
+            sane &= readings <= 1.0 + RANGE_MARGIN
             hard = fresh & ~(
                 sane[0] & sane[1] & sane[2] & (level >= 0) & (level <= self._top_level)
             )
@@ -392,13 +365,13 @@ class TelemetryValidator:
             # report.
             have_prev = np.isfinite(self._last[0])
             delta = np.abs(readings - self._last)
-            spike = fresh & ~hard & have_prev & (delta[0] > cfg.spike_delta)
+            spike = fresh & ~hard & have_prev & (delta[0] > SPIKE_DELTA)
 
             # Stage 4 (soft): stuck-at — a busy node repeating its
             # readings exactly.  Honest utilization jitters every cycle;
             # cache-served rows are excluded (``fresh`` gate), so repeats
             # here come from the sensor itself.
-            same = delta <= cfg.stuck_epsilon
+            same = delta <= STUCK_EPSILON
             same = have_prev & same[0] & same[1] & same[2]
             # A busy node pinned at the utilization *ceiling* repeats
             # honestly: load jitter above full scale clips to exactly
@@ -414,7 +387,7 @@ class TelemetryValidator:
         repeat = track & same
         self._stuck_run += repeat
         self._stuck_run *= repeat | ~fresh
-        stuck = track & (self._stuck_run >= cfg.stuck_window)
+        stuck = track & (self._stuck_run >= STUCK_WINDOW)
 
         # The raw fresh report (even a rejected one) becomes the
         # reference for the next cycle's rate/stuck stages: a stuck
@@ -423,11 +396,7 @@ class TelemetryValidator:
 
         # Trust update: hard failures are near-certain corruption, soft
         # failures merely suspicious, clean fresh samples healing.
-        penalty = (
-            hard * cfg.hard_penalty
-            + spike * cfg.soft_penalty
-            + stuck * cfg.stuck_penalty
-        )
+        penalty = hard * HARD_PENALTY + spike * SOFT_PENALTY + stuck * STUCK_PENALTY
         clean = fresh & ~(hard | spike | stuck)
         # np.clip's bounds, without its Python wrapper.
         self._trust = np.minimum(
@@ -446,7 +415,7 @@ class TelemetryValidator:
         if self._quarantined_nodes or entered:
             dwell = self._cycle - self._quarantine_entry_cycle
             self._quarantined &= ~(
-                (dwell >= cfg.min_quarantine_cycles)
+                (dwell >= MIN_QUARANTINE_CYCLES)
                 & (self._trust > cfg.release_trust)
             )
             self._quarantined_nodes = int(np.count_nonzero(self._quarantined))
@@ -463,19 +432,16 @@ class MeterIntegrityMonitor:
     manager has for the meter; when they diverge persistently the meter
     is distrusted and classification runs on ``max(meter, estimate)`` —
     the never-underestimate rule applied at system level.  The check is
-    sharp only when the candidate set covers (nearly) the whole machine;
-    a partial candidate set needs a wider ``meter_residual_fraction``.
+    sharp only when the candidate set covers (nearly) the whole machine:
+    against a partial candidate set's estimate even an honest meter
+    shows a residual above :data:`METER_RESIDUAL_FRACTION`.
 
     Args:
-        config: Shared integrity knobs (the ``meter_*`` fields).
         obs: Observability facade; a distrust transition trips the
             flight recorder.
     """
 
-    def __init__(
-        self, config: IntegrityConfig, obs: Observability | None = None
-    ) -> None:
-        self.config = config
+    def __init__(self, obs: Observability | None = None) -> None:
         self._distrusted = False
         self._bad_streak = 0
         self._good_streak = 0
@@ -517,13 +483,12 @@ class MeterIntegrityMonitor:
         (bit-identical to the undefended path); while distrusted it
         returns ``max(metered_w, estimate_w)``.
         """
-        cfg = self.config
         basis = max(abs(estimate_w), _TINY_W)
         residual = abs(metered_w - estimate_w) / basis
-        high = residual > cfg.meter_residual_fraction
+        high = residual > METER_RESIDUAL_FRACTION
         if not self._distrusted:
             self._bad_streak = self._bad_streak + 1 if high else 0
-            if self._bad_streak >= cfg.meter_distrust_cycles:
+            if self._bad_streak >= METER_DISTRUST_CYCLES:
                 self._distrusted = True
                 self._distrust_events += 1
                 self._good_streak = 0
@@ -531,7 +496,7 @@ class MeterIntegrityMonitor:
                     self._obs.trip("meter_distrust", now)
         else:
             self._good_streak = 0 if high else self._good_streak + 1
-            if self._good_streak >= cfg.meter_recovery_cycles:
+            if self._good_streak >= METER_RECOVERY_CYCLES:
                 self._distrusted = False
                 self._bad_streak = 0
         if self._distrusted:
@@ -544,7 +509,7 @@ class IntegrityDefense:
     """The telemetry-integrity layer of one manager incarnation.
 
     Args:
-        config: Pipeline knobs.
+        config: Trust knobs.
         estimator: The manager's Formula (1) evaluator.
         candidate_ids: The monitored candidate set.
         top_level: The cluster's highest DVFS level.
@@ -562,7 +527,7 @@ class IntegrityDefense:
         self.validator = TelemetryValidator(
             config, estimator, candidate_ids, top_level, obs=obs
         )
-        self.monitor = MeterIntegrityMonitor(config, obs=obs)
+        self.monitor = MeterIntegrityMonitor(obs=obs)
 
     def fault_counts(self) -> dict[str, int]:
         """This layer's fields of :class:`~repro.faults.injector.FaultStats`."""

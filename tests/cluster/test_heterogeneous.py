@@ -11,6 +11,7 @@ from repro.power import (
     HeterogeneousPowerModel,
     NodePowerEstimator,
     PowerModel,
+    PowerProvision,
     make_power_model,
 )
 from repro.units import gib
@@ -133,7 +134,10 @@ def test_theoretical_and_minimum_power_mixed(hetero_cluster):
     expected_max = 8 * state.specs[0].max_power() + 8 * state.specs[1].max_power()
     assert hetero_cluster.theoretical_max_power() == pytest.approx(expected_max)
     expected_min = 8 * state.specs[0].min_power() + 8 * state.specs[1].min_power()
-    assert hetero_cluster.minimum_power() == pytest.approx(expected_min)
+    # With nothing privileged the red state's floor is every node idle
+    # at its lowest level.
+    floor = PowerProvision(capability_w=expected_max).throttled_floor(hetero_cluster)
+    assert floor == pytest.approx(expected_min)
 
 
 def test_speed_of_uses_each_nodes_ladder(hetero_cluster):

@@ -6,7 +6,7 @@ import pytest
 from repro.core import NodeSets, PowerManager, PowerState, ThresholdController
 from repro.core.policies import make_policy
 from repro.errors import DegradedModeError
-from repro.faults import DegradedModeConfig, FaultStats
+from repro.faults import FaultStats, degraded
 from repro.power import PowerModel, SystemPowerMeter
 
 
@@ -46,7 +46,7 @@ class _FakeInjector:
         return z, z.copy()
 
 
-def _manager(cluster, p_low, p_high, injector, degraded=None, t_g=2):
+def _manager(cluster, p_low, p_high, injector, t_g=2):
     sets = NodeSets(cluster)
     model = PowerModel(cluster.spec)
     meter = SystemPowerMeter(model, cluster.state)
@@ -59,7 +59,6 @@ def _manager(cluster, p_low, p_high, injector, degraded=None, t_g=2):
         make_policy("mpc"),
         steady_green_cycles=t_g,
         fault_injector=injector,
-        degraded=degraded,
     ), meter
 
 
@@ -128,7 +127,8 @@ def test_degraded_error_without_any_estimation_basis(busy_cluster):
 # ----------------------------------------------------------------------
 # Rung 2: stale telemetry never upgrades
 # ----------------------------------------------------------------------
-def test_stale_node_waits_for_fresh_data_before_upgrade(busy_cluster):
+def test_stale_node_waits_for_fresh_data_before_upgrade(busy_cluster, monkeypatch):
+    monkeypatch.setattr(degraded, "MAX_STALE_AGE_S", 1.5)
     state = busy_cluster.state
     inj = _FakeInjector(16)
     model = PowerModel(busy_cluster.spec)
@@ -138,7 +138,6 @@ def test_stale_node_waits_for_fresh_data_before_upgrade(busy_cluster):
         p_ref * 0.98,
         p_ref * 1.5,
         inj,
-        degraded=DegradedModeConfig(max_stale_age_s=1.5),
         t_g=3,
     )
     report = manager.control_cycle(1.0)
@@ -167,7 +166,9 @@ def test_stale_node_waits_for_fresh_data_before_upgrade(busy_cluster):
 # ----------------------------------------------------------------------
 # Rung 3: candidate-set blackout forces red
 # ----------------------------------------------------------------------
-def test_telemetry_blackout_forces_red(busy_cluster):
+def test_telemetry_blackout_forces_red(busy_cluster, monkeypatch):
+    monkeypatch.setattr(degraded, "BLACKOUT_COVERAGE", 0.5)
+    monkeypatch.setattr(degraded, "BLACKOUT_CYCLES", 3)
     state = busy_cluster.state
     inj = _FakeInjector(16)
     model = PowerModel(busy_cluster.spec)
@@ -177,7 +178,6 @@ def test_telemetry_blackout_forces_red(busy_cluster):
         p_ref * 1.2,  # comfortably green on real data
         p_ref * 1.5,
         inj,
-        degraded=DegradedModeConfig(blackout_coverage=0.5, blackout_cycles=3),
     )
     inj.drop[:] = True  # the whole candidate set goes dark
     reports = [manager.control_cycle(float(t)) for t in range(1, 5)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CandidateSelector, NodeSets, PowerState, classify_power_state
+from repro.core import NodeSets, PowerState, classify_power_state
 from repro.errors import ConfigurationError, PowerManagementError
 
 
@@ -51,38 +51,14 @@ def test_candidate_ids_bounds_checked(small_cluster):
 
 
 def test_select_first_k(small_cluster):
-    sets = NodeSets.select(small_cluster, 4, CandidateSelector.FIRST_K)
+    sets = NodeSets.select(small_cluster, 4)
     np.testing.assert_array_equal(sets.candidates, [0, 1, 2, 3])
 
 
 def test_select_first_k_skips_privileged(small_cluster):
     small_cluster.set_privileged_nodes([0])
-    sets = NodeSets.select(small_cluster, 4, CandidateSelector.FIRST_K)
+    sets = NodeSets.select(small_cluster, 4)
     np.testing.assert_array_equal(sets.candidates, [1, 2, 3, 4])
-
-
-def test_select_spread_k(small_cluster):
-    sets = NodeSets.select(small_cluster, 4, CandidateSelector.SPREAD_K)
-    assert sets.size == 4
-    assert sets.candidates[0] == 0
-    assert sets.candidates[-1] == 15
-
-
-def test_select_spread_k_full(small_cluster):
-    sets = NodeSets.select(small_cluster, 16, CandidateSelector.SPREAD_K)
-    assert sets.size == 16
-
-
-def test_select_random_k(small_cluster):
-    rng = np.random.default_rng(0)
-    sets = NodeSets.select(small_cluster, 5, CandidateSelector.RANDOM_K, rng=rng)
-    assert sets.size == 5
-    assert len(np.unique(sets.candidates)) == 5
-
-
-def test_select_random_requires_rng(small_cluster):
-    with pytest.raises(ConfigurationError):
-        NodeSets.select(small_cluster, 5, CandidateSelector.RANDOM_K)
 
 
 def test_select_zero_gives_empty(small_cluster):

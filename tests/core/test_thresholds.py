@@ -51,20 +51,6 @@ def test_peak_never_decreases():
     assert c.peak == 1500.0
 
 
-def test_complete_training_adopts_peak():
-    c = ThresholdController(initial_peak_w=1000.0)
-    assert c.complete_training(1800.0)
-    assert c.peak == 1800.0
-    assert c.p_low == pytest.approx(0.84 * 1800.0)
-
-
-def test_complete_training_below_current_keeps_running_peak():
-    c = ThresholdController(initial_peak_w=1000.0)
-    c.observe(2000.0)
-    c.complete_training(1500.0)
-    assert c.peak == 2000.0
-
-
 def test_from_training_constructor():
     c = ThresholdController.from_training(2000.0)
     assert c.peak == 2000.0
@@ -77,7 +63,6 @@ def test_fixed_thresholds_never_change():
     for _ in range(10):
         c.observe(5000.0)
     assert c.p_low == 800.0 and c.p_high == 900.0
-    assert not c.complete_training(9999.0)
 
 
 def test_fixed_validation():
@@ -104,8 +89,6 @@ def test_observe_validation():
     c = ThresholdController(initial_peak_w=1000.0)
     with pytest.raises(PowerManagementError):
         c.observe(-1.0)
-    with pytest.raises(PowerManagementError):
-        c.complete_training(0.0)
 
 
 def test_invalid_construction():

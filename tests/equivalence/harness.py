@@ -38,6 +38,7 @@ from repro.ha import HaConfig, StateJournal
 from repro.power import PowerModel, SystemPowerMeter
 from repro.provision import ProvisionScenario
 from repro.telemetry import IntegrityConfig
+from repro.workload.phases import PhaseSchedule
 
 ENGINES = ("vector", "object")
 
@@ -173,6 +174,15 @@ def _feed(h: "hashlib._Hash", value: Any) -> None:
         h.update(f"seq:{len(value)}:".encode())
         for item in value:
             _feed(h, item)
+    elif isinstance(value, PhaseSchedule):
+        # Its repr is an object address; its phases are its value.
+        h.update(b"PhaseSchedule")
+        _feed(h, value.phases)
+    elif type(value).__repr__ is object.__repr__:
+        # An address differs between processes: a digest of one could
+        # never be compared with another process's.
+        name = type(value).__name__
+        raise TypeError(f"cannot digest a {name}: its repr is an address")
     else:
         h.update(repr(value).encode())
 

@@ -32,14 +32,9 @@ def test_config_validation():
         ExperimentConfig(steady_green_cycles=0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(provision_fraction=0.0)
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(modulation_std=-0.1)
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(modulation_tau_s=0.0)
 
 
 def test_effective_modulation_tau():
-    assert ExperimentConfig(modulation_tau_s=77.0).effective_modulation_tau_s == 77.0
     derived = ExperimentConfig(runtime_scale=0.25).effective_modulation_tau_s
     assert derived == pytest.approx(100.0)
     assert ExperimentConfig(runtime_scale=0.001).effective_modulation_tau_s == 20.0

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.experiments import run_fig5, run_fig6, run_fig7
 from repro.experiments.ablations import policy_zoo, sweep_steady_green
 from repro.experiments.fig5_scalability import measure_collection_cycle_s
-from repro.telemetry import ManagementCostModel
 
 from tests.experiments.test_common import tiny_config
 
@@ -43,12 +42,6 @@ def test_fig5_nonlinearity_requires_points():
 
 def test_measure_collection_cycle_zero_size():
     assert measure_collection_cycle_s(0) == 0.0
-
-
-def test_fig5_custom_cost_model():
-    flat = ManagementCostModel(fixed_ms=1.0, per_node_ms=0.0, pairwise_us=0.0)
-    result = run_fig5(sizes=(0, 64), cost_model=flat, measure=False)
-    assert result.modelled_cpu[0] == pytest.approx(result.modelled_cpu[1])
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.sweep as sweep_module
-from repro.core.sets import CandidateSelector
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig, ResultCache, run_fig6, run_fig7
 from repro.experiments.ablations import sweep_steady_green
@@ -35,7 +34,6 @@ from repro.experiments.sweep import (
 from repro.faults import FaultScenario
 from repro.ha import HaConfig
 from repro.obs import ObsConfig
-from repro.telemetry import ManagementCostModel
 
 from .test_common import tiny_config
 
@@ -165,7 +163,6 @@ def test_baseline_config_resets_only_manager_fields():
         steady_green_cycles=3,
         faults=FaultScenario.light(),
         ha=HaConfig.warm(crash_at_cycles=(10,)),
-        cost_model=ManagementCostModel(),
         track_thermal=True,
         scheduler="backfill",
     )
@@ -183,7 +180,7 @@ def test_baseline_config_resets_only_manager_fields():
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"candidate_size": 8, "candidate_strategy": CandidateSelector.SPREAD_K},
+        {"candidate_size": 8},
         {"margin_high": 0.10, "margin_low": 0.22, "steady_green_cycles": 3},
         {"adjust_every_cycles": 30, "faults": FaultScenario.light()},
         {"ha": HaConfig.warm(crash_at_cycles=(10,))},

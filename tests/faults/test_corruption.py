@@ -90,7 +90,6 @@ def test_nonsense_rejected():
 def test_meter_only_scenarios_count_as_enabled():
     assert CorruptionScenario(meter_stuck=True).enabled
     assert CorruptionScenario(meter_drift_per_cycle=-0.001).enabled
-    assert CorruptionScenario(meter_bias_w=-50.0).enabled
 
 
 # ----------------------------------------------------------------------
@@ -144,11 +143,7 @@ def test_drift_accumulates_per_cycle():
 
 
 def test_stuck_constant_pins_affected_rows():
-    model = _model(
-        CorruptionScenario(
-            stuck_fraction=0.25, stuck_mode="constant", stuck_constant=0.0
-        )
-    )
+    model = _model(CorruptionScenario(stuck_fraction=0.25, stuck_mode="constant"))
     touched, cpu, mem, nic = _sweep(model)
     for values in (cpu, mem, nic):
         np.testing.assert_allclose(values[touched], 0.0)
@@ -191,17 +186,17 @@ def test_spikes_are_occasional_and_signed():
 # ----------------------------------------------------------------------
 # Meter corruption
 # ----------------------------------------------------------------------
-def test_byzantine_meter_applies_gain_and_bias():
-    model = _model(CorruptionScenario(meter_gain=0.75, meter_bias_w=-10.0))
+def test_byzantine_meter_applies_gain():
+    model = _model(CorruptionScenario(meter_gain=0.75))
     model.begin_cycle()
-    assert model.corrupt_meter(1000.0) == pytest.approx(740.0)
+    assert model.corrupt_meter(1000.0) == pytest.approx(750.0)
     assert model.corrupted_meter_readings == 1
 
 
 def test_meter_corruption_clamps_at_zero():
-    model = _model(CorruptionScenario(meter_gain=0.1, meter_bias_w=-500.0))
+    model = _model(CorruptionScenario(meter_gain=0.1))
     model.begin_cycle()
-    assert model.corrupt_meter(100.0) == 0.0
+    assert model.corrupt_meter(-100.0) == 0.0
 
 
 def test_stuck_meter_latches_first_post_onset_reading():

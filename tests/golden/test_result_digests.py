@@ -24,8 +24,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from repro import ExperimentConfig, ObsConfig, run_experiment
 from repro.experiments.common import ExperimentResult
 from repro.faults import CorruptionScenario, FaultScenario
 from repro.ha import HaConfig
+from repro.power.thermal import BreakerThermalModel
 from repro.provision import ProvisionScenario
 from repro.telemetry import IntegrityConfig
 from tests.equivalence.harness import fingerprint
@@ -44,11 +48,7 @@ POLICIES = ("mpc", "hri-c")
 CRASH_CYCLE = 100
 
 _BREAKER_UNDEFENDED = ProvisionScenario.preset(
-    "breaker-stress",
-    defend=False,
-    breaker_trip_time_s=2.0,
-    pdu_failure_at_cycle=10,
-    pdu_derate_fraction=0.3,
+    "breaker-stress", defend=False, pdu_failure_at_cycle=10
 )
 
 
@@ -137,14 +137,9 @@ CELLS: dict[str, tuple[dict[str, Any], bool, Check]] = {
         if name != "none"
     },
     # No preset reaches the ladder's last rung; a one-cycle escalation
-    # with a near-empty suspend budget sheds nodes.
+    # with a near-empty suspend budget (``PATCHES``) sheds nodes.
     "provision-shed": (
-        {
-            "provision": ProvisionScenario.preset(
-                "grid-storm", escalate_after_cycles=1, max_suspend_fraction=0.05
-            ),
-            "attach_provision": True,
-        },
+        {"provision": ProvisionScenario.preset("grid-storm"), "attach_provision": True},
         True,
         lambda r: _prov(r).nodes_shed > 0,
     ),
@@ -177,6 +172,22 @@ CELLS: dict[str, tuple[dict[str, Any], bool, Check]] = {
         and _faults(r).quarantine_entries > 0
         and _prov(r).emergency_red_cycles > 0,
     ),
+}
+
+#: Cell → module constants (or classes) the cell patches for its run:
+#: the states no configuration reaches.
+PATCHES: dict[str, dict[str, Any]] = {
+    "provision-shed": {
+        "repro.provision.emergency.ESCALATE_AFTER_CYCLES": 1,
+        "repro.provision.emergency.MAX_SUSPEND_FRACTION": 0.05,
+    },
+    # Breakers that trip in 2 s, on a PDU that keeps 30% of its rating.
+    "breaker-undefended": {
+        "repro.provision.runtime.BreakerThermalModel": partial(
+            BreakerThermalModel, trip_time_s=2.0
+        ),
+        "repro.provision.runtime.PDU_DERATE_FRACTION": 0.3,
+    },
 }
 
 _EXCLUDED = frozenset({"config", "observability"})
@@ -237,7 +248,10 @@ def compute_digests(tmp_path: Path) -> tuple[dict[str, str], list[str]]:
     for name, (overrides, managed, fired) in CELLS.items():
         for policy in POLICIES if managed else (None,):
             key = f"{name}/{policy or 'uncapped'}"
-            result = run_experiment(_config(**overrides), policy)
+            with ExitStack() as patches:
+                for target, value in PATCHES.get(name, {}).items():
+                    patches.enter_context(mock.patch(target, value))
+                result = run_experiment(_config(**overrides), policy)
             digests[key] = result_digest(result)
             if not fired(result):
                 silent.append(key)

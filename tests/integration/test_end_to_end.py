@@ -42,7 +42,8 @@ def test_cluster_fills_and_completes_jobs():
     assert cluster.state.busy_mask().sum() > 0
     # Power stays inside physical bounds throughout.
     power = model.system_power(cluster.state)
-    assert cluster.minimum_power() <= power <= cluster.theoretical_max_power()
+    floor = cluster.num_nodes * cluster.spec.min_power()
+    assert floor <= power <= cluster.theoretical_max_power()
 
 
 def test_manager_keeps_power_under_control():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.faults import FaultScenario
 from repro.metrics import compare_runs
 
 
@@ -67,7 +68,7 @@ def test_capping_robust_to_meter_noise():
     peak and overspend drop relative to the noisy-uncapped baseline.
     (The paper assumes an accurate meter; this checks graceful
     degradation rather than a paper claim.)"""
-    noisy = _config(meter_noise_fraction=0.02)
+    noisy = _config(faults=FaultScenario(meter_noise_fraction=0.02))
     baseline = run_experiment(noisy, None)
     capped = run_experiment(noisy, "mpc")
     c = compare_runs(capped.metrics, baseline.metrics)

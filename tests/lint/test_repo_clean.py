@@ -8,9 +8,12 @@ machine-enforced for all future changes to ``src/repro``.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
+import typing
 from pathlib import Path
 
+from repro.experiments.common import ExperimentConfig
 from tests.lint.conftest import REPO_ROOT, SRC_REPRO
 from tools.reprolint.runner import lint_paths, run
 
@@ -32,6 +35,13 @@ ORPHAN_EXEMPT = {
     # The scheduler tests' closed-list feeder, next to the production
     # feeder so both satisfy the same ``Feeder`` protocol.
     "repro/scheduler/feeder.py": {"ListFeeder"},
+}
+
+#: Run-configuration fields kept although no run gives them a
+#: non-default value, with the reason each stays.
+KNOB_EXEMPT = {
+    "ExperimentConfig.privileged_nodes": "the paper's own input: "
+    "A_uncontrollable, the privileged set of §II.A",
 }
 
 
@@ -138,6 +148,148 @@ def test_every_public_definition_has_a_caller_outside_tests() -> None:
             orphans.append(f"{rel}:{node.lineno} {name}")
     assert orphans == [], "defined but never used outside tests:\n" + "\n".join(
         orphans
+    )
+
+
+def _config_sections() -> dict[str, type]:
+    """The run configuration's classes by CLI section name:
+    ``ExperimentConfig`` itself, and the config class of each of its
+    fields under that field's name."""
+    sections: dict[str, type] = {"experiment": ExperimentConfig}
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        for arg in (hint, *typing.get_args(hint)):
+            if isinstance(arg, type) and dataclasses.is_dataclass(arg):
+                sections[name] = arg
+    return sections
+
+
+def _is_replace(func: ast.expr) -> bool:
+    """Whether a call's function is ``replace`` or ``dataclasses.replace``."""
+    if isinstance(func, ast.Attribute):
+        return (
+            func.attr == "replace"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "dataclasses"
+        )
+    return isinstance(func, ast.Name) and func.id == "replace"
+
+
+class _KnobSettings:
+    """The ``(class, field)`` pairs some code gives a non-default value.
+
+    A field is set by a keyword of a call that builds or replaces a
+    config (``cls(...)`` counts for its own class, and ``replace`` of
+    an unknown config for every class with that field), by a
+    string-keyed store into a dict splatted into such a call, or by a
+    CLI option-table row ``(flag, section, field, ...)``.  A literal
+    equal to the field's default sets nothing.
+    """
+
+    def __init__(self) -> None:
+        sections = _config_sections()
+        self.sections = {name: cls.__name__ for name, cls in sections.items()}
+        self.fields = {
+            cls.__name__: {f.name: f for f in dataclasses.fields(cls)}
+            for cls in sections.values()
+        }
+        self.found: set[tuple[str, str]] = set()
+
+    def _targets(self, call: ast.Call, owner: str | None) -> set[str]:
+        """The config classes a call builds or replaces."""
+        func = call.func
+        base = func.value if isinstance(func, ast.Attribute) else func
+        if isinstance(base, ast.Name):
+            name = owner if base.id == "cls" else base.id
+            if name in self.fields:
+                return {name}
+        if not _is_replace(func):
+            return set()
+        first = call.args[0] if call.args else None
+        if isinstance(first, ast.Call):
+            return self._targets(first, owner) or set(self.fields)
+        return set(self.fields)
+
+    def _set(self, classes: set[str], field: str, value: ast.expr | None) -> None:
+        """Record ``field`` of ``classes`` as set to ``value`` (``None``:
+        a value only known at run time)."""
+        for name in classes:
+            spec = self.fields[name].get(field)
+            if spec is None:
+                continue
+            if value is not None:
+                if spec.default is not dataclasses.MISSING:
+                    default = spec.default
+                else:
+                    default = spec.default_factory()
+                try:
+                    if ast.literal_eval(value) == default:
+                        continue
+                except ValueError:
+                    pass
+            self.found.add((name, field))
+
+    def _cli_row(self, row: ast.Tuple) -> None:
+        parts = row.elts[:3]
+        if len(parts) == 3 and all(
+            isinstance(p, ast.Constant) and isinstance(p.value, str) for p in parts
+        ):
+            flag, section, field = (p.value for p in parts)
+            if flag.startswith("--") and section in self.sections:
+                self._set({self.sections[section]}, field, None)
+
+    def scan(self, scope: list[ast.AST], owner: str | None) -> None:
+        """Record what one function (or module-level statement) sets."""
+        splats: dict[str, set[str]] = {}
+        stores: list[tuple[str, str, ast.expr]] = []
+        for node in (sub for top in scope for sub in ast.walk(top)):
+            if isinstance(node, ast.Call):
+                targets = self._targets(node, owner)
+                for kw in node.keywords if targets else ():
+                    if kw.arg is not None:
+                        self._set(targets, kw.arg, kw.value)
+                    elif isinstance(kw.value, ast.Name):
+                        splats.setdefault(kw.value.id, set()).update(targets)
+            elif isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if (
+                        isinstance(t, ast.Subscript)
+                        and isinstance(t.value, ast.Name)
+                        and isinstance(t.slice, ast.Constant)
+                        and isinstance(t.slice.value, str)
+                    ):
+                        stores.append((t.value.id, t.slice.value, node.value))
+            elif isinstance(node, ast.Tuple):
+                self._cli_row(node)
+        for name, field, value in stores:
+            self._set(splats.get(name, set()), field, value)
+
+    def visit(self, node: ast.AST, owner: str | None = None) -> None:
+        """Scan each function of a module, and each other statement."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self.visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.scan([*child.body, *child.args.defaults], owner)
+            else:
+                self.scan([child], owner)
+
+
+def test_every_config_field_is_set_by_some_run() -> None:
+    """A knob no run sets is a constant: each field of the run
+    configuration gets a non-default value from code outside
+    ``tests/`` (a preset, a harness, the CLI's option table, ...)."""
+    settings = _KnobSettings()
+    for path in _caller_files():
+        settings.visit(ast.parse(path.read_text(encoding="utf-8")))
+    unset = [
+        f"{name}.{field}"
+        for name, fields in settings.fields.items()
+        for field in fields
+        if (name, field) not in settings.found
+        and f"{name}.{field}" not in KNOB_EXEMPT
+    ]
+    assert unset == [], "fields no run sets (make them constants):\n" + "\n".join(
+        unset
     )
 
 

@@ -110,7 +110,8 @@ def test_for_cluster_rejects_invalid_fraction(small_cluster):
 
 
 def test_check_assumptions_raises_on_violation(small_cluster):
-    tiny = PowerProvision(capability_w=small_cluster.minimum_power() * 0.5)
+    floor = small_cluster.num_nodes * small_cluster.spec.min_power()
+    tiny = PowerProvision(capability_w=floor * 0.5)
     with pytest.raises(ConfigurationError):
         tiny.check_assumptions(small_cluster)
 

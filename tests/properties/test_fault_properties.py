@@ -12,6 +12,8 @@ outages, lost/delayed commands and node crashes:
 * every level stays within the platform range.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +21,11 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.core import NodeSets, PowerManager, ThresholdController
 from repro.core.policies import make_policy
-from repro.faults import DegradedModeConfig, FaultInjector, FaultScenario
+from repro.faults import FaultInjector, FaultScenario, degraded
 from repro.power import PowerModel, SystemPowerMeter
 from repro.sim import RandomSource
 
+#: The ladder's stale-age bound, patched in for these tests.
 MAX_STALE_AGE_S = 2.5
 PRIVILEGED = np.array([0, 1])
 
@@ -65,11 +68,11 @@ def _setup(seed: int, scenario: FaultScenario):
         make_policy("mpc"),
         steady_green_cycles=2,
         fault_injector=injector,
-        degraded=DegradedModeConfig(max_stale_age_s=MAX_STALE_AGE_S),
     )
     return cluster, manager, rng
 
 
+@mock.patch.object(degraded, "MAX_STALE_AGE_S", MAX_STALE_AGE_S)
 @given(st.integers(min_value=0, max_value=10_000), scenarios)
 @settings(max_examples=30, deadline=None)
 def test_safety_invariants_under_any_fault_schedule(seed, scenario):
@@ -107,6 +110,7 @@ def test_safety_invariants_under_any_fault_schedule(seed, scenario):
                 assert not stale[snapshot.index_of(int(node))]
 
 
+@mock.patch.object(degraded, "MAX_STALE_AGE_S", MAX_STALE_AGE_S)
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=10, deadline=None)
 def test_total_blackout_never_raises_a_level(seed):

@@ -1,6 +1,7 @@
 """Unit tests for the capacity-emergency response ladder."""
 
 import numpy as np
+import pytest
 
 from repro.provision import (
     EmergencyResponse,
@@ -8,6 +9,8 @@ from repro.provision import (
     ProvisionRuntime,
     ProvisionScenario,
 )
+from repro.provision import emergency
+from repro.provision import runtime as delivery_runtime
 from repro.provision.emergency import (
     RUNG_CAP,
     RUNG_NORMAL,
@@ -45,15 +48,20 @@ def _scheduler(cluster, jobs):
     return sched
 
 
-def _scenario(**overrides):
-    kwargs = dict(
-        escalate_after_cycles=2,
-        recover_after_cycles=2,
-        recover_fraction=0.9,
-        max_suspend_fraction=0.5,
-    )
-    kwargs.update(overrides)
-    return ProvisionScenario(**kwargs)
+#: A quicker ladder than the production one, so a test climbs and
+#: descends it in a few cycles.
+QUICK_LADDER = {
+    "ESCALATE_AFTER_CYCLES": 2,
+    "RECOVER_AFTER_CYCLES": 2,
+    "RECOVER_FRACTION": 0.9,
+    "MAX_SUSPEND_FRACTION": 0.5,
+}
+
+
+@pytest.fixture(autouse=True)
+def _quick_ladder(monkeypatch):
+    for name, value in QUICK_LADDER.items():
+        monkeypatch.setattr(emergency, name, value)
 
 
 def _response(cluster, sched=None, scenario=None, candidate_mask=None):
@@ -63,7 +71,7 @@ def _response(cluster, sched=None, scenario=None, candidate_mask=None):
         nodes_per_rack=4,
         num_nodes=cluster.state.num_nodes,
     )
-    runtime = ProvisionRuntime(topo, scenario or _scenario())
+    runtime = ProvisionRuntime(topo, scenario or ProvisionScenario())
     return EmergencyResponse(runtime, sched, candidate_mask), runtime
 
 
@@ -71,7 +79,7 @@ def _response(cluster, sched=None, scenario=None, candidate_mask=None):
 # Forcing red
 # ----------------------------------------------------------------------
 def test_undefended_response_never_forces_red(small_cluster):
-    emr, runtime = _response(small_cluster, scenario=_scenario(defend=False))
+    emr, runtime = _response(small_cluster, scenario=ProvisionScenario(defend=False))
     assert not runtime.scenario.defend
     assert emr.update(0.0, 5000.0) is False
     assert emr.emergency_red_cycles == 0
@@ -90,10 +98,10 @@ def test_within_capacity_does_not_force_red(small_cluster):
     assert emr.rung == RUNG_NORMAL
 
 
-def test_envelope_none_on_total_blackout(small_cluster):
+def test_envelope_none_on_total_blackout(small_cluster, monkeypatch):
+    monkeypatch.setattr(delivery_runtime, "FEED_LOSS_COUNT", 2)
     emr, runtime = _response(
-        small_cluster,
-        scenario=_scenario(feed_loss_at_cycle=0, feed_loss_count=2),
+        small_cluster, scenario=ProvisionScenario(feed_loss_at_cycle=0)
     )
     assert emr.envelope_w() == 1000.0
     runtime.begin_cycle(0.0)

@@ -1,10 +1,14 @@
 """Unit tests for the live power-delivery runtime."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.power.thermal import BreakerThermalModel
 from repro.provision import PowerTopology, ProvisionRuntime, ProvisionScenario
+from repro.provision import runtime
 from repro.sim import RandomSource
 
 NUM_NODES = 8
@@ -25,9 +29,16 @@ def _runtime(scenario, topology=None, rng=None):
     return ProvisionRuntime(topology or _topology(), scenario, rng=rng)
 
 
-def _drive(runtime, cycles, period=10.0):
+def _drive(rt, cycles, period=10.0):
     for cycle in range(cycles):
-        runtime.begin_cycle(cycle * period)
+        rt.begin_cycle(cycle * period)
+
+
+def _fast_breakers(monkeypatch):
+    """Breakers that trip after 30 s of 2x overload, not 60 s."""
+    monkeypatch.setattr(
+        runtime, "BreakerThermalModel", partial(BreakerThermalModel, trip_time_s=30.0)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -73,22 +84,15 @@ def test_begin_cycle_idempotent_per_instant():
     assert rt.stats().feed_losses == 1  # not double-counted
 
 
-def test_pdu_failure_derates_one_branch():
-    rt = _runtime(
-        ProvisionScenario(
-            pdu_failure_at_cycle=1, pdu_failure_rack=1, pdu_derate_fraction=0.5
-        )
-    )
+def test_pdu_failure_derates_one_branch(monkeypatch):
+    monkeypatch.setattr(runtime, "PDU_FAILURE_RACK", 1)
+    monkeypatch.setattr(runtime, "PDU_DERATE_FRACTION", 0.5)
+    rt = _runtime(ProvisionScenario(pdu_failure_at_cycle=1))
     _drive(rt, 2)
     np.testing.assert_allclose(rt.branch_limits_w, [300.0, 150.0])
     # Global capacity is untouched: it is a branch-local failure.
     assert rt.capacity_w == 1000.0
     assert rt.stats().pdu_failures == 1
-
-
-def test_pdu_failure_rack_must_exist():
-    with pytest.raises(ConfigurationError, match="pdu_failure_rack"):
-        _runtime(ProvisionScenario(pdu_failure_at_cycle=0, pdu_failure_rack=9))
 
 
 def test_cap_order_onset_and_expiry():
@@ -169,8 +173,9 @@ def test_settle_accounts_branch_violation_seconds():
     assert rt.last_branch_over_w == pytest.approx(20.0)
 
 
-def test_sustained_overload_trips_the_breaker_and_blacks_out_the_rack():
-    rt = _runtime(ProvisionScenario(breaker_trip_time_s=30.0))
+def test_sustained_overload_trips_the_breaker_and_blacks_out_the_rack(monkeypatch):
+    _fast_breakers(monkeypatch)
+    rt = _runtime(ProvisionScenario())
     rt.begin_cycle(0.0)
     # Rack 0 at 2x rating: trips once the integral accumulates 30 s.
     power = np.concatenate([np.full(4, 150.0), np.full(4, 10.0)])
@@ -185,15 +190,10 @@ def test_sustained_overload_trips_the_breaker_and_blacks_out_the_rack():
     np.testing.assert_array_equal(rt.dark_nodes, [0, 1, 2, 3])
 
 
-def test_derated_pdu_heats_breaker_at_previously_safe_load():
-    rt = _runtime(
-        ProvisionScenario(
-            pdu_failure_at_cycle=0,
-            pdu_failure_rack=0,
-            pdu_derate_fraction=0.5,
-            breaker_trip_time_s=30.0,
-        )
-    )
+def test_derated_pdu_heats_breaker_at_previously_safe_load(monkeypatch):
+    _fast_breakers(monkeypatch)
+    monkeypatch.setattr(runtime, "PDU_DERATE_FRACTION", 0.5)
+    rt = _runtime(ProvisionScenario(pdu_failure_at_cycle=0))
     rt.begin_cycle(0.0)
     # 300 W on a branch derated to 150 W deliverable = 2x overload.
     power = np.concatenate([np.full(4, 75.0), np.full(4, 10.0)])

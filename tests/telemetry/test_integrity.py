@@ -9,6 +9,7 @@ from repro.telemetry import (
     MeterIntegrityMonitor,
     TelemetryValidator,
 )
+from repro.telemetry import integrity
 
 N = 4
 
@@ -47,13 +48,8 @@ def test_inverted_hysteresis_rejected():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"range_margin": -0.1},
-        {"hard_penalty": 1.5},
+        {"trust_recovery": 1.5},
         {"quarantine_trust": 0.0},
-        {"stuck_window": 1},
-        {"min_quarantine_cycles": 0},
-        {"meter_residual_fraction": 0.0},
-        {"meter_distrust_cycles": 0},
     ],
 )
 def test_bad_knobs_rejected(kwargs):
@@ -82,7 +78,7 @@ def test_nan_sample_is_hard_rejected(estimator, node_spec):
     result = _sweep(v, node_spec, cpu=cpu)
     np.testing.assert_array_equal(result.rejected, [False, True, False, False])
     assert v.rejected_samples == 1
-    assert v.trust[1] == pytest.approx(1.0 - IntegrityConfig().hard_penalty)
+    assert v.trust[1] == pytest.approx(1.0 - integrity.HARD_PENALTY)
 
 
 def test_negative_and_superunity_samples_are_hard_rejected(estimator, node_spec):
@@ -103,11 +99,12 @@ def test_stale_rows_are_never_charged(estimator, node_spec):
 # ----------------------------------------------------------------------
 # Stage 2: DVFS power-envelope cross-check
 # ----------------------------------------------------------------------
-def test_envelope_breach_is_hard_rejected(estimator, node_spec):
+def test_envelope_breach_is_hard_rejected(estimator, node_spec, monkeypatch):
     # Wide range margin lets the sample through stage 1; a zero envelope
     # margin then catches the impossible predicted power.
-    cfg = IntegrityConfig(range_margin=0.30, envelope_margin=0.0)
-    v = _validator(estimator, node_spec, cfg)
+    monkeypatch.setattr(integrity, "RANGE_MARGIN", 0.30)
+    monkeypatch.setattr(integrity, "ENVELOPE_MARGIN", 0.0)
+    v = _validator(estimator, node_spec)
     cpu = np.array([0.5, 1.25, 0.5, 0.5])
     mem = np.array([0.3, 1.25, 0.3, 0.3])
     nic = np.array([0.1, 1.25, 0.1, 0.1])
@@ -124,34 +121,35 @@ def test_spike_charges_soft_penalty_without_rejecting(estimator, node_spec):
     cpu = np.array([0.2, 0.95, 0.2, 0.2])  # node 1 jumps by 0.75
     result = _sweep(v, node_spec, cpu=cpu)
     assert not result.rejected.any()
-    cfg = IntegrityConfig()
-    assert v.trust[1] == pytest.approx(1.0 - cfg.soft_penalty)
+    assert v.trust[1] == pytest.approx(1.0 - integrity.SOFT_PENALTY)
     assert v.trust[0] == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------
 # Stage 4: stuck-at (soft)
 # ----------------------------------------------------------------------
-def test_frozen_busy_sensor_bleeds_trust(estimator, node_spec):
-    cfg = IntegrityConfig(stuck_window=3)
-    v = _validator(estimator, node_spec, cfg)
+def test_frozen_busy_sensor_bleeds_trust(estimator, node_spec, monkeypatch):
+    monkeypatch.setattr(integrity, "STUCK_WINDOW", 3)
+    v = _validator(estimator, node_spec)
     for _ in range(6):  # bit-identical busy readings, cycle after cycle
         _sweep(v, node_spec, cpu=0.5)
     # Runs of 3..5 repeats each charged the stuck penalty.
-    assert v.trust[0] == pytest.approx(1.0 - 3 * cfg.stuck_penalty)
+    assert v.trust[0] == pytest.approx(1.0 - 3 * integrity.STUCK_PENALTY)
 
 
-def test_saturated_sensor_is_exempt_from_stuck_detection(estimator, node_spec):
-    cfg = IntegrityConfig(stuck_window=3)
-    v = _validator(estimator, node_spec, cfg)
+def test_saturated_sensor_is_exempt_from_stuck_detection(
+    estimator, node_spec, monkeypatch
+):
+    monkeypatch.setattr(integrity, "STUCK_WINDOW", 3)
+    v = _validator(estimator, node_spec)
     for _ in range(8):  # pinned at the ceiling: clipping, not corruption
         _sweep(v, node_spec, cpu=1.0)
     np.testing.assert_allclose(v.trust, 1.0)
 
 
-def test_idle_node_is_exempt_from_stuck_detection(estimator, node_spec):
-    cfg = IntegrityConfig(stuck_window=3)
-    v = _validator(estimator, node_spec, cfg)
+def test_idle_node_is_exempt_from_stuck_detection(estimator, node_spec, monkeypatch):
+    monkeypatch.setattr(integrity, "STUCK_WINDOW", 3)
+    v = _validator(estimator, node_spec)
     for _ in range(8):  # idle nodes legitimately sit at a constant floor
         _sweep(v, node_spec, cpu=0.02, busy=False)
     np.testing.assert_allclose(v.trust, 1.0)
@@ -160,8 +158,9 @@ def test_idle_node_is_exempt_from_stuck_detection(estimator, node_spec):
 # ----------------------------------------------------------------------
 # Quarantine state machine
 # ----------------------------------------------------------------------
-def test_quarantine_entry_release_and_hysteresis(estimator, node_spec):
-    cfg = IntegrityConfig(min_quarantine_cycles=3, trust_recovery=0.25)
+def test_quarantine_entry_release_and_hysteresis(estimator, node_spec, monkeypatch):
+    monkeypatch.setattr(integrity, "MIN_QUARANTINE_CYCLES", 3)
+    cfg = IntegrityConfig(trust_recovery=0.25)
     v = _validator(estimator, node_spec, cfg)
     bad = np.array([0.5, np.nan, 0.5, 0.5])
     result = _sweep(v, node_spec, cpu=bad)
@@ -183,8 +182,9 @@ def test_quarantine_entry_release_and_hysteresis(estimator, node_spec):
     assert v.quarantined_node_cycles >= 3
 
 
-def test_release_requires_trust_above_hysteresis(estimator, node_spec):
-    cfg = IntegrityConfig(min_quarantine_cycles=1, trust_recovery=0.01)
+def test_release_requires_trust_above_hysteresis(estimator, node_spec, monkeypatch):
+    monkeypatch.setattr(integrity, "MIN_QUARANTINE_CYCLES", 1)
+    cfg = IntegrityConfig(trust_recovery=0.01)
     v = _validator(estimator, node_spec, cfg)
     bad = np.array([0.5, np.nan, 0.5, 0.5])
     for _ in range(3):
@@ -199,9 +199,10 @@ def test_release_requires_trust_above_hysteresis(estimator, node_spec):
 # ----------------------------------------------------------------------
 # Meter integrity monitor
 # ----------------------------------------------------------------------
-def test_meter_distrust_needs_a_persistent_residual():
-    cfg = IntegrityConfig(meter_distrust_cycles=3, meter_recovery_cycles=2)
-    mon = MeterIntegrityMonitor(cfg)
+def test_meter_distrust_needs_a_persistent_residual(monkeypatch):
+    monkeypatch.setattr(integrity, "METER_DISTRUST_CYCLES", 3)
+    monkeypatch.setattr(integrity, "METER_RECOVERY_CYCLES", 2)
+    mon = MeterIntegrityMonitor()
     # One bad cycle is noise, not byzantine behaviour.
     assert mon.filter(500.0, 1000.0, 1.0) == 500.0
     assert mon.filter(1000.0, 1000.0, 2.0) == 1000.0
@@ -214,9 +215,10 @@ def test_meter_distrust_needs_a_persistent_residual():
     assert mon.distrust_events == 1
 
 
-def test_distrusted_meter_recovers_after_clean_streak():
-    cfg = IntegrityConfig(meter_distrust_cycles=2, meter_recovery_cycles=2)
-    mon = MeterIntegrityMonitor(cfg)
+def test_distrusted_meter_recovers_after_clean_streak(monkeypatch):
+    monkeypatch.setattr(integrity, "METER_DISTRUST_CYCLES", 2)
+    monkeypatch.setattr(integrity, "METER_RECOVERY_CYCLES", 2)
+    mon = MeterIntegrityMonitor()
     for t in (1.0, 2.0):
         mon.filter(500.0, 1000.0, t)
     assert mon.distrusted

@@ -19,12 +19,18 @@ from repro.telemetry import (
     TelemetryCollector,
     TelemetryValidator,
 )
+from repro.telemetry import integrity
 
-#: One hard failure must push trust below the quarantine line:
-#: 1.0 - 0.8 = 0.2 < quarantine_trust (0.30 default).
-_CFG = IntegrityConfig(hard_penalty=0.8)
+_CFG = IntegrityConfig()
 
 _BAD_NODE = 3
+
+
+@pytest.fixture(autouse=True)
+def _harsh_hard_penalty(monkeypatch: pytest.MonkeyPatch) -> None:
+    """One hard failure must push trust below the quarantine line:
+    1.0 - 0.8 = 0.2 < quarantine_trust (0.30 default)."""
+    monkeypatch.setattr(integrity, "HARD_PENALTY", 0.8)
 
 
 def _make_collector(engine: str) -> tuple[Cluster, TelemetryCollector]:

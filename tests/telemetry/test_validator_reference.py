@@ -14,7 +14,10 @@ homogeneous and the heterogeneous power model and on both engines.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
+from typing import Any
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,12 +29,17 @@ from repro.cluster.node import NodeSpec
 from repro.power.estimator import NodePowerEstimator
 from repro.power.hetero import make_power_model
 from repro.telemetry import IntegrityConfig, TelemetryValidator
+from repro.telemetry import integrity
 
 N = 6
 
 
 class _ReferenceValidator:
-    """The per-stage validation pipeline (state and ``validate`` only)."""
+    """The per-stage validation pipeline (state and ``validate`` only).
+
+    It reads the pipeline's constants from :mod:`repro.telemetry.integrity`
+    when it validates, so a test's patch of them reaches both pipelines.
+    """
 
     def __init__(self, config, estimator, candidate_ids, top_level):
         self.config = config
@@ -58,8 +66,8 @@ class _ReferenceValidator:
         finite = (
             np.isfinite(cpu_util) & np.isfinite(mem_frac) & np.isfinite(nic_frac)
         )
-        lo = -cfg.range_margin
-        hi = 1.0 + cfg.range_margin
+        lo = -integrity.RANGE_MARGIN
+        hi = 1.0 + integrity.RANGE_MARGIN
         in_range = finite.copy()
         for values in (cpu_util, mem_frac, nic_frac):
             with np.errstate(invalid="ignore"):
@@ -79,7 +87,7 @@ class _ReferenceValidator:
                 lv, zeros, zeros, zeros, node_ids=ids
             )
             env_hi = self._estimator.estimate_nodes(lv, ones, ones, ones, node_ids=ids)
-            margin = cfg.envelope_margin
+            margin = integrity.ENVELOPE_MARGIN
             with np.errstate(invalid="ignore"):
                 outside = (predicted < env_lo * (1.0 - margin)) | (
                     predicted > env_hi * (1.0 + margin)
@@ -92,9 +100,9 @@ class _ReferenceValidator:
                 fresh
                 & ~hard
                 & have_prev
-                & (np.abs(cpu_util - self._last_cpu) > cfg.spike_delta)
+                & (np.abs(cpu_util - self._last_cpu) > integrity.SPIKE_DELTA)
             )
-        eps = cfg.stuck_epsilon
+        eps = integrity.STUCK_EPSILON
         with np.errstate(invalid="ignore"):
             same = (
                 have_prev
@@ -109,14 +117,14 @@ class _ReferenceValidator:
         self._stuck_run[track & same] += 1
         self._stuck_run[track & ~same] = 0
         self._stuck_run[fresh & ~track] = 0
-        stuck = track & (self._stuck_run >= cfg.stuck_window)
+        stuck = track & (self._stuck_run >= integrity.STUCK_WINDOW)
         self._last_cpu[fresh] = cpu_util[fresh]
         self._last_mem[fresh] = mem_frac[fresh]
         self._last_nic[fresh] = nic_frac[fresh]
         penalty = (
-            hard * cfg.hard_penalty
-            + spike * cfg.soft_penalty
-            + stuck * cfg.stuck_penalty
+            hard * integrity.HARD_PENALTY
+            + spike * integrity.SOFT_PENALTY
+            + stuck * integrity.STUCK_PENALTY
         )
         clean = fresh & ~hard & ~spike & ~stuck
         self._trust = np.clip(
@@ -130,7 +138,7 @@ class _ReferenceValidator:
         dwell = self._cycle - self._quarantine_entry_cycle
         releasing = (
             self._quarantined
-            & (dwell >= cfg.min_quarantine_cycles)
+            & (dwell >= integrity.MIN_QUARANTINE_CYCLES)
             & (self._trust > cfg.release_trust)
         )
         if releasing.any():
@@ -154,17 +162,21 @@ def _estimator(kind: str) -> NodePowerEstimator:
 
 ESTIMATORS = {kind: _estimator(kind) for kind in ("vector", "object", "heterogeneous")}
 TOP = NodeSpec.tianhe_1a().top_level
-#: Quick to quarantine and to release, so sequences reach both.
-TOUCHY = IntegrityConfig(
-    hard_penalty=0.5,
-    soft_penalty=0.2,
-    stuck_penalty=0.3,
-    trust_recovery=0.4,
-    quarantine_trust=0.3,
-    release_trust=0.8,
-    stuck_window=2,
-    min_quarantine_cycles=1,
-)
+#: Quick to quarantine and to release, so sequences reach both: these
+#: trust knobs, with the pipeline constants of ``TOUCHY_CONSTANTS``.
+TOUCHY = IntegrityConfig(trust_recovery=0.4, quarantine_trust=0.3, release_trust=0.8)
+TOUCHY_CONSTANTS = {
+    "HARD_PENALTY": 0.5,
+    "SOFT_PENALTY": 0.2,
+    "STUCK_PENALTY": 0.3,
+    "STUCK_WINDOW": 2,
+    "MIN_QUARANTINE_CYCLES": 1,
+}
+
+
+def _touchy_constants() -> AbstractContextManager[Any]:
+    """Patch the pipeline constants to the touchy configuration's."""
+    return mock.patch.multiple(integrity, **TOUCHY_CONSTANTS)
 
 _value = st.one_of(
     st.floats(-0.3, 1.3),
@@ -202,49 +214,51 @@ def test_one_pass_validator_matches_the_per_stage_pipeline(kind, sweeps, touchy)
     config = TOUCHY if touchy else IntegrityConfig()
     estimator = ESTIMATORS[kind]
     ids = np.arange(N, dtype=np.int64)
-    new = TelemetryValidator(config, estimator, ids, TOP)
-    ref = _ReferenceValidator(config, estimator, ids, TOP)
-    for level, cpu, mem, nic, job, fresh in sweeps:
-        # Each gets its own copies: neither may write its inputs.
-        arrays = (level, cpu, mem, nic, job, fresh)
-        result = new.validate(*(a.copy() for a in arrays))
-        rejected, quarantined = ref.validate(*(a.copy() for a in arrays))
-        np.testing.assert_array_equal(result.rejected, rejected)
-        np.testing.assert_array_equal(result.quarantined, quarantined)
-        np.testing.assert_array_equal(new.quarantined, quarantined)
-        assert new.trust.tobytes() == ref._trust.tobytes()
-        np.testing.assert_array_equal(new._stuck_run, ref._stuck_run)
-        np.testing.assert_array_equal(
-            new._quarantine_entry_cycle, ref._quarantine_entry_cycle
-        )
-        assert new.rejected_samples == ref.rejected_samples
-        assert new.quarantine_entries == ref.quarantine_entries
-        assert new.quarantined_node_cycles == ref.quarantined_node_cycles
-        assert new.quarantined_nodes == int(quarantined.sum())
-        assert (new.quarantined_nodes > 0) == bool(quarantined.any())
-        # Counters stay Python ints: they reach traces and JSON results.
-        counters = (
-            new.rejected_samples,
-            new.quarantine_entries,
-            new.quarantined_node_cycles,
-            new.quarantined_nodes,
-        )
-        assert all(type(c) is int for c in counters)
+    with _touchy_constants() if touchy else nullcontext():
+        new = TelemetryValidator(config, estimator, ids, TOP)
+        ref = _ReferenceValidator(config, estimator, ids, TOP)
+        for level, cpu, mem, nic, job, fresh in sweeps:
+            # Each gets its own copies: neither may write its inputs.
+            arrays = (level, cpu, mem, nic, job, fresh)
+            result = new.validate(*(a.copy() for a in arrays))
+            rejected, quarantined = ref.validate(*(a.copy() for a in arrays))
+            np.testing.assert_array_equal(result.rejected, rejected)
+            np.testing.assert_array_equal(result.quarantined, quarantined)
+            np.testing.assert_array_equal(new.quarantined, quarantined)
+            assert new.trust.tobytes() == ref._trust.tobytes()
+            np.testing.assert_array_equal(new._stuck_run, ref._stuck_run)
+            np.testing.assert_array_equal(
+                new._quarantine_entry_cycle, ref._quarantine_entry_cycle
+            )
+            assert new.rejected_samples == ref.rejected_samples
+            assert new.quarantine_entries == ref.quarantine_entries
+            assert new.quarantined_node_cycles == ref.quarantined_node_cycles
+            assert new.quarantined_nodes == int(quarantined.sum())
+            assert (new.quarantined_nodes > 0) == bool(quarantined.any())
+            # Counters stay Python ints: they reach traces and JSON results.
+            counters = (
+                new.rejected_samples,
+                new.quarantine_entries,
+                new.quarantined_node_cycles,
+                new.quarantined_nodes,
+            )
+            assert all(type(c) is int for c in counters)
 
 
 def test_sequences_reach_quarantine_entry_and_release():
     """The touchy configuration does quarantine and release within a
     short sequence, so the differential test above exercises both."""
     estimator = ESTIMATORS["vector"]
-    v = TelemetryValidator(TOUCHY, estimator, np.arange(N, dtype=np.int64), TOP)
     level = np.full(N, TOP, dtype=np.int64)
     busy = np.zeros(N, dtype=np.int64)
     fresh = np.ones(N, dtype=bool)
     nan = np.full(N, np.nan)
-    v.validate(level, nan, nan, nan, busy, fresh)
-    v.validate(level, nan, nan, nan, busy, fresh)
-    assert v.quarantined.all() and v.quarantine_entries == N
-    for k in range(6):
-        load = np.full(N, 0.3 + 0.01 * k)
-        v.validate(level, load, load, load, busy, fresh)
-    assert v.quarantined_nodes == 0
+    with _touchy_constants():
+        v = TelemetryValidator(TOUCHY, estimator, np.arange(N, dtype=np.int64), TOP)
+        v.validate(level, nan, nan, nan, busy, fresh)
+        v.validate(level, nan, nan, nan, busy, fresh)
+        assert v.quarantined.all() and v.quarantine_entries == N
+        for k in range(6):
+            load = np.full(N, 0.3 + 0.01 * k)
+            v.validate(level, load, load, load, busy, fresh)
+        assert v.quarantined_nodes == 0

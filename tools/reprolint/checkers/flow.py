@@ -46,7 +46,6 @@ _SANITIZERS = frozenset(
 #: comparison.
 _TELEMETRY_SINKS = {
     "repro.core.thresholds.ThresholdController.observe": 0,
-    "repro.core.thresholds.ThresholdController.complete_training": 0,
     "repro.core.states.classify_power_state": 0,
 }
 
