@@ -46,8 +46,8 @@ def main() -> None:
         if args.full
         else ExperimentConfig.quick(seed=args.seed)
     )
-    # Three priority classes so the SLA-aware policy has something to
-    # protect (the other policies ignore priorities entirely).
+    # Three priority classes so the SLA-aware policy has classes to rank
+    # (the other policies ignore priorities entirely).
     from dataclasses import replace
 
     config = replace(config, priority_choices=(0, 1, 2))

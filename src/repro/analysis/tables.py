@@ -19,24 +19,18 @@ __all__ = ["Table", "format_fig6_table", "format_fig7_table"]
 
 
 class Table:
-    """A column-aligned text table.
+    """A column-aligned text table: the first column left-aligned, the
+    rest right-aligned, which suits label-plus-numbers layouts.
 
     Args:
         headers: Column titles.
-        align: Per-column alignment, "<" (left) or ">" (right); defaults
-            to left for the first column and right for the rest, which
-            suits label-plus-numbers layouts.
     """
 
-    def __init__(self, headers: Sequence[str], align: Sequence[str] | None = None):
+    def __init__(self, headers: Sequence[str]):
         if not headers:
             raise MetricError("a table needs at least one column")
         self._headers = [str(h) for h in headers]
-        if align is None:
-            align = ["<"] + [">"] * (len(headers) - 1)
-        if len(align) != len(headers) or any(a not in "<>" for a in align):
-            raise MetricError("align must be '<'/'>' per column")
-        self._align = list(align)
+        self._align = ["<"] + [">"] * (len(headers) - 1)
         self._rows: list[list[str]] = []
 
     def add_row(self, *cells: object) -> None:

@@ -26,6 +26,11 @@ from repro.units import ghz
 
 __all__ = ["DvfsTable"]
 
+#: Supply-voltage range of the built-in ladders, volts: the Xeon X5670's
+#: VID range, which the synthetic :meth:`DvfsTable.linear` ladder shares.
+V_MIN = 0.85
+V_MAX = 1.25
+
 
 @dataclass(frozen=True)
 class DvfsTable:
@@ -81,31 +86,24 @@ class DvfsTable:
         freqs = tuple(
             ghz(f) for f in (1.60, 1.73, 1.86, 2.00, 2.13, 2.26, 2.40, 2.53, 2.66, 2.93)
         )
-        v_min, v_max = 0.85, 1.25
         f_lo, f_hi = freqs[0], freqs[-1]
         volts = tuple(
-            v_min + (v_max - v_min) * (f - f_lo) / (f_hi - f_lo) for f in freqs
+            V_MIN + (V_MAX - V_MIN) * (f - f_lo) / (f_hi - f_lo) for f in freqs
         )
         return cls(frequencies_hz=freqs, voltages_v=volts)
 
     @classmethod
-    def linear(
-        cls,
-        num_levels: int,
-        f_min_hz: float,
-        f_max_hz: float,
-        v_min: float = 0.85,
-        v_max: float = 1.25,
-    ) -> "DvfsTable":
-        """A synthetic evenly-spaced ladder — handy for tests and what-ifs."""
+    def linear(cls, num_levels: int, f_min_hz: float, f_max_hz: float) -> "DvfsTable":
+        """A synthetic evenly-spaced ladder — handy for tests and what-ifs —
+        with voltages evenly spaced over [:data:`V_MIN`, :data:`V_MAX`]."""
         if num_levels < 1:
             raise ConfigurationError("num_levels must be >= 1")
         if num_levels == 1:
-            return cls(frequencies_hz=(float(f_max_hz),), voltages_v=(float(v_max),))
+            return cls(frequencies_hz=(float(f_max_hz),), voltages_v=(V_MAX,))
         if f_min_hz >= f_max_hz:
             raise ConfigurationError("f_min_hz must be below f_max_hz")
         freqs = tuple(np.linspace(f_min_hz, f_max_hz, num_levels).tolist())
-        volts = tuple(np.linspace(v_min, v_max, num_levels).tolist())
+        volts = tuple(np.linspace(V_MIN, V_MAX, num_levels).tolist())
         return cls(frequencies_hz=freqs, voltages_v=volts)
 
     # ------------------------------------------------------------------

@@ -52,23 +52,19 @@ class ClusterState:
     Args:
         spec: The per-node hardware specification (all nodes identical, as
             in the paper's platform).
-        num_nodes: Number of compute nodes.
-        initial_level: DVFS level every node starts at; defaults to the
-            top (full-performance) level.
+        num_nodes: Number of compute nodes; each starts at the top
+            (full-performance) DVFS level.
     """
 
     def __init__(
         self,
         spec: NodeSpec,
         num_nodes: int,
-        initial_level: int | None = None,
         specs: list[NodeSpec] | None = None,
         spec_index: np.ndarray | None = None,
     ) -> None:
         if num_nodes < 1:
             raise ConfigurationError("num_nodes must be >= 1")
-        start = spec.top_level if initial_level is None else int(initial_level)
-        spec.dvfs._check_level(start)
         self.spec = spec
         self._top_level = spec.top_level
         #: All node types present; ``specs[spec_index[i]]`` is node i's
@@ -100,7 +96,7 @@ class ClusterState:
             ]
         )
         self.num_nodes = int(num_nodes)
-        self.level = np.full(num_nodes, start, dtype=np.int64)
+        self.level = np.full(num_nodes, spec.top_level, dtype=np.int64)
         self.cpu_util = np.zeros(num_nodes, dtype=np.float64)
         self.mem_frac = np.full(num_nodes, IDLE_MEM_FRACTION, dtype=np.float64)
         self.nic_frac = np.zeros(num_nodes, dtype=np.float64)
@@ -143,16 +139,6 @@ class ClusterState:
         if outside_range(lv, self._top_level):
             raise ConfigurationError("DVFS level out of range in set_levels")
         self.level[ids] = lv
-
-    def degrade(self, node_ids: np.ndarray, steps: int = 1) -> None:
-        """Lower the level of ``node_ids`` by ``steps``, floored at 0."""
-        ids = np.asarray(node_ids, dtype=np.int64)
-        self.level[ids] = np.maximum(self.level[ids] - int(steps), 0)
-
-    def upgrade(self, node_ids: np.ndarray, steps: int = 1) -> None:
-        """Raise the level of ``node_ids`` by ``steps``, capped at top."""
-        ids = np.asarray(node_ids, dtype=np.int64)
-        self.level[ids] = np.minimum(self.level[ids] + int(steps), self.spec.top_level)
 
     # ------------------------------------------------------------------
     # Load / occupancy mutation (driven by the workload engine)

@@ -14,10 +14,10 @@ dropped, the node's management daemon is wedged, or the write arrives
 cycles late.  The actuator therefore **verifies every command by
 readback** (commanded vs. post-write level) and re-issues verified-lost
 commands with exponential backoff in control cycles — capped at
-``max_backoff_cycles`` so a long outage cannot schedule absurdly distant
-retries — bounded by ``max_retries`` re-issues, after which the command
-is dropped and counted in ``abandoned_commands``; a newer command to the
-same node supersedes any pending re-issue.  It also enforces the
+:data:`MAX_BACKOFF_CYCLES` so a long outage cannot schedule absurdly
+distant retries — bounded by :data:`MAX_RETRIES` re-issues, after which
+the command is dropped and counted in ``abandoned_commands``; a newer
+command to the same node supersedes any pending re-issue.  It also enforces the
 degraded-mode safety clamp: a command that would *raise* a node's actual
 level only lands if the caller marked that node's telemetry as fresh
 (``raise_ok``), so stale data can never upgrade a node — not even
@@ -44,11 +44,19 @@ import numpy as np
 
 from repro.cluster.state import ClusterState
 from repro.core.capping import CappingAction, CappingDecision
-from repro.errors import ConfigurationError, PowerManagementError
+from repro.errors import PowerManagementError
 from repro.faults.injector import FaultInjector
 from repro.obs.facade import Observability, resolve_obs
 
 __all__ = ["ActuationReport", "DvfsActuator"]
+
+#: Bound on re-issues of a verified-lost command; the k-th retry waits
+#: ``2^(k−1)`` cycles (exponential backoff).
+MAX_RETRIES = 3
+#: Ceiling on any single retry's backoff wait, cycles, so a deep retry
+#: chain (or a long meter outage stretching the control cadence) cannot
+#: schedule a retry absurdly far in the future.
+MAX_BACKOFF_CYCLES = 16
 
 
 @dataclass(frozen=True)
@@ -105,12 +113,6 @@ class DvfsActuator:
         state: The cluster state to actuate.
         fault_injector: Optional fault injector deciding per-command
             loss/delay; ``None`` (the default) actuates perfectly.
-        max_retries: Bound on re-issues of a verified-lost command; the
-            k-th retry waits ``2^(k−1)`` cycles (exponential backoff).
-        max_backoff_cycles: Ceiling on any single retry's backoff wait,
-            in cycles, so high retry counts (or a long meter outage
-            stretching the control cadence) cannot schedule a retry
-            absurdly far in the future.
         obs: Observability facade; when its metric registry is live the
             actuator's statistics are mirrored as export-time collected
             series (zero per-command cost).
@@ -120,18 +122,10 @@ class DvfsActuator:
         self,
         state: ClusterState,
         fault_injector: FaultInjector | None = None,
-        max_retries: int = 3,
-        max_backoff_cycles: int = 16,
         obs: Observability | None = None,
     ) -> None:
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be non-negative")
-        if max_backoff_cycles < 1:
-            raise ConfigurationError("max_backoff_cycles must be >= 1")
         self._state = state
         self._injector = fault_injector
-        self._max_attempts = 1 + int(max_retries)
-        self._max_backoff = int(max_backoff_cycles)
         self._cycle = 0
         self._epoch = 0
         self._pending: list[_PendingCommand] = []
@@ -373,12 +367,12 @@ class DvfsActuator:
 
     def _requeue_or_abandon(self, cmd: _PendingCommand) -> None:
         cmd.attempts += 1
-        if cmd.attempts > self._max_attempts:
+        if cmd.attempts > 1 + MAX_RETRIES:
             self._abandoned += 1
             return
         # Exponential backoff: the k-th retry waits 2^(k-1) cycles,
         # capped so deep retry chains stay within a bounded horizon.
-        backoff = min(2 ** (cmd.attempts - 2), self._max_backoff)
+        backoff = min(2 ** (cmd.attempts - 2), MAX_BACKOFF_CYCLES)
         cmd.due_cycle = self._cycle + backoff
         self._pending.append(cmd)
 

@@ -9,13 +9,13 @@ benchmark suite can compare all three on identical streams:
   cycle it computes the power error against a setpoint (``P_L``) and
   moves *individual nodes* (ranked by savings, ignoring job structure)
   by one DVFS level until the estimated power change matches
-  ``gain × error``.  No green/yellow/red bands, no job granularity —
+  ``GAIN × error``.  No green/yellow/red bands, no job granularity —
   pure magnitude control.
 
 * :class:`BudgetPartitionManager` — a two-level budget allocator in the
   spirit of Femal & Freeh (ICAC'05): the cluster budget (``P_L``) is
-  partitioned across candidate nodes each cycle (uniformly or
-  proportional to demand), and every node is clamped to the highest
+  partitioned across candidate nodes each cycle in proportion to
+  demand, and every node is clamped to the highest
   DVFS level whose Formula (1) estimate fits its share.  Proactive and
   per-node, trading throughput for hard per-node guarantees.
 
@@ -27,17 +27,22 @@ accounting, determinism) applies unchanged.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.core.capping import CappingAction, CappingDecision
 from repro.core.manager import PowerManager
 from repro.core.policies.base import PolicyContext
 from repro.core.states import PowerState
-from repro.errors import ConfigurationError
 
 __all__ = ["MimoFeedbackManager", "BudgetPartitionManager"]
+
+#: Fraction of the power error :class:`MimoFeedbackManager` corrects per
+#: cycle, in (0, 1]: 1.0 is deadbeat (aggressive), small values damp.
+GAIN = 0.6
+#: Headroom below the setpoint, as a fraction of it, that
+#: :class:`MimoFeedbackManager` requires before restoring levels —
+#: hysteresis against chattering.
+RELEASE_MARGIN_FRACTION = 0.03
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 
@@ -49,40 +54,19 @@ def _none_decision(state: PowerState) -> CappingDecision:
 class MimoFeedbackManager(PowerManager):
     """Proportional (Wang-style) feedback power controller.
 
-    Args:
-        gain: Fraction of the power error corrected per cycle, in
-            (0, 1]; 1.0 is deadbeat (aggressive), small values damp.
-        release_margin_fraction: Headroom below the setpoint (as a
-            fraction of it) required before levels are restored —
-            hysteresis against chattering.
-        (remaining args as :class:`~repro.core.manager.PowerManager`;
-        the ``policy`` argument is accepted for interface compatibility
-        but never consulted.)
+    Takes :class:`~repro.core.manager.PowerManager`'s arguments; the
+    ``policy`` argument is accepted for interface compatibility but
+    never consulted.
     """
-
-    def __init__(
-        self,
-        *args: Any,
-        gain: float = 0.6,
-        release_margin_fraction: float = 0.03,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if not 0.0 < gain <= 1.0:
-            raise ConfigurationError("gain must lie in (0, 1]")
-        if release_margin_fraction < 0:
-            raise ConfigurationError("release margin must be non-negative")
-        self._gain = float(gain)
-        self._release_margin = float(release_margin_fraction)
 
     def _decide(self, state: PowerState, ctx: PolicyContext) -> CappingDecision:
         setpoint = ctx.thresholds.p_low
         error_w = ctx.system_power - setpoint
         if error_w > 0.0:
-            return self._throttle(state, ctx, self._gain * error_w)
-        if error_w < -self._release_margin * setpoint:
-            headroom = -error_w - self._release_margin * setpoint
-            return self._release(state, ctx, self._gain * headroom)
+            return self._throttle(state, ctx, GAIN * error_w)
+        if error_w < -RELEASE_MARGIN_FRACTION * setpoint:
+            headroom = -error_w - RELEASE_MARGIN_FRACTION * setpoint
+            return self._release(state, ctx, GAIN * headroom)
         return _none_decision(state)
 
     def _throttle(
@@ -145,21 +129,14 @@ class BudgetPartitionManager(PowerManager):
     """Two-level (Femal-style) budget partitioning controller.
 
     Every cycle the cluster budget — the learned ``P_L`` — is divided
-    among the candidate nodes and each node is clamped to the highest
-    level whose estimated power fits its share.
+    among the candidate nodes in proportion to each node's *demand* (its
+    estimated power at the top level under current load), evenly when
+    no node has any, and each node is clamped to the highest level whose
+    estimated power fits its share.
 
-    Args:
-        proportional: Partition the budget proportionally to each node's
-            *demand* (its estimated power at the top level under current
-            load) instead of uniformly.
-        (remaining args as :class:`~repro.core.manager.PowerManager`;
-        ``policy`` is accepted but unused.)
+    Takes :class:`~repro.core.manager.PowerManager`'s arguments;
+    ``policy`` is accepted but unused.
     """
-
-    def __init__(self, *args: Any, proportional: bool = True, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._proportional = bool(proportional)
-        self._num_levels = self._cluster.spec.num_levels
 
     def _decide(self, state: PowerState, ctx: PolicyContext) -> CappingDecision:
         snapshot = ctx.snapshot
@@ -167,7 +144,8 @@ class BudgetPartitionManager(PowerManager):
         if n == 0:
             return _none_decision(state)
         est = ctx.estimator
-        top = self._num_levels - 1
+        num_levels = self._cluster.spec.num_levels
+        top = num_levels - 1
 
         # Non-candidate nodes consume part of the global budget; charge
         # their estimated share before partitioning the rest.
@@ -184,13 +162,13 @@ class BudgetPartitionManager(PowerManager):
             snapshot.nic_frac,
             node_ids=snapshot.node_ids,
         )
-        if self._proportional and demand.sum() > 0:
+        if demand.sum() > 0:
             shares = budget * demand / demand.sum()
         else:
             shares = np.full(n, budget / n)
 
         # Power of every node at every level (L×N) with current load.
-        levels = np.arange(self._num_levels, dtype=np.int64)
+        levels = np.arange(num_levels, dtype=np.int64)
         matrix = est.model.evaluate_for_nodes(
             snapshot.node_ids,
             levels[:, None],
@@ -200,7 +178,7 @@ class BudgetPartitionManager(PowerManager):
         )
         fits = matrix <= shares[None, :]
         # Highest fitting level per node; level 0 if nothing fits.
-        best = np.where(fits.any(axis=0), self._num_levels - 1 - np.argmax(fits[::-1], axis=0), 0)
+        best = np.where(fits.any(axis=0), top - np.argmax(fits[::-1], axis=0), 0)
 
         changed = best != snapshot.level
         if not changed.any():

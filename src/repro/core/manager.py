@@ -196,7 +196,7 @@ class PowerManager:
             else IntegrityDefense(
                 integrity,
                 self._estimator,
-                sets.candidates,
+                sets,
                 cluster.spec.top_level,
                 obs,
             )
@@ -363,12 +363,13 @@ class PowerManager:
         return self._state_counts[PowerState.RED.value] > 0
 
     def fault_report(self) -> FaultStats | None:
-        """Aggregate fault accounting for the run (None when fault-free)."""
+        """Aggregate fault accounting for the run (None with neither a
+        fault injector nor the integrity layer)."""
         defense = self._integrity
         return self._ladder.stats(
             self._collector,
             self._actuator,
-            {} if defense is None else defense.fault_counts(),
+            None if defense is None else defense.fault_counts(),
         )
 
     def provision_report(self) -> ProvisionStats | None:

@@ -23,8 +23,8 @@ its future-work section calls for:
 * ``random`` — uniformly random job (null baseline);
 * ``fair``   — least-recently-targeted job (spreads the pain);
 * ``hybrid`` — HRI when a clear riser exists, MPC otherwise;
-* ``sla``    — Ranganathan-style: lowest-priority job first, VIP
-  classes optionally never throttled (needs a priority lookup).
+* ``sla``    — Ranganathan-style: lowest-priority job first, most
+  power-consuming within a class (needs a priority lookup).
 
 Use :func:`make_policy` to construct by name, :func:`available_policies`
 to enumerate.

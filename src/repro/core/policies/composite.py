@@ -28,6 +28,11 @@ from repro.errors import PolicyError
 
 __all__ = ["RandomJobPolicy", "FairSharePolicy", "HybridPolicy"]
 
+#: Minimum ΔP^t(J) for :class:`HybridPolicy`'s change-based branch to
+#: engage; below it the power rise is ambient noise and the state-based
+#: branch gives the stronger pull-back.
+RATE_THRESHOLD = 0.05
+
 
 @register_policy("random")
 class RandomJobPolicy(SelectionPolicy):
@@ -84,24 +89,16 @@ class FairSharePolicy(SelectionPolicy):
 
 @register_policy("hybrid")
 class HybridPolicy(SelectionPolicy):
-    """HRI when a job is clearly surging, MPC otherwise.
+    """HRI when a job is clearly surging (ΔP^t(J) at least
+    :data:`RATE_THRESHOLD`), MPC otherwise."""
 
-    Args:
-        rate_threshold: Minimum ΔP^t(J) for the change-based branch to
-            engage; below it the power rise is ambient noise and the
-            state-based branch gives the stronger pull-back.
-    """
-
-    def __init__(self, rate_threshold: float = 0.05) -> None:
-        if rate_threshold < 0:
-            raise PolicyError("rate_threshold must be non-negative")
-        self._rate_threshold = float(rate_threshold)
+    def __init__(self) -> None:
         self._hri = HighestRateOfIncreasePolicy()
         self._mpc = MostPowerConsumingPolicy()
 
     def select(self, ctx: PolicyContext) -> np.ndarray:
         rates = ctx.job_increase_rates()
-        if rates and max(rates.values()) >= self._rate_threshold:
+        if rates and max(rates.values()) >= RATE_THRESHOLD:
             selection = self._hri.select(ctx)
             if len(selection):
                 return selection

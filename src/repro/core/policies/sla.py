@@ -1,15 +1,12 @@
 """SLA-aware target selection (Ranganathan-style, §I.B).
 
 Ranganathan et al. throttle "based on SLA": when power must come down,
-the lowest-service-class work pays first, and sufficiently important
-work is never degraded at all.  :class:`SlaAwarePolicy` brings that
-semantics into the paper's architecture as one more selection policy:
-
-* jobs are ranked by ``(priority ascending, Power(J) descending,
-  job_id)`` — the cheapest-to-hurt, most-power-saving job first;
-* jobs at or above ``protect_priority`` (if set) are *never* selected,
-  a job-granular complement to the node-granular privileged set
-  ``A_uncontrollable``.
+the lowest-service-class work pays first.  :class:`SlaAwarePolicy`
+brings that ordering into the paper's architecture as one more
+selection policy: jobs are ranked by ``(priority ascending, Power(J)
+descending, job_id)`` — the cheapest-to-hurt, most-power-saving job
+first.  Work that must never be degraded belongs in the node-granular
+privileged set ``A_uncontrollable``.
 
 The policy needs to know each job's priority class; the paper's
 telemetry plane does not carry it, so the constructor takes a lookup
@@ -35,24 +32,17 @@ __all__ = ["SlaAwarePolicy"]
 
 @register_policy("sla")
 class SlaAwarePolicy(SelectionPolicy):
-    """Throttle the least-important job first; protect the VIP class.
+    """Throttle the least-important job first.
 
     Args:
         priority_of: Maps a job id to its priority class (higher = more
             important).
-        protect_priority: Jobs with priority >= this are never selected;
-            ``None`` disables protection (pure ordering).
     """
 
-    def __init__(
-        self,
-        priority_of: Callable[[int], int],
-        protect_priority: int | None = None,
-    ) -> None:
+    def __init__(self, priority_of: Callable[[int], int]) -> None:
         if priority_of is None:
             raise PolicyError("SlaAwarePolicy needs a priority lookup")
         self._priority_of = priority_of
-        self._protect = protect_priority
 
     def select(self, ctx: PolicyContext) -> np.ndarray:
         table = ctx.job_table
@@ -60,8 +50,6 @@ class SlaAwarePolicy(SelectionPolicy):
         for job_id in table.job_ids:
             jid = int(job_id)
             priority = int(self._priority_of(jid))
-            if self._protect is not None and priority >= self._protect:
-                continue
             ranked.append((priority, -table.power_of(jid), jid))
         ranked.sort()
         for _, _, jid in ranked:

@@ -33,12 +33,13 @@ class NodeSets:
         self, cluster: Cluster, candidate_ids: np.ndarray | None = None
     ) -> None:
         self._cluster = cluster
+        num_nodes = cluster.num_nodes
         controllable = np.flatnonzero(cluster.state.controllable).astype(np.int64)
         if candidate_ids is None:
             ids = controllable
         else:
             ids = np.unique(np.asarray(candidate_ids, dtype=np.int64))
-            if ids.size and (ids.min() < 0 or ids.max() >= cluster.num_nodes):
+            if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
                 raise ConfigurationError("candidate id out of range")
             if not np.all(cluster.state.controllable[ids]):
                 bad = ids[~cluster.state.controllable[ids]]
@@ -47,9 +48,12 @@ class NodeSets:
                 )
         self._candidates = ids.copy()
         self._candidates.setflags(write=False)
-        self._candidate_mask = np.zeros(cluster.num_nodes, dtype=bool)
+        self._candidate_mask = np.zeros(num_nodes, dtype=bool)
         self._candidate_mask[self._candidates] = True
         self._candidate_mask.setflags(write=False)
+        #: Whether ``A_candidate`` is ``A_total``: every node is a
+        #: candidate, none privileged or unmonitored.
+        self.whole_machine = ids.size == num_nodes
 
     # ------------------------------------------------------------------
     # The four sets

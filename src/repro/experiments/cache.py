@@ -87,14 +87,14 @@ class ResultCache:
 
     Args:
         root: Cache directory (created on first write).
-        salt: Code-version salt folded into every address.
     """
 
-    def __init__(self, root: str | Path, *, salt: str = CODE_VERSION) -> None:
+    def __init__(self, root: str | Path) -> None:
         if not str(root):
             raise ConfigurationError("cache root must be a non-empty path")
         self.root = Path(root)
-        self.salt = salt
+        #: The code-version salt folded into every address.
+        self.salt = CODE_VERSION
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------

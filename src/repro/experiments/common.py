@@ -476,7 +476,7 @@ def run_experiment(
             if config.candidate_size is None
             else NodeSets.select(world.cluster, config.candidate_size)
         )
-        meter = SystemPowerMeter(world.model, world.cluster.state, obs=world.obs)
+        meter = SystemPowerMeter(world.model, world.cluster.state)
         factory = PowerManager if manager_factory is None else manager_factory
         manager_kwargs: dict[str, Any] = {"obs": world.obs}
         if injected:

@@ -190,28 +190,36 @@ class DegradedModeLadder:
         self,
         collector: "TelemetryCollector",
         actuator: "DvfsActuator",
-        integrity: dict[str, int],
+        integrity: dict[str, int] | None,
     ) -> FaultStats | None:
-        """The run's fault accounting (None without an injector), with
-        the integrity layer's ``integrity`` fields folded in."""
+        """The run's fault accounting, with the integrity layer's
+        ``integrity`` counters folded in (``None``: no integrity layer).
+        None with neither an injector nor the integrity layer."""
         inj = self.injector
-        if inj is None:
+        if inj is None and integrity is None:
             return None
+        injected = (
+            {}
+            if inj is None
+            else {
+                "meter_outages": inj.meter_outages,
+                "meter_outage_cycles": inj.meter_outage_cycles,
+                "node_crashes": inj.node_crashes,
+                "offline_node_cycles": inj.offline_node_cycles,
+                "corrupted_samples": inj.corrupted_samples,
+                "corrupted_meter_readings": inj.corrupted_meter_readings,
+                "meter_clamped_readings": inj.meter_clamped_readings,
+            }
+        )
         return FaultStats(
             dropped_samples=collector.dropped_samples,
-            meter_outages=inj.meter_outages,
-            meter_outage_cycles=inj.meter_outage_cycles,
-            node_crashes=inj.node_crashes,
-            offline_node_cycles=inj.offline_node_cycles,
             commands_lost=actuator.lost_commands,
             commands_retried=actuator.retried_commands,
             commands_abandoned=actuator.abandoned_commands,
             forced_red_cycles=self.forced_red_cycles,
             estimated_power_cycles=self.estimated_cycles,
-            corrupted_samples=inj.corrupted_samples,
-            corrupted_meter_readings=inj.corrupted_meter_readings,
-            meter_clamped_readings=self._meter.clamped_readings,
-            **integrity,
+            **injected,
+            **(integrity or {}),
         )
 
     def restore(

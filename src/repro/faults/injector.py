@@ -43,7 +43,8 @@ __all__ = ["FaultInjector", "FaultStats"]
 
 @dataclass(frozen=True)
 class FaultStats:
-    """What the injector (and its consumers) did to one run.
+    """What the injector, the integrity layer and their consumers did
+    to one run; a counter nothing in the run keeps reads 0.
 
     Attributes:
         dropped_samples: Telemetry samples lost (dropout + offline).
@@ -70,19 +71,20 @@ class FaultStats:
         meter_distrusted_cycles: Cycles run with the system meter
             distrusted by the integrity monitor.
         meter_clamped_readings: Meter readings the physical zero-watt
-            clamp had to correct (noise drew the reading negative).
+            clamp had to correct (the fault scenario's meter noise drew
+            the reading negative).
     """
 
-    dropped_samples: int
-    meter_outages: int
-    meter_outage_cycles: int
-    node_crashes: int
-    offline_node_cycles: int
-    commands_lost: int
-    commands_retried: int
-    commands_abandoned: int
-    forced_red_cycles: int
-    estimated_power_cycles: int
+    dropped_samples: int = 0
+    meter_outages: int = 0
+    meter_outage_cycles: int = 0
+    node_crashes: int = 0
+    offline_node_cycles: int = 0
+    commands_lost: int = 0
+    commands_retried: int = 0
+    commands_abandoned: int = 0
+    forced_red_cycles: int = 0
+    estimated_power_cycles: int = 0
     corrupted_samples: int = 0
     corrupted_meter_readings: int = 0
     corrupt_samples_rejected: int = 0
@@ -189,6 +191,11 @@ class FaultInjector:
             "repro_telemetry_dropout_samples_total",
             "Telemetry samples lost to i.i.d. dropout (excludes offline)",
             lambda: float(self._telemetry.dropped_samples),
+        )
+        reg.counter_func(
+            "repro_meter_clamped_readings_total",
+            "Meter readings the physical zero-watt clamp corrected",
+            lambda: float(self._meter.clamped_readings),
         )
         # Corruption counters only exist when corruption is configured,
         # so plain fault runs keep their exact metric surface.
@@ -347,6 +354,11 @@ class FaultInjector:
     def meter_outages(self) -> int:
         """Distinct meter outage bursts so far."""
         return self._meter.outages
+
+    @property
+    def meter_clamped_readings(self) -> int:
+        """Noisy meter readings the zero-watt clamp corrected so far."""
+        return self._meter.clamped_readings
 
     @property
     def node_crashes(self) -> int:

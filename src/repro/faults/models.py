@@ -92,6 +92,7 @@ class MeterFaultModel:
         self._up = True
         self._outage_cycles = 0
         self._outages = 0
+        self._clamped_readings = 0
 
     @property
     def available(self) -> bool:
@@ -107,6 +108,14 @@ class MeterFaultModel:
     def outages(self) -> int:
         """Number of distinct outage bursts started."""
         return self._outages
+
+    @property
+    def clamped_readings(self) -> int:
+        """Readings the zero-watt clamp had to correct: a noise draw
+        below ``-reading`` is unphysical, so the wattmeter bottoms out at
+        0 W instead.  A non-trivial rate means the noise fraction is
+        unphysically large."""
+        return self._clamped_readings
 
     def step(self) -> bool:
         """Advance one cycle; returns availability for this cycle."""
@@ -124,11 +133,15 @@ class MeterFaultModel:
     def perturb(self, reading_w: float) -> float:
         """Apply additive sensor noise to an available reading.
 
-        Clamped at zero — a wattmeter cannot report negative power.
+        Clamped at zero — a wattmeter cannot report negative power —
+        and each clamp of a strictly negative reading counted.
         """
         if self._noise <= 0.0:
             return reading_w
-        return max(0.0, reading_w + self._rng.normal(0.0, self._noise * reading_w))
+        noisy = reading_w + self._rng.normal(0.0, self._noise * reading_w)
+        if noisy < 0.0:
+            self._clamped_readings += 1
+        return max(0.0, noisy)
 
 
 class ActuationFaultModel:

@@ -92,21 +92,17 @@ NULL_SPAN.open = False
 class CycleTracer:
     """Builds one span tree per control cycle and feeds it to sinks.
 
+    Completed cycles go to the sinks attached with :meth:`add_sink` (the
+    flight recorder's ring append, the in-memory whole-run trace, ...).
+
     Args:
         enabled: A disabled tracer performs no work and hands out the
             shared null span.
-        sinks: Callables receiving each completed cycle's root span
-            (the flight recorder's ring append, the in-memory whole-run
-            trace, ...).  More can be attached with :meth:`add_sink`.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        sinks: tuple[Callable[[Span], None], ...] = (),
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._sinks: list[Callable[[Span], None]] = list(sinks)
+        self._sinks: list[Callable[[Span], None]] = []
         self._root: Span | None = None
         self._seq = 0
         self._cycles_traced = 0

@@ -32,6 +32,27 @@ __all__ = [
     "ReliabilityTracker",
 ]
 
+#: Inlet air temperature, °C.
+AMBIENT_C = 22.0
+#: ``R_th`` — steady-state °C per watt of node power.
+THERMAL_RESISTANCE_C_PER_W = 0.155
+#: ``tau`` — a node's thermal relaxation time, seconds.
+TIME_CONSTANT_S = 120.0
+
+#: Seconds of sustained 2× overload that trip a branch breaker.
+TRIP_TIME_S = 60.0
+#: Seconds of deep cool-down that drain a full trip integral.
+COOL_TIME_S = 300.0
+#: Lower edge of a breaker's no-heat/no-cool band, as a fraction of its
+#: rating.
+COOLDOWN_FRACTION = 0.9
+
+#: ``λ₀``: failures per node-hour at :data:`REFERENCE_C` — one failure
+#: per node-decade, ≈ 1.14e-5 / node-hour.
+BASE_RATE_PER_NODE_HOUR = 1.0 / (10 * 365 * 24)
+#: ``T_ref``: the temperature at which the base failure rate applies, °C.
+REFERENCE_C = 50.0
+
 
 class ThermalModel:
     """First-order RC thermal model of every node in the cluster.
@@ -40,34 +61,19 @@ class ThermalModel:
     ``T_ss = ambient + R_th · P``.  The exact discrete update over a
     tick of length ``dt`` is ``T ← T_ss + (T − T_ss)·exp(−dt/tau)``.
 
-    Default parameters put an idle blade (~160 W) near 47°C and a
+    :data:`AMBIENT_C`, :data:`THERMAL_RESISTANCE_C_PER_W` and
+    :data:`TIME_CONSTANT_S` put an idle blade (~160 W) near 47°C and a
     saturated one (~340 W) near 75°C with a two-minute time constant —
     representative of air-cooled 2010-era blades.
 
     Args:
         num_nodes: Cluster size.
-        ambient_c: Inlet air temperature, °C.
-        thermal_resistance_c_per_w: ``R_th`` — steady-state °C per watt.
-        time_constant_s: ``tau`` — thermal relaxation time, seconds.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        ambient_c: float = 22.0,
-        thermal_resistance_c_per_w: float = 0.155,
-        time_constant_s: Seconds = 120.0,
-    ) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes < 1:
             raise ConfigurationError("num_nodes must be >= 1")
-        if thermal_resistance_c_per_w <= 0:
-            raise ConfigurationError("thermal resistance must be positive")
-        if time_constant_s <= 0:
-            raise ConfigurationError("time constant must be positive")
-        self.ambient_c = float(ambient_c)
-        self.r_th = float(thermal_resistance_c_per_w)
-        self.tau = float(time_constant_s)
-        self.temperature_c = np.full(num_nodes, float(ambient_c))
+        self.temperature_c = np.full(num_nodes, AMBIENT_C)
 
     @property
     def num_nodes(self) -> int:
@@ -76,7 +82,9 @@ class ThermalModel:
 
     def steady_state(self, power_w: np.ndarray) -> np.ndarray:
         """Equilibrium temperature for the given per-node power, °C."""
-        return self.ambient_c + self.r_th * np.asarray(power_w, dtype=np.float64)
+        return AMBIENT_C + THERMAL_RESISTANCE_C_PER_W * np.asarray(
+            power_w, dtype=np.float64
+        )
 
     def step(self, power_w: np.ndarray, dt: Seconds) -> np.ndarray:
         """Advance every node's temperature by ``dt`` seconds.
@@ -94,7 +102,7 @@ class ThermalModel:
         if p.shape != self.temperature_c.shape:
             raise ConfigurationError("power array shape mismatch")
         t_ss = self.steady_state(p)
-        decay = np.exp(-dt / self.tau)
+        decay = np.exp(-dt / TIME_CONSTANT_S)
         self.temperature_c = t_ss + (self.temperature_c - t_ss) * decay
         return self.temperature_c
 
@@ -113,14 +121,14 @@ class BreakerThermalModel:
     dimensionless **trip integral** ``u ∈ [0, 1]`` per branch:
 
     * **overload** (``P > rated``): ``u`` rises at rate
-      ``(P/rated − 1) / trip_time_s`` — a 2× overload trips after
-      ``trip_time_s`` seconds; milder overloads take proportionally
+      ``(P/rated − 1) /`` :data:`TRIP_TIME_S` — a 2× overload trips
+      after that many seconds; milder overloads take proportionally
       longer (the inverse-time characteristic);
-    * **hysteresis band** (``cooldown_fraction·rated ≤ P ≤ rated``): the
-      element neither heats nor cools — exactly-rated load *holds* the
-      integral where it is;
-    * **cool-down** (``P < cooldown_fraction·rated``): ``u`` decays at
-      ``1 / cool_time_s`` toward zero.
+    * **hysteresis band** (:data:`COOLDOWN_FRACTION` ``· rated ≤ P ≤
+      rated``): the element neither heats nor cools — exactly-rated load
+      *holds* the integral where it is;
+    * **cool-down** (below the band): ``u`` decays at
+      ``1 /`` :data:`COOL_TIME_S` toward zero.
 
     Reaching ``u ≥ 1`` **latches** the breaker open (the branch is dark)
     for the rest of the run — re-closing a breaker is an operator action,
@@ -128,35 +136,16 @@ class BreakerThermalModel:
 
     Args:
         rated_w: Per-branch continuous power rating, watts, shape (B,).
-        trip_time_s: Seconds of sustained 2× overload that trip.
-        cool_time_s: Seconds of deep cool-down that drain a full integral.
-        cooldown_fraction: Lower edge of the no-heat/no-cool band, as a
-            fraction of the rating.
     """
 
-    def __init__(
-        self,
-        rated_w: np.ndarray,
-        trip_time_s: Seconds = 60.0,
-        cool_time_s: Seconds = 300.0,
-        cooldown_fraction: float = 0.9,
-    ) -> None:
+    def __init__(self, rated_w: np.ndarray) -> None:
         rated = np.asarray(rated_w, dtype=np.float64)
         if rated.ndim != 1 or rated.size < 1:
             raise ConfigurationError("rated_w must be a 1-D array of branches")
         if np.any(rated <= 0):
             raise ConfigurationError("breaker ratings must be positive")
-        if trip_time_s <= 0:
-            raise ConfigurationError("trip_time_s must be positive")
-        if cool_time_s <= 0:
-            raise ConfigurationError("cool_time_s must be positive")
-        if not 0.0 < cooldown_fraction <= 1.0:
-            raise ConfigurationError("cooldown_fraction must be in (0, 1]")
         self._rated = rated.copy()
         self._rated.setflags(write=False)
-        self._trip_time = float(trip_time_s)
-        self._cool_time = float(cool_time_s)
-        self._cool_frac = float(cooldown_fraction)
         self._integral = np.zeros(rated.size, dtype=np.float64)
         self._set_tripped(np.zeros(rated.size, dtype=bool))
         self._trip_count = 0
@@ -210,10 +199,10 @@ class BreakerThermalModel:
         ratio = p / self._rated
         closed = ~self._tripped
         heating = closed & (ratio > 1.0)
-        cooling = closed & (ratio < self._cool_frac)
-        self._integral[heating] += (ratio[heating] - 1.0) * (dt / self._trip_time)
+        cooling = closed & (ratio < COOLDOWN_FRACTION)
+        self._integral[heating] += (ratio[heating] - 1.0) * (dt / TRIP_TIME_S)
         self._integral[cooling] = np.maximum(
-            self._integral[cooling] - dt / self._cool_time, 0.0
+            self._integral[cooling] - dt / COOL_TIME_S, 0.0
         )
         new_trips = closed & (self._integral >= 1.0)
         if new_trips.any():
@@ -223,15 +212,13 @@ class BreakerThermalModel:
         return new_trips
 
 
-def failure_rate_multiplier(
-    temperature_c: float | np.ndarray, reference_c: float = 50.0
-) -> float | np.ndarray:
-    """Feng's law: failure rate doubles per 10°C above ``reference_c``.
+def failure_rate_multiplier(temperature_c: float | np.ndarray) -> float | np.ndarray:
+    """Feng's law: failure rate doubles per 10°C above :data:`REFERENCE_C`.
 
     Returns 1.0 at the reference temperature; 2.0 at +10°C; 0.5 at −10°C.
     """
     t = np.asarray(temperature_c, dtype=np.float64)
-    mult = np.exp2((t - reference_c) / 10.0)
+    mult = np.exp2((t - REFERENCE_C) / 10.0)
     if np.ndim(mult) == 0:
         return float(mult)
     return mult
@@ -241,25 +228,11 @@ class ReliabilityTracker:
     """Integrates expected node failures over a run.
 
     Expected failures over ``[0, T]`` = ``Σ_nodes ∫ λ₀ · 2^((T_i(t) −
-    T_ref)/10) dt`` with ``λ₀`` the baseline per-node failure rate at the
-    reference temperature.
-
-    Args:
-        base_rate_per_node_hour: ``λ₀`` in failures per node-hour at the
-            reference temperature (default: one failure per node-decade,
-            ≈ 1.14e-5 / node-hour).
-        reference_c: Temperature at which the base rate applies, °C.
+    T_ref)/10) dt`` with ``λ₀`` (:data:`BASE_RATE_PER_NODE_HOUR`) the
+    baseline per-node failure rate at ``T_ref`` (:data:`REFERENCE_C`).
     """
 
-    def __init__(
-        self,
-        base_rate_per_node_hour: float = 1.0 / (10 * 365 * 24),
-        reference_c: float = 50.0,
-    ) -> None:
-        if base_rate_per_node_hour <= 0:
-            raise ConfigurationError("base failure rate must be positive")
-        self._lambda0_per_s = base_rate_per_node_hour / 3600.0
-        self._reference_c = float(reference_c)
+    def __init__(self) -> None:
         self._expected_failures = 0.0
         self._peak_c = float("-inf")
 
@@ -278,6 +251,7 @@ class ReliabilityTracker:
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
         t = np.asarray(temperature_c, dtype=np.float64)
-        mult = np.asarray(failure_rate_multiplier(t, self._reference_c))
-        self._expected_failures += float(self._lambda0_per_s * dt * mult.sum())
+        mult = np.asarray(failure_rate_multiplier(t))
+        lambda0_per_s = BASE_RATE_PER_NODE_HOUR / 3600.0
+        self._expected_failures += float(lambda0_per_s * dt * mult.sum())
         self._peak_c = max(self._peak_c, float(t.max()))

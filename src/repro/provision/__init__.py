@@ -2,7 +2,7 @@
 
 The paper provisions a single scalar capability ``P_Max``; this package
 models where that capability actually comes from — redundant utility
-feeds, a UPS stage, per-rack PDU/breaker branch circuits — and what
+feeds and per-rack PDU/breaker branch circuits — and what
 happens to Algorithm 1 when parts of that delivery path fail or an
 operator order shrinks the budget mid-run:
 

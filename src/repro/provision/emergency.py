@@ -62,9 +62,6 @@ RUNG_CAP = 1  #: emergency red: every candidate at the DVFS floor
 RUNG_SUSPEND = 2  #: + lowest-priority jobs suspended
 RUNG_SHED = 3  #: + idle candidate nodes removed from the pool
 
-#: Branch power above this fraction of the branch limit triggers branch
-#: capping.
-ALARM_FRACTION = 0.9
 #: Consecutive over-capacity cycles before the ladder climbs a rung.
 ESCALATE_AFTER_CYCLES = 5
 #: Consecutive recovered cycles before the ladder steps down a rung.
@@ -266,15 +263,13 @@ class EmergencyResponse:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-branch capping proposal for the manager to actuate.
 
-        Racks drawing above :data:`ALARM_FRACTION` of their branch limit get
-        every candidate node still above the DVFS floor stepped down one
-        level — local, immediate, independent of the global state
-        machine.  Returns ``(node_ids, new_levels)``; both empty when
-        every branch is comfortable.
+        Racks drawing above :data:`~repro.provision.runtime.ALARM_FRACTION`
+        of their branch limit get every candidate node still above the
+        DVFS floor stepped down one level — local, immediate,
+        independent of the global state machine.  Returns ``(node_ids,
+        new_levels)``; both empty when every branch is comfortable.
         """
-        hot_racks = self._runtime.branch_overloads(
-            node_power_w, ALARM_FRACTION
-        )
+        hot_racks = self._runtime.branch_overloads(node_power_w)
         if len(hot_racks) == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty

@@ -45,6 +45,9 @@ PDU_FAILURE_RACK = 0
 PDU_DERATE_FRACTION = 0.6
 #: Per-cycle probability a stochastically lost feed returns.
 FEED_RECOVERY_RATE = 0.05
+#: Branch power above this fraction of the branch limit triggers branch
+#: capping.
+ALARM_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -384,13 +387,11 @@ class ProvisionRuntime:
         self._min_capacity_w = min(self._min_capacity_w, self._capacity_w)
         return events
 
-    def branch_overloads(
-        self, node_power_w: np.ndarray, alarm_fraction: float
-    ) -> np.ndarray:
-        """Rack ids drawing above ``alarm_fraction`` of their branch
+    def branch_overloads(self, node_power_w: np.ndarray) -> np.ndarray:
+        """Rack ids drawing above :data:`ALARM_FRACTION` of their branch
         limit (tripped racks excluded — they are already dark)."""
         rack_p = self.rack_power_w(node_power_w)
-        hot = rack_p > alarm_fraction * self._branch_limits_w
+        hot = rack_p > ALARM_FRACTION * self._branch_limits_w
         hot &= ~self._breakers.tripped
         return hot.nonzero()[0]
 

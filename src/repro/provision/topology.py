@@ -1,4 +1,4 @@
-"""The power-delivery topology: feeds → UPS → per-rack branches.
+"""The power-delivery topology: feeds → per-rack branches.
 
 The paper provisions one scalar capability ``P_Max`` (§II.D); real
 delivery is a *hierarchy* of rated stages, each of which can fail
@@ -7,14 +7,14 @@ independently:
 .. code-block:: text
 
     utility feed A ─┐
-                    ├─► UPS ─► PDU/breaker rack 0 ─► nodes 0..k-1
-    utility feed B ─┘         PDU/breaker rack 1 ─► nodes k..2k-1
-                              ...
+                    ├─► PDU/breaker rack 0 ─► nodes 0..k-1
+    utility feed B ─┘   PDU/breaker rack 1 ─► nodes k..2k-1
+                        ...
 
 :class:`PowerTopology` is the frozen description of that hierarchy:
-redundant utility feeds with individual capacities, an optional UPS
-ceiling, and per-rack branch circuits (PDU + breaker) with a shared
-rating, nodes mapped to racks in contiguous blocks.  Like
+redundant utility feeds with individual capacities and per-rack branch
+circuits (PDU + breaker) with a shared rating, nodes mapped to racks in
+contiguous blocks.  Like
 :class:`~repro.power.supply.PowerProvision` it is pure configuration —
 the mutable live state (which feeds are up, which breakers have tripped)
 lives in :class:`~repro.provision.runtime.ProvisionRuntime`.
@@ -28,9 +28,14 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.errors import ConfigurationError
-from repro.types import Watts
 
 __all__ = ["PowerTopology"]
+
+#: Redundant utility feeds :meth:`PowerTopology.for_cluster` sizes.
+FEEDS = 2
+#: The feeds' joint margin over ``P_thy``, as a fraction of it: losing
+#: one of the two feeds leaves 60% of ``P_thy``.
+FEED_HEADROOM = 0.2
 
 
 @dataclass(frozen=True)
@@ -39,21 +44,18 @@ class PowerTopology:
 
     Args:
         feed_capacities_w: Deliverable watts of each utility feed; the
-            healthy global capacity is their sum (capped by the UPS).
+            healthy global capacity is their sum.
         branch_rated_w: Continuous rating of each rack's branch circuit
             (its PDU and breaker share this rating), watts.
         nodes_per_rack: Nodes per branch circuit; nodes are mapped to
             racks in contiguous id blocks, the last rack may be short.
         num_nodes: Total node count (fixes the rack count).
-        ups_capacity_w: Optional UPS throughput ceiling, watts; ``None``
-            means the UPS is not the bottleneck.
     """
 
     feed_capacities_w: tuple[float, ...]
     branch_rated_w: float
     nodes_per_rack: int
     num_nodes: int
-    ups_capacity_w: float | None = None
 
     def __post_init__(self) -> None:
         if not self.feed_capacities_w:
@@ -66,8 +68,6 @@ class PowerTopology:
             raise ConfigurationError("nodes_per_rack must be >= 1")
         if self.num_nodes < 1:
             raise ConfigurationError("num_nodes must be >= 1")
-        if self.ups_capacity_w is not None and self.ups_capacity_w <= 0:
-            raise ConfigurationError("UPS capacity must be positive")
 
     # ------------------------------------------------------------------
     # Shape
@@ -100,17 +100,9 @@ class PowerTopology:
     # Capacities
     # ------------------------------------------------------------------
     @property
-    def total_feed_capacity_w(self) -> float:
-        """Sum of every feed's capacity, watts."""
-        return float(sum(self.feed_capacities_w))
-
-    @property
     def design_capacity_w(self) -> float:
-        """Healthy global capacity: all feeds up, through the UPS."""
-        total = self.total_feed_capacity_w
-        if self.ups_capacity_w is not None:
-            return min(total, float(self.ups_capacity_w))
-        return total
+        """Healthy global capacity: the sum of every feed's, watts."""
+        return float(sum(self.feed_capacities_w))
 
     def surviving_capacity_w(self, feed_live: np.ndarray) -> float:
         """Global capacity given the live-feed mask, watts."""
@@ -118,10 +110,7 @@ class PowerTopology:
         if live.shape != (self.num_feeds,):
             raise ConfigurationError("feed_live mask shape mismatch")
         caps = np.asarray(self.feed_capacities_w, dtype=np.float64)
-        total = float(caps[live].sum())
-        if self.ups_capacity_w is not None:
-            return min(total, float(self.ups_capacity_w))
-        return total
+        return float(caps[live].sum())
 
     def branch_ratings_w(self) -> np.ndarray:
         """Per-rack branch rating, shape (num_racks,), watts."""
@@ -135,16 +124,12 @@ class PowerTopology:
         cls,
         cluster: Cluster,
         nodes_per_rack: int = 8,
-        feeds: int = 2,
-        feed_headroom: float = 0.2,
         rack_headroom: float = 0.25,
-        ups_capacity_w: Watts | None = None,
     ) -> "PowerTopology":
         """Size a topology for a cluster from headroom fractions.
 
-        The feeds jointly deliver ``(1 + feed_headroom) · P_thy`` split
-        evenly (so losing one of two feeds leaves 60% of ``P_thy`` at
-        the default headroom), and each branch is rated at
+        The :data:`FEEDS` feeds jointly deliver ``(1 +`` :data:`FEED_HEADROOM`
+        ``) · P_thy`` split evenly, and each branch is rated at
         ``(1 + rack_headroom)`` times its rack's flat-out maximum.  A
         *negative* ``rack_headroom`` deliberately under-provisions the
         branches (the ``breaker-stress`` scenario).
@@ -152,16 +137,11 @@ class PowerTopology:
         Args:
             cluster: The machine the topology feeds.
             nodes_per_rack: Branch-circuit granularity.
-            feeds: Number of redundant utility feeds.
-            feed_headroom: Fractional feed margin over ``P_thy``.
             rack_headroom: Fractional branch margin over the rack's
                 theoretical maximum draw (may be negative, > −1).
-            ups_capacity_w: Optional UPS ceiling, watts.
         """
-        if feeds < 1:
-            raise ConfigurationError("need at least one feed")
-        if feed_headroom <= -1.0 or rack_headroom <= -1.0:
-            raise ConfigurationError("headroom fractions must exceed -1")
+        if rack_headroom <= -1.0:
+            raise ConfigurationError("rack_headroom must exceed -1")
         state = cluster.state
         node_max = np.asarray([s.max_power() for s in state.specs])[
             state.spec_index
@@ -170,14 +150,13 @@ class PowerTopology:
         rack_of = np.arange(num_nodes, dtype=np.int64) // int(nodes_per_rack)
         rack_max = np.bincount(rack_of, weights=node_max)
         per_feed = (
-            (1.0 + feed_headroom) * float(node_max.sum()) / float(feeds)
+            (1.0 + FEED_HEADROOM) * float(node_max.sum()) / float(FEEDS)
         )
         return cls(
-            feed_capacities_w=tuple([per_feed] * feeds),
+            feed_capacities_w=tuple([per_feed] * FEEDS),
             branch_rated_w=(1.0 + rack_headroom) * float(rack_max.max()),
             nodes_per_rack=int(nodes_per_rack),
             num_nodes=num_nodes,
-            ups_capacity_w=ups_capacity_w,
         )
 
     def branch_floor_w(self, cluster: Cluster) -> np.ndarray:

@@ -45,9 +45,12 @@ The :class:`MeterIntegrityMonitor` is the system-level analogue for the
 byzantine *meter*: when the metered reading diverges from the validated
 Formula (1) aggregate for several consecutive cycles, the meter is
 distrusted and classification runs on ``max(meter, estimate)`` until the
-residual closes again.  While the meter is distrusted — or any node is
-quarantined — the threshold learner ignores ``P_peak`` observations:
-thresholds learned from lying sensors would poison every later cycle.
+residual closes again.  The cross-check runs only when the candidate set
+covers the whole machine: a partial set's aggregate leaves out the
+unmonitored nodes' draw, so even an honest meter would read above it.
+While the meter is distrusted — or any node is quarantined — the
+threshold learner ignores ``P_peak`` observations: thresholds learned
+from lying sensors would poison every later cycle.
 
 Quarantine state is deliberately **not** journaled for crash recovery
 (:mod:`repro.ha`): a restored manager re-earns trust from scratch, which
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -70,6 +74,9 @@ from repro.errors import ConfigurationError
 from repro.obs.facade import Observability, resolve_obs
 from repro.power.estimator import NodePowerEstimator
 from repro.types import Seconds, Watts
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.sets import NodeSets
 
 __all__ = [
     "IntegrityConfig",
@@ -432,9 +439,10 @@ class MeterIntegrityMonitor:
     manager has for the meter; when they diverge persistently the meter
     is distrusted and classification runs on ``max(meter, estimate)`` —
     the never-underestimate rule applied at system level.  The check is
-    sharp only when the candidate set covers (nearly) the whole machine:
-    against a partial candidate set's estimate even an honest meter
-    shows a residual above :data:`METER_RESIDUAL_FRACTION`.
+    sharp only when the candidate set covers the whole machine: against
+    a partial candidate set's estimate even an honest meter shows a
+    residual above :data:`METER_RESIDUAL_FRACTION`, so
+    :class:`IntegrityDefense` feeds it only for a whole-machine set.
 
     Args:
         obs: Observability facade; a distrust transition trips the
@@ -511,7 +519,7 @@ class IntegrityDefense:
     Args:
         config: Trust knobs.
         estimator: The manager's Formula (1) evaluator.
-        candidate_ids: The monitored candidate set.
+        sets: The node sets; the validator screens the candidate set.
         top_level: The cluster's highest DVFS level.
         obs: Observability facade, shared by the validator and monitor.
     """
@@ -520,14 +528,19 @@ class IntegrityDefense:
         self,
         config: IntegrityConfig,
         estimator: NodePowerEstimator,
-        candidate_ids: np.ndarray,
+        sets: "NodeSets",
         top_level: int,
         obs: Observability | None = None,
     ) -> None:
         self.validator = TelemetryValidator(
-            config, estimator, candidate_ids, top_level, obs=obs
+            config, estimator, sets.candidates, top_level, obs=obs
         )
         self.monitor = MeterIntegrityMonitor(obs=obs)
+        #: Whether the monitor cross-checks the meter: only against a
+        #: candidate set covering every node is the Formula (1) sum the
+        #: meter's peer; with any node unmonitored the check stands down
+        #: and never distrusts.
+        self.cross_checks = sets.whole_machine
 
     def fault_counts(self) -> dict[str, int]:
         """This layer's fields of :class:`~repro.faults.injector.FaultStats`."""
@@ -574,7 +587,9 @@ def screen_metered_power(
     quarantined the reading passes through bit-identically; with lying
     sensors in the aggregate the residual cross-check is meaningless, so
     the never-underestimate rule applies outright — act on whichever of
-    meter and quarantine-inflated estimate is higher.
+    meter and quarantine-inflated estimate is higher.  When the defense
+    does not cross-check (a partial candidate set) an unquarantined
+    reading passes through unchanged.
 
     Args:
         defense: The integrity layer whose monitor cross-checks the
@@ -597,7 +612,7 @@ def screen_metered_power(
             # applied outright.  The envelope only inflates, so this can
             # over-cap but never under-cap.
             power = max(power, estimate_w())
-        else:
+        elif defense.cross_checks:
             power = monitor.filter(power, estimate_w(), now)
         distrusted = monitor.distrusted
     return ScreenedPower(

@@ -64,6 +64,13 @@ __all__ = [
     "StepBlock",
 ]
 
+#: Std-dev of the multiplicative per-tick jitter on a phase's CPU/NIC
+#: signature, shared by all nodes of a job (phases are synchronous).
+UTIL_JITTER_STD = 0.04
+#: Std-dev of the additional per-node multiplicative noise (load
+#: imbalance).
+NODE_NOISE_STD = 0.02
+
 
 @dataclass(frozen=True)
 class FinishedJob:
@@ -303,15 +310,12 @@ class RunningJobTable:
 class JobExecutor:
     """Per-tick advancement of running jobs.
 
+    Each tick's load carries :data:`UTIL_JITTER_STD` jitter per job and
+    :data:`NODE_NOISE_STD` noise per node.
+
     Args:
         state: The cluster state to read levels from and write load into.
         rng: Random generator for load jitter (a named stream).
-        util_jitter_std: Std-dev of the multiplicative per-tick jitter
-            applied to the phase's CPU/NIC signature (shared by all nodes
-            of a job — phases are synchronous).  Set 0 for deterministic
-            load.
-        node_noise_std: Std-dev of additional per-node multiplicative
-            noise (load imbalance).
         modulation_std: Stationary std-dev of the cluster-wide load
             modulation — a slowly-varying AR(1) multiplicative factor
             shared by *all* jobs, modelling correlated demand swings
@@ -329,22 +333,16 @@ class JobExecutor:
         self,
         state: ClusterState,
         rng: np.random.Generator,
-        util_jitter_std: float = 0.04,
-        node_noise_std: float = 0.02,
         modulation_std: float = 0.08,
         modulation_tau_s: float = 60.0,
         engine: ClusterEngine | str | None = None,
     ) -> None:
-        if util_jitter_std < 0 or node_noise_std < 0:
-            raise WorkloadError("jitter std-devs must be non-negative")
         if modulation_std < 0:
             raise WorkloadError("modulation_std must be non-negative")
         if modulation_tau_s <= 0:
             raise WorkloadError("modulation_tau_s must be positive")
         self._state = state
         self._rng = rng
-        self._util_jitter = float(util_jitter_std)
-        self._node_noise = float(node_noise_std)
         self._modulation = LoadModulation(
             float(modulation_std), float(modulation_tau_s)
         )
@@ -399,8 +397,8 @@ class JobExecutor:
             np.array(now, dtype=np.float64, ndmin=1),
             dt,
             self._rng,
-            self._util_jitter,
-            self._node_noise,
+            UTIL_JITTER_STD,
+            NODE_NOISE_STD,
             self._modulation,
             table=table,
         )

@@ -26,14 +26,13 @@ PAPER_NPROCS_CHOICES: tuple[int, ...] = (8, 16, 32, 64, 128, 256)
 
 
 class RandomJobGenerator:
-    """Generates jobs with the paper's random mix.
+    """Generates jobs with the paper's random mix: one of the five NPB
+    profiles (:data:`~repro.workload.applications.NPB_APPLICATIONS`) and
+    one of :data:`PAPER_NPROCS_CHOICES`, each uniformly.
 
     Args:
         rng: Random generator (a named stream from
             :class:`repro.sim.random.RandomSource`).
-        applications: Candidate applications; defaults to the five NPB
-            profiles the paper uses.
-        nprocs_choices: Candidate process counts; defaults to the paper's.
         runtime_scale: Multiplier applied to every generated job's
             nominal runtime (via a scaled copy of its profile).  1.0
             reproduces the library profiles; small values (e.g. 0.02)
@@ -43,27 +42,17 @@ class RandomJobGenerator:
     def __init__(
         self,
         rng: np.random.Generator,
-        applications: list[ApplicationProfile] | None = None,
-        nprocs_choices: tuple[int, ...] = PAPER_NPROCS_CHOICES,
         runtime_scale: float = 1.0,
         priority_choices: tuple[int, ...] = (0,),
     ) -> None:
         if runtime_scale <= 0:
             raise ConfigurationError("runtime_scale must be positive")
-        if not nprocs_choices:
-            raise ConfigurationError("nprocs_choices must be non-empty")
-        if any(n < 1 for n in nprocs_choices):
-            raise ConfigurationError("nprocs_choices must be positive")
         if not priority_choices:
             raise ConfigurationError("priority_choices must be non-empty")
-        apps = (
-            list(NPB_APPLICATIONS.values()) if applications is None else applications
-        )
-        if not apps:
-            raise ConfigurationError("applications must be non-empty")
         self._rng = rng
-        self._apps = [self._scaled(a, runtime_scale) for a in apps]
-        self._nprocs = tuple(nprocs_choices)
+        self._apps = [
+            self._scaled(a, runtime_scale) for a in NPB_APPLICATIONS.values()
+        ]
         self._priorities = tuple(priority_choices)
         self._priority_by_job: dict[int, int] = {}
         self._next_id = 0
@@ -92,7 +81,8 @@ class RandomJobGenerator:
         """Draw one job: uniform application × uniform NPROCS (× uniform
         priority class when priority_choices has several entries)."""
         app = self._apps[int(self._rng.integers(0, len(self._apps)))]
-        nprocs = int(self._nprocs[int(self._rng.integers(0, len(self._nprocs)))])
+        choices = PAPER_NPROCS_CHOICES
+        nprocs = int(choices[int(self._rng.integers(0, len(choices)))])
         if len(self._priorities) == 1:
             priority = int(self._priorities[0])
         else:

@@ -34,13 +34,6 @@ def test_table_empty_headers_rejected():
         Table([])
 
 
-def test_table_align_validation():
-    with pytest.raises(MetricError):
-        Table(["a"], align=["^"])
-    with pytest.raises(MetricError):
-        Table(["a", "b"], align=["<"])
-
-
 def test_table_str_matches_render():
     table = Table(["x"])
     table.add_row(5)

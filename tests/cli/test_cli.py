@@ -165,6 +165,18 @@ def test_run_without_faults_reports_none(capsys):
     assert payload["fault_stats"] is None
 
 
+def test_run_with_quarantine_alone_reports_integrity_counters(capsys):
+    """The integrity layer's counters reach ``fault_stats`` without a
+    fault injector; the injector's own counters read 0."""
+    args = ["run", "--policy", "mpc", "--json", "--quarantine"] + _tiny()
+    assert main(args) == 0
+    stats = json.loads(capsys.readouterr().out)["fault_stats"]
+    assert stats is not None
+    assert "meter_distrusted_cycles" in stats
+    assert stats["meter_outages"] == stats["node_crashes"] == 0
+    assert stats["commands_lost"] == 0
+
+
 def test_run_fault_override_flags(capsys):
     args = [
         "run", "--policy", "mpc", "--json",

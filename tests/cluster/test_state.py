@@ -18,16 +18,9 @@ def test_initial_state(node_spec):
     assert np.all(s.controllable)
 
 
-def test_initial_level_override(node_spec):
-    s = ClusterState(node_spec, 4, initial_level=0)
-    assert np.all(s.level == 0)
-
-
 def test_invalid_construction(node_spec):
     with pytest.raises(ConfigurationError):
         ClusterState(node_spec, 0)
-    with pytest.raises(ConfigurationError):
-        ClusterState(node_spec, 4, initial_level=99)
 
 
 def test_set_level_validates(node_spec):
@@ -58,24 +51,6 @@ def test_set_levels_validates(node_spec):
         s.set_levels(np.array([99]), 0)
     with pytest.raises(ConfigurationError):
         s.set_levels(np.array([0]), 42)
-
-
-def test_degrade_floors_at_zero(node_spec):
-    s = ClusterState(node_spec, 4)
-    ids = np.array([0, 1])
-    s.set_levels(ids, np.array([1, 5]))
-    s.degrade(ids, steps=3)
-    assert s.level[0] == 0
-    assert s.level[1] == 2
-
-
-def test_upgrade_caps_at_top(node_spec):
-    s = ClusterState(node_spec, 4)
-    ids = np.array([0, 1])
-    s.set_levels(ids, np.array([8, 3]))
-    s.upgrade(ids, steps=4)
-    assert s.level[0] == node_spec.top_level
-    assert s.level[1] == 7
 
 
 def test_assign_and_release_job(node_spec):

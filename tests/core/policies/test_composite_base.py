@@ -9,6 +9,7 @@ from repro.core.policies import (
     make_policy,
     register_policy,
 )
+from repro.core.policies import composite
 from repro.errors import PolicyError
 
 
@@ -133,7 +134,7 @@ def test_hybrid_uses_mpc_without_rates(ctx_builder):
 
 
 def test_hybrid_switches_to_hri_on_surge(ctx_builder):
-    policy = make_policy("hybrid", rate_threshold=0.05)
+    policy = make_policy("hybrid")
     state = ctx_builder.cluster.state
     ctx_builder.snap()
     state.set_load(np.arange(0, 4), 0.9, 0.2, 0.1)  # job 0 surges
@@ -141,15 +142,12 @@ def test_hybrid_switches_to_hri_on_surge(ctx_builder):
     np.testing.assert_array_equal(policy.select(ctx), np.arange(0, 4))
 
 
-def test_hybrid_stays_mpc_below_threshold(ctx_builder):
-    policy = make_policy("hybrid", rate_threshold=0.5)  # very high bar
+def test_hybrid_stays_mpc_below_threshold(ctx_builder, monkeypatch):
+    monkeypatch.setattr(composite, "RATE_THRESHOLD", 0.5)  # very high bar
+    policy = make_policy("hybrid")
     state = ctx_builder.cluster.state
     ctx_builder.snap()
     state.set_load(np.arange(0, 4), 0.5, 0.2, 0.1)  # mild rise only
     ctx = ctx_builder.snap()
     np.testing.assert_array_equal(policy.select(ctx), np.arange(4, 10))
 
-
-def test_hybrid_validation():
-    with pytest.raises(PolicyError):
-        make_policy("hybrid", rate_threshold=-1.0)

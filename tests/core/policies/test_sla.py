@@ -26,21 +26,6 @@ def test_power_breaks_priority_ties(ctx_builder):
     np.testing.assert_array_equal(policy.select(ctx), np.arange(4, 10))
 
 
-def test_protected_class_never_selected(ctx_builder):
-    priorities = {0: 5, 1: 5, 2: 1}
-    policy = make_policy(
-        "sla", priority_of=priorities.__getitem__, protect_priority=5
-    )
-    ctx = ctx_builder.snap()
-    np.testing.assert_array_equal(policy.select(ctx), np.arange(10, 14))
-
-
-def test_everything_protected_yields_empty(ctx_builder):
-    policy = make_policy("sla", priority_of=lambda jid: 9, protect_priority=5)
-    ctx = ctx_builder.snap()
-    assert len(policy.select(ctx)) == 0
-
-
 def test_falls_through_undegradable_jobs(ctx_builder):
     ctx_builder.cluster.state.set_levels(np.arange(10, 14), 0)  # job 2 floored
     priorities = {0: 2, 1: 1, 2: 0}

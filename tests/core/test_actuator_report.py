@@ -1,12 +1,11 @@
 """Tests for actuation reports, the raise clamp and command re-issue."""
 
 import numpy as np
-import pytest
 
 from repro.core import DvfsActuator, PowerState
+from repro.core import actuator
 from repro.core.actuator import ActuationReport
 from repro.core.capping import CappingAction, CappingDecision
-from repro.errors import ConfigurationError
 
 
 def _decision(action, node_ids, new_levels, state=PowerState.YELLOW):
@@ -69,11 +68,6 @@ def test_report_none_action_empty(busy_cluster):
     act = DvfsActuator(busy_cluster.state)
     report = act.apply(_decision(CappingAction.NONE, [], [], PowerState.GREEN))
     assert report == ActuationReport()
-
-
-def test_negative_max_retries_rejected(busy_cluster):
-    with pytest.raises(ConfigurationError):
-        DvfsActuator(busy_cluster.state, max_retries=-1)
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +145,7 @@ def test_retries_back_off_exponentially(busy_cluster):
     inj = _ScriptedOutcomes(
         [([True], [False]), ([True], [False]), ([True], [False])]
     )
-    act = DvfsActuator(state, inj, max_retries=3)
+    act = DvfsActuator(state, inj)
     act.begin_cycle()  # cycle 1
     act.apply(_decision(CappingAction.DEGRADE, [4], [8]))
     # Backoff gaps double: retry 1 at cycle 2 (+1), retry 2 at cycle 4
@@ -164,10 +158,11 @@ def test_retries_back_off_exponentially(busy_cluster):
     assert act.abandoned_commands == 0
 
 
-def test_command_abandoned_after_max_retries(busy_cluster):
+def test_command_abandoned_after_max_retries(busy_cluster, monkeypatch):
+    monkeypatch.setattr(actuator, "MAX_RETRIES", 2)
     state = busy_cluster.state
     inj = _ScriptedOutcomes([([True], [False])] * 10)
-    act = DvfsActuator(state, inj, max_retries=2)
+    act = DvfsActuator(state, inj)
     act.begin_cycle()
     act.apply(_decision(CappingAction.DEGRADE, [4], [8]))
     for _ in range(10):

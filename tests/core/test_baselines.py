@@ -1,16 +1,14 @@
 """Unit tests for the related-work baseline controllers."""
 
 import numpy as np
-import pytest
 
-from repro.core import NodeSets, ThresholdController
+from repro.core import NodeSets, ThresholdController, baselines
 from repro.core.baselines import BudgetPartitionManager, MimoFeedbackManager
 from repro.core.policies import make_policy
-from repro.errors import ConfigurationError
 from repro.power import PowerModel, SystemPowerMeter
 
 
-def _manager(cluster, cls, p_low, p_high, **kwargs):
+def _manager(cluster, cls, p_low, p_high):
     model = PowerModel(cluster.spec)
     return cls(
         cluster,
@@ -18,7 +16,6 @@ def _manager(cluster, cls, p_low, p_high, **kwargs):
         SystemPowerMeter(model, cluster.state),
         ThresholdController.fixed(p_low=p_low, p_high=p_high),
         make_policy("mpc"),
-        **kwargs,
     )
 
 
@@ -42,14 +39,14 @@ def test_mimo_throttles_on_positive_error(busy_cluster):
     assert np.all(busy_cluster.state.level[14:] == top)
 
 
-def test_mimo_ignores_job_structure(busy_cluster):
+def test_mimo_ignores_job_structure(busy_cluster, monkeypatch):
     """Unlike MPC, MIMO selects individual nodes by savings — it may
     split a job (here: throttle only part of the heavy job)."""
+    monkeypatch.setattr(baselines, "GAIN", 1.0)
     power = _current_power(busy_cluster)
     # A tiny error: shedding needs only one node's savings.
     mgr = _manager(
-        busy_cluster, MimoFeedbackManager, p_low=power - 10.0, p_high=power * 2,
-        gain=1.0,
+        busy_cluster, MimoFeedbackManager, p_low=power - 10.0, p_high=power * 2
     )
     mgr.control_cycle(1.0)
     heavy = busy_cluster.state.level[4:10]
@@ -89,33 +86,21 @@ def test_mimo_nothing_to_throttle(busy_cluster):
     assert not report.acted
 
 
-def test_mimo_gain_scales_response(busy_cluster):
+def test_mimo_gain_scales_response(busy_cluster, monkeypatch):
     power = _current_power(busy_cluster)
 
     def nodes_touched(gain):
+        monkeypatch.setattr(baselines, "GAIN", gain)
         cluster_copy = busy_cluster  # fresh state per call below
         cluster_copy.state.set_levels(np.arange(16), cluster_copy.spec.top_level)
         mgr = _manager(
             cluster_copy, MimoFeedbackManager, p_low=power * 0.85,
-            p_high=power * 2, gain=gain,
+            p_high=power * 2,
         )
         report = mgr.control_cycle(1.0)
         return report.decision.num_targets
 
     assert nodes_touched(1.0) >= nodes_touched(0.2)
-
-
-def test_mimo_validation(busy_cluster):
-    power = _current_power(busy_cluster)
-    with pytest.raises(ConfigurationError):
-        _manager(
-            busy_cluster, MimoFeedbackManager, p_low=power, p_high=power * 2, gain=0.0
-        )
-    with pytest.raises(ConfigurationError):
-        _manager(
-            busy_cluster, MimoFeedbackManager, p_low=power, p_high=power * 2,
-            release_margin_fraction=-0.1,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -147,21 +132,41 @@ def test_budget_restores_when_budget_ample(busy_cluster):
     )
 
 
-def test_budget_uniform_vs_proportional(busy_cluster):
-    """Proportional shares give heavy nodes more headroom than uniform."""
+def test_budget_uniform_vs_proportional(busy_cluster, monkeypatch):
+    """Proportional shares give heavy nodes more headroom than uniform.
+
+    The uniform split (the manager's zero-demand fallback) is computed
+    here from the same cycle's context: each node at the highest level
+    whose estimate fits an even share of the budget."""
     power = _current_power(busy_cluster)
+    contexts = []
+    decide = BudgetPartitionManager._decide
 
-    def levels_after(proportional):
-        busy_cluster.state.set_levels(np.arange(16), busy_cluster.spec.top_level)
-        mgr = _manager(
-            busy_cluster, BudgetPartitionManager, p_low=power * 0.85,
-            p_high=power * 2, proportional=proportional,
-        )
-        mgr.control_cycle(1.0)
-        return busy_cluster.state.level.copy()
+    def spy(self, state, ctx):
+        contexts.append(ctx)
+        return decide(self, state, ctx)
 
-    proportional = levels_after(True)
-    uniform = levels_after(False)
+    monkeypatch.setattr(BudgetPartitionManager, "_decide", spy)
+    mgr = _manager(
+        busy_cluster, BudgetPartitionManager, p_low=power * 0.85, p_high=power * 2
+    )
+    mgr.control_cycle(1.0)
+    proportional = busy_cluster.state.level.copy()
+
+    (ctx,) = contexts
+    snap = ctx.snapshot
+    unmonitored = max(0.0, ctx.system_power - float(ctx.node_power.sum()))
+    share = max(0.0, ctx.thresholds.p_low - unmonitored) / snap.size
+    levels = np.arange(busy_cluster.spec.num_levels)
+    fits = ctx.estimator.model.evaluate_for_nodes(
+        snap.node_ids,
+        levels[:, None],
+        snap.cpu_util[None, :],
+        snap.mem_frac[None, :],
+        snap.nic_frac[None, :],
+    ) <= share
+    top = levels[-1]
+    uniform = np.where(fits.any(axis=0), top - np.argmax(fits[::-1], axis=0), 0)
     # Heavy job (nodes 4..9) keeps higher levels under proportional shares.
     assert proportional[4:10].mean() >= uniform[4:10].mean()
 

@@ -24,6 +24,7 @@ class _FakeInjector:
         self.offline_node_cycles = 0
         self.corrupted_samples = 0
         self.corrupted_meter_readings = 0
+        self.meter_clamped_readings = 0
 
     def begin_cycle(self, now):
         if not self.meter_up:

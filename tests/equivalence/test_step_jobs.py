@@ -1,10 +1,11 @@
 """Kernel-level differential test of job stepping: vector against object.
 
-The experiment-level matrix always runs the default load jitter, node
-noise and load modulation, so it never reaches the zero-σ branches of
-the vector kernel's one draw per block, where the draw's layout
+The experiment-level matrix always runs the executor's load jitter,
+node noise and load modulation, so it never reaches the zero-σ branches
+of the vector kernel's one draw per block, where the draw's layout
 changes.  Here Hypothesis drives one scheduler per engine, with
-identically seeded executors, through the same random churn:
+identically seeded executors (jitter and noise constants patched per
+example), through the same random churn:
 submissions and FCFS starts, finishes, ``suspend_job``, ``resume_job``,
 ``kill_job`` and DVFS level changes.  The worlds must stay bit-equal:
 the cluster state arrays, every job's progress and degraded exposure,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 from typing import Any, Callable
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,12 +45,9 @@ from repro.workload import (
     JobState,
     RandomJobGenerator,
 )
-from repro.workload.executor import StepBlock
+from repro.workload.executor import NODE_NOISE_STD, UTIL_JITTER_STD, StepBlock
 
-_DEFAULTS = inspect.signature(JobExecutor).parameters
-JITTER = _DEFAULTS["util_jitter_std"].default
-NOISE = _DEFAULTS["node_noise_std"].default
-MODULATION = _DEFAULTS["modulation_std"].default
+MODULATION = inspect.signature(JobExecutor).parameters["modulation_std"].default
 #: Ids of hand-submitted jobs start here, clear of the generator's.
 SUBMITTED_IDS = 1_000_000
 NUM_NODES = 24
@@ -131,8 +130,6 @@ class _World:
         engine: str,
         make_cluster: Callable[[str], Cluster],
         seed: int,
-        jitter: float,
-        noise: float,
         modulation: float = MODULATION,
         keep_filled: bool = False,
     ) -> None:
@@ -142,8 +139,6 @@ class _World:
         executor = JobExecutor(
             self.cluster.state,
             self.rng,
-            util_jitter_std=jitter,
-            node_noise_std=noise,
             modulation_std=modulation,
             engine=engine,
         )
@@ -203,6 +198,13 @@ def _jobs_view(world: _World) -> list[tuple[Any, ...]]:
     ]
 
 
+def _load_noise(jitter: float, noise: float) -> Any:
+    """The executor's jitter and node noise, patched for one example."""
+    return mock.patch.multiple(
+        "repro.workload.executor", UTIL_JITTER_STD=jitter, NODE_NOISE_STD=noise
+    )
+
+
 def _notices(finished: list[Job]) -> list[tuple[int, str]]:
     return [(job.job_id, repr(job.finish_time)) for job in finished]
 
@@ -221,8 +223,8 @@ def _assert_bit_equal(vector: _World, obj: _World, context: str) -> None:
 @pytest.mark.parametrize(
     "make_cluster", [_homogeneous, _heterogeneous], ids=["homo", "hetero"]
 )
-@pytest.mark.parametrize("noise", [0.0, NOISE], ids=["noise0", "noise"])
-@pytest.mark.parametrize("jitter", [0.0, JITTER], ids=["jitter0", "jitter"])
+@pytest.mark.parametrize("noise", [0.0, NODE_NOISE_STD], ids=["noise0", "noise"])
+@pytest.mark.parametrize("jitter", [0.0, UTIL_JITTER_STD], ids=["jitter0", "jitter"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**20), rounds=_ROUNDS)
 def test_vector_kernel_matches_object_tick_by_tick(
@@ -233,19 +235,19 @@ def test_vector_kernel_matches_object_tick_by_tick(
     rounds: list[tuple[list[tuple[Any, ...]], float]],
 ) -> None:
     vector, obj = (
-        _World(engine, make_cluster, seed, jitter, noise)
-        for engine in ("vector", "object")
+        _World(engine, make_cluster, seed) for engine in ("vector", "object")
     )
-    for step, (churn, dt) in enumerate(rounds):
-        for action in churn:
-            vector.apply(action)
-            obj.apply(action)
-        finished = vector.tick(dt), obj.tick(dt)
-        context = f"round {step} ({churn}, dt={dt})"
-        assert _notices(finished[0]) == _notices(finished[1]), (
-            f"{context}: finish notices diverged"
-        )
-        _assert_bit_equal(vector, obj, context)
+    with _load_noise(jitter, noise):
+        for step, (churn, dt) in enumerate(rounds):
+            for action in churn:
+                vector.apply(action)
+                obj.apply(action)
+            finished = vector.tick(dt), obj.tick(dt)
+            context = f"round {step} ({churn}, dt={dt})"
+            assert _notices(finished[0]) == _notices(finished[1]), (
+                f"{context}: finish notices diverged"
+            )
+            _assert_bit_equal(vector, obj, context)
 
 
 #: Rounds of churn, each closed by one block of up to ``span`` ticks.
@@ -282,8 +284,8 @@ def _step_block(
     ids=["homo", "hetero", "below-top"],
 )
 @pytest.mark.parametrize("modulation", [0.0, MODULATION], ids=["mod0", "mod"])
-@pytest.mark.parametrize("noise", [0.0, NOISE], ids=["noise0", "noise"])
-@pytest.mark.parametrize("jitter", [0.0, JITTER], ids=["jitter0", "jitter"])
+@pytest.mark.parametrize("noise", [0.0, NODE_NOISE_STD], ids=["noise0", "noise"])
+@pytest.mark.parametrize("jitter", [0.0, UTIL_JITTER_STD], ids=["jitter0", "jitter"])
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**20), rounds=_BLOCK_ROUNDS)
 def test_vector_blocks_match_object_ticks(
@@ -295,21 +297,22 @@ def test_vector_blocks_match_object_ticks(
     rounds: list[tuple[list[tuple[Any, ...]], float, int]],
 ) -> None:
     vector, obj = (
-        _World(engine, make_cluster, seed, jitter, noise, modulation, keep_filled=True)
+        _World(engine, make_cluster, seed, modulation, keep_filled=True)
         for engine in ("vector", "object")
     )
-    for step, (churn, dt, span) in enumerate(rounds):
-        for action in churn:
-            vector.apply(action)
-            obj.apply(action)
-        context = f"round {step} ({churn}, dt={dt}, span={span})"
-        _step_block(vector, obj, dt, span, context)
+    with _load_noise(jitter, noise):
+        for step, (churn, dt, span) in enumerate(rounds):
+            for action in churn:
+                vector.apply(action)
+                obj.apply(action)
+            context = f"round {step} ({churn}, dt={dt}, span={span})"
+            _step_block(vector, obj, dt, span, context)
 
 
 def _quiet_worlds(make_cluster: Callable[[str], Cluster]) -> tuple[_World, _World]:
     """A vector and an object world, ticked until the scheduler is quiet."""
     worlds = tuple(
-        _World(e, make_cluster, 11, JITTER, NOISE, MODULATION, keep_filled=True)
+        _World(e, make_cluster, 11, MODULATION, keep_filled=True)
         for e in ("vector", "object")
     )
     for _ in range(200):

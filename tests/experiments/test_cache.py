@@ -9,6 +9,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.experiments import CODE_VERSION, ResultCache, run_experiment
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import _source_digest
 from repro.experiments.serialize import canonical_json, result_to_dict
 
@@ -54,11 +55,13 @@ def test_config_change_invalidates(tmp_path, computed):
     assert cache.get(cache.key(config, "mpc")) is not None
 
 
-def test_salt_change_invalidates(tmp_path, computed):
+def test_salt_change_invalidates(tmp_path, computed, monkeypatch):
     config, result = computed
-    old = ResultCache(tmp_path, salt="v1")
+    monkeypatch.setattr(cache_module, "CODE_VERSION", "v1")
+    old = ResultCache(tmp_path)
     old.put(old.key(config, "mpc"), result)
-    new = ResultCache(tmp_path, salt="v2")
+    monkeypatch.setattr(cache_module, "CODE_VERSION", "v2")
+    new = ResultCache(tmp_path)
     assert new.get(new.key(config, "mpc")) is None
 
 

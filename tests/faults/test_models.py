@@ -87,6 +87,29 @@ def test_meter_noise_is_additive_and_clamped():
 def test_meter_zero_noise_identity():
     model = MeterFaultModel(_rng(), 0.0, 0.5, 0.0)
     assert model.perturb(123.4) == 123.4
+    assert model.clamped_readings == 0
+
+
+class _ScriptedNormal:
+    """np.random.Generator stand-in with a scripted noise stream."""
+
+    def __init__(self, draws):
+        self._draws = list(draws)
+
+    def normal(self, loc, scale):
+        return self._draws.pop(0)
+
+
+def test_noise_clamp_boundary_and_counter():
+    # Draws land the noisy reading below, exactly at, and above zero:
+    # only a strictly negative reading is unphysical and clamped.
+    model = MeterFaultModel(_ScriptedNormal([-1500.0, -1000.0, 500.0]), 0.0, 0.5, 0.5)
+    assert model.perturb(1000.0) == 0.0  # -500 W: clamped
+    assert model.clamped_readings == 1
+    assert model.perturb(1000.0) == 0.0  # exactly 0 W: physical, no clamp
+    assert model.clamped_readings == 1
+    assert model.perturb(1000.0) == 1500.0
+    assert model.clamped_readings == 1
 
 
 # ----------------------------------------------------------------------

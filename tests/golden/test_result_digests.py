@@ -25,7 +25,6 @@ import dataclasses
 import hashlib
 import json
 from contextlib import ExitStack
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 from unittest import mock
@@ -37,7 +36,6 @@ from repro import ExperimentConfig, ObsConfig, run_experiment
 from repro.experiments.common import ExperimentResult
 from repro.faults import CorruptionScenario, FaultScenario
 from repro.ha import HaConfig
-from repro.power.thermal import BreakerThermalModel
 from repro.provision import ProvisionScenario
 from repro.telemetry import IntegrityConfig
 from tests.equivalence.harness import fingerprint
@@ -174,7 +172,7 @@ CELLS: dict[str, tuple[dict[str, Any], bool, Check]] = {
     ),
 }
 
-#: Cell → module constants (or classes) the cell patches for its run:
+#: Cell → module constants the cell patches for its run:
 #: the states no configuration reaches.
 PATCHES: dict[str, dict[str, Any]] = {
     "provision-shed": {
@@ -183,9 +181,7 @@ PATCHES: dict[str, dict[str, Any]] = {
     },
     # Breakers that trip in 2 s, on a PDU that keeps 30% of its rating.
     "breaker-undefended": {
-        "repro.provision.runtime.BreakerThermalModel": partial(
-            BreakerThermalModel, trip_time_s=2.0
-        ),
+        "repro.power.thermal.TRIP_TIME_S": 2.0,
         "repro.provision.runtime.PDU_DERATE_FRACTION": 0.3,
     },
 }

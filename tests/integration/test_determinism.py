@@ -1,6 +1,7 @@
 """Determinism guarantees: identical seeds reproduce whole runs bit-for-bit."""
 
 import numpy as np
+import pytest
 
 from repro.cluster import Cluster
 from repro.core import NodeSets, PowerManager, ThresholdController
@@ -11,13 +12,17 @@ from repro.sim import RandomSource
 from repro.workload import JobExecutor, RandomJobGenerator
 
 
+@pytest.fixture(autouse=True)
+def _small_jobs(monkeypatch):
+    """Small jobs: at most 32 processes each, for the 32-node worlds here."""
+    monkeypatch.setattr("repro.workload.generator.PAPER_NPROCS_CHOICES", (8, 16, 32))
+
+
 def _run_once(seed: int, policy: str):
     rng = RandomSource(seed=seed)
     cluster = Cluster.tianhe_1a(num_nodes=32)
     model = PowerModel(cluster.spec)
-    generator = RandomJobGenerator(
-        rng.stream("gen"), runtime_scale=0.01, nprocs_choices=(8, 16, 32)
-    )
+    generator = RandomJobGenerator(rng.stream("gen"), runtime_scale=0.01)
     executor = JobExecutor(cluster.state, rng.stream("exec"))
     scheduler = BatchScheduler(cluster, executor, KeepQueueFilledFeeder(generator))
 

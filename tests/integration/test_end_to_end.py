@@ -7,6 +7,7 @@ observable from the outside.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster import Cluster
 from repro.core import (
@@ -22,13 +23,19 @@ from repro.sim import RandomSource
 from repro.workload import JobExecutor, RandomJobGenerator
 
 
+@pytest.fixture(autouse=True)
+def _small_jobs(monkeypatch):
+    """Small jobs: at most 64 processes each, for the 32-node worlds here."""
+    monkeypatch.setattr(
+        "repro.workload.generator.PAPER_NPROCS_CHOICES", (8, 16, 32, 64)
+    )
+
+
 def _build_world(seed=11, num_nodes=32):
     rng = RandomSource(seed=seed)
     cluster = Cluster.tianhe_1a(num_nodes=num_nodes)
     model = PowerModel(cluster.spec)
-    generator = RandomJobGenerator(
-        rng.stream("gen"), runtime_scale=0.01, nprocs_choices=(8, 16, 32, 64)
-    )
+    generator = RandomJobGenerator(rng.stream("gen"), runtime_scale=0.01)
     executor = JobExecutor(cluster.state, rng.stream("exec"))
     scheduler = BatchScheduler(cluster, executor, KeepQueueFilledFeeder(generator))
     return cluster, model, scheduler

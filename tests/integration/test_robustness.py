@@ -18,7 +18,7 @@ def _config(**overrides):
     return ExperimentConfig(**defaults)
 
 
-def test_estimator_matches_ground_truth_during_run():
+def test_estimator_matches_ground_truth_during_run(monkeypatch):
     """The manager's per-node estimates, summed over all nodes, equal
     the meter's noise-free reading: Formula (1) is both ground truth
     and estimation basis, so the only possible divergence is a wiring
@@ -32,12 +32,11 @@ def test_estimator_matches_ground_truth_during_run():
     from repro.workload import JobExecutor, RandomJobGenerator
     from repro.power import NodePowerEstimator
 
+    monkeypatch.setattr("repro.workload.generator.PAPER_NPROCS_CHOICES", (8, 32, 64))
     rng = RandomSource(seed=21)
     cluster = Cluster.tianhe_1a(num_nodes=32)
     model = make_power_model(cluster)
-    generator = RandomJobGenerator(
-        rng.stream("gen"), runtime_scale=0.01, nprocs_choices=(8, 32, 64)
-    )
+    generator = RandomJobGenerator(rng.stream("gen"), runtime_scale=0.01)
     executor = JobExecutor(cluster.state, rng.stream("exec"))
     scheduler = BatchScheduler(cluster, executor, KeepQueueFilledFeeder(generator))
     meter = SystemPowerMeter(model, cluster.state)

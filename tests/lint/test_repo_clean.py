@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import re
 import typing
 from pathlib import Path
@@ -42,6 +44,15 @@ ORPHAN_EXEMPT = {
 KNOB_EXEMPT = {
     "ExperimentConfig.privileged_nodes": "the paper's own input: "
     "A_uncontrollable, the privileged set of §II.A",
+}
+
+#: Constructor parameters kept although no run gives them a non-default
+#: value, with the reason each stays.
+CONSTRUCTOR_EXEMPT = {
+    "Cluster.heterogeneous(engine)": "the engine switch, which goes out "
+    "whole once perfbench's config-echo check varies another field",
+    "PowerManager(engine)": "the engine switch, which goes out whole "
+    "once perfbench's config-echo check varies another field",
 }
 
 
@@ -163,6 +174,68 @@ def _config_sections() -> dict[str, type]:
     return sections
 
 
+def _builds_cls(node: ast.AST) -> bool:
+    """Whether ``node`` is a ``cls(...)`` or ``cls.__new__(...)`` call."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "__new__":
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "cls"
+
+
+def _constructors() -> tuple[dict[str, dict[str, object]], dict[str, list[str]]]:
+    """Each public constructor in ``src/repro`` outside the run
+    configuration: ``Klass`` for an ``__init__`` a public class defines,
+    ``Klass.name`` for a public classmethod that builds ``cls``.
+    Returns the defaulted parameters of each with their defaults, and
+    the names its positional arguments bind, in order."""
+    configs = {cls.__name__ for cls in _config_sections().values()}
+    defaults: dict[str, dict[str, object]] = {}
+    positions: dict[str, list[str]] = {}
+    positional = (
+        inspect.Parameter.POSITIONAL_ONLY,
+        inspect.Parameter.POSITIONAL_OR_KEYWORD,
+    )
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC_REPRO.parent).with_suffix("").parts)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (
+                not isinstance(node, ast.ClassDef)
+                or node.name.startswith("_")
+                or node.name in configs
+            ):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    key = node.name
+                elif (
+                    not item.name.startswith("_")
+                    and any(
+                        isinstance(d, ast.Name) and d.id == "classmethod"
+                        for d in item.decorator_list
+                    )
+                    and any(_builds_cls(c) for c in ast.walk(item))
+                ):
+                    key = f"{node.name}.{item.name}"
+                else:
+                    continue
+                assert key not in defaults, f"two constructors named {key}"
+                owner = getattr(importlib.import_module(module), node.name)
+                params = inspect.signature(
+                    owner if key == node.name else getattr(owner, item.name)
+                ).parameters.values()
+                defaults[key] = {
+                    p.name: p.default
+                    for p in params
+                    if p.default is not p.empty and p.kind is not p.VAR_KEYWORD
+                }
+                positions[key] = [p.name for p in params if p.kind in positional]
+    return defaults, positions
+
+
 def _is_replace(func: ast.expr) -> bool:
     """Whether a call's function is ``replace`` or ``dataclasses.replace``."""
     if isinstance(func, ast.Attribute):
@@ -175,58 +248,76 @@ def _is_replace(func: ast.expr) -> bool:
 
 
 class _KnobSettings:
-    """The ``(class, field)`` pairs some code gives a non-default value.
+    """The ``(target, parameter)`` pairs some code gives a non-default
+    value, where a target is a config class or a constructor.
 
-    A field is set by a keyword of a call that builds or replaces a
-    config (``cls(...)`` counts for its own class, and ``replace`` of
-    an unknown config for every class with that field), by a
-    string-keyed store into a dict splatted into such a call, or by a
-    CLI option-table row ``(flag, section, field, ...)``.  A literal
-    equal to the field's default sets nothing.
+    A parameter is set by an argument of a call that builds the target:
+    ``Klass(...)`` or ``Klass.method(...)`` (a method that is no target
+    counts for its class, as a config preset forwards its overrides),
+    ``cls(...)`` inside the class, or a call through a local name bound
+    to an expression naming targets (``factory = PowerManager if ...``).
+    ``replace`` of an unknown config counts for every config class (a
+    CLI section) with that field.  A keyword sets its parameter, a
+    positional argument the parameter at its position, a ``**`` splat
+    of a local dict the dict's string-keyed stores, and a CLI
+    option-table row ``(flag, section, field, ...)`` its field.  A
+    literal equal to the default sets nothing.
+
+    Args:
+        defaults: Each target's settable parameters with their defaults.
+        positions: The parameter each positional argument binds, in
+            order, per target (none for a target not listed).
+        sections: Config class name by CLI section name.
     """
 
-    def __init__(self) -> None:
-        sections = _config_sections()
-        self.sections = {name: cls.__name__ for name, cls in sections.items()}
-        self.fields = {
-            cls.__name__: {f.name: f for f in dataclasses.fields(cls)}
-            for cls in sections.values()
-        }
+    def __init__(
+        self,
+        defaults: dict[str, dict[str, object]],
+        positions: dict[str, list[str]] | None = None,
+        sections: dict[str, str] | None = None,
+    ) -> None:
+        self.defaults = defaults
+        self.positions = positions or {}
+        self.sections = sections or {}
         self.found: set[tuple[str, str]] = set()
 
-    def _targets(self, call: ast.Call, owner: str | None) -> set[str]:
-        """The config classes a call builds or replaces."""
+    def _targets(
+        self, call: ast.Call, owner: str | None, local: dict[str, set[str]]
+    ) -> set[str]:
+        """The targets a call builds or replaces."""
         func = call.func
         base = func.value if isinstance(func, ast.Attribute) else func
         if isinstance(base, ast.Name):
             name = owner if base.id == "cls" else base.id
-            if name in self.fields:
+            method = f"{name}.{func.attr}" if base is not func else None
+            if method in self.defaults:
+                return {method}
+            if name in self.defaults:
                 return {name}
+            if base is func and name in local:
+                return local[name]
         if not _is_replace(func):
             return set()
         first = call.args[0] if call.args else None
+        configs = set(self.sections.values())
         if isinstance(first, ast.Call):
-            return self._targets(first, owner) or set(self.fields)
-        return set(self.fields)
+            return self._targets(first, owner, local) or configs
+        return configs
 
-    def _set(self, classes: set[str], field: str, value: ast.expr | None) -> None:
-        """Record ``field`` of ``classes`` as set to ``value`` (``None``:
+    def _set(self, targets: set[str], param: str, value: ast.expr | None) -> None:
+        """Record ``param`` of ``targets`` as set to ``value`` (``None``:
         a value only known at run time)."""
-        for name in classes:
-            spec = self.fields[name].get(field)
-            if spec is None:
+        for name in targets:
+            params = self.defaults[name]
+            if param not in params:
                 continue
             if value is not None:
-                if spec.default is not dataclasses.MISSING:
-                    default = spec.default
-                else:
-                    default = spec.default_factory()
                 try:
-                    if ast.literal_eval(value) == default:
+                    if ast.literal_eval(value) == params[param]:
                         continue
                 except ValueError:
                     pass
-            self.found.add((name, field))
+            self.found.add((name, param))
 
     def _cli_row(self, row: ast.Tuple) -> None:
         parts = row.elts[:3]
@@ -239,25 +330,47 @@ class _KnobSettings:
 
     def scan(self, scope: list[ast.AST], owner: str | None) -> None:
         """Record what one function (or module-level statement) sets."""
+        nodes = [sub for top in scope for sub in ast.walk(top)]
+        local: dict[str, set[str]] = {}
         splats: dict[str, set[str]] = {}
         stores: list[tuple[str, str, ast.expr]] = []
-        for node in (sub for top in scope for sub in ast.walk(top)):
+        for node in nodes:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or not node.value:
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not isinstance(
+                    node.value, (ast.Call, ast.Dict)
+                ):
+                    named = {
+                        n.id
+                        for n in ast.walk(node.value)
+                        if isinstance(n, ast.Name) and n.id in self.defaults
+                    }
+                    if named:
+                        local[t.id] = named
+                elif (
+                    isinstance(t, ast.Subscript)
+                    and isinstance(t.value, ast.Name)
+                    and isinstance(t.slice, ast.Constant)
+                    and isinstance(t.slice.value, str)
+                ):
+                    stores.append((t.value.id, t.slice.value, node.value))
+        for node in nodes:
             if isinstance(node, ast.Call):
-                targets = self._targets(node, owner)
-                for kw in node.keywords if targets else ():
+                targets = self._targets(node, owner, local)
+                if not targets:
+                    continue
+                for kw in node.keywords:
                     if kw.arg is not None:
                         self._set(targets, kw.arg, kw.value)
                     elif isinstance(kw.value, ast.Name):
                         splats.setdefault(kw.value.id, set()).update(targets)
-            elif isinstance(node, ast.Assign):
-                for t in node.targets:
-                    if (
-                        isinstance(t, ast.Subscript)
-                        and isinstance(t.value, ast.Name)
-                        and isinstance(t.slice, ast.Constant)
-                        and isinstance(t.slice.value, str)
-                    ):
-                        stores.append((t.value.id, t.slice.value, node.value))
+                for name in targets:
+                    for arg, param in zip(node.args, self.positions.get(name, ())):
+                        if isinstance(arg, ast.Starred):
+                            break
+                        self._set({name}, param, arg)
             elif isinstance(node, ast.Tuple):
                 self._cli_row(node)
         for name, field, value in stores:
@@ -274,22 +387,56 @@ class _KnobSettings:
                 self.scan([child], owner)
 
 
+def _unset(settings: _KnobSettings) -> list[tuple[str, str]]:
+    """Each ``(target, parameter)`` no code under ``CALLER_ROOTS`` sets."""
+    for path in _caller_files():
+        settings.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return [
+        (name, param)
+        for name, params in settings.defaults.items()
+        for param in params
+        if (name, param) not in settings.found
+    ]
+
+
 def test_every_config_field_is_set_by_some_run() -> None:
     """A knob no run sets is a constant: each field of the run
     configuration gets a non-default value from code outside
     ``tests/`` (a preset, a harness, the CLI's option table, ...)."""
-    settings = _KnobSettings()
-    for path in _caller_files():
-        settings.visit(ast.parse(path.read_text(encoding="utf-8")))
+    sections = _config_sections()
+    defaults = {
+        cls.__name__: {
+            f.name: (
+                f.default_factory() if f.default is dataclasses.MISSING else f.default
+            )
+            for f in dataclasses.fields(cls)
+        }
+        for cls in sections.values()
+    }
+    by_section = {name: cls.__name__ for name, cls in sections.items()}
     unset = [
         f"{name}.{field}"
-        for name, fields in settings.fields.items()
-        for field in fields
-        if (name, field) not in settings.found
-        and f"{name}.{field}" not in KNOB_EXEMPT
+        for name, field in _unset(_KnobSettings(defaults, sections=by_section))
+        if f"{name}.{field}" not in KNOB_EXEMPT
     ]
     assert unset == [], "fields no run sets (make them constants):\n" + "\n".join(
         unset
+    )
+
+
+def test_every_constructor_parameter_is_set_by_some_run() -> None:
+    """The same one level down: each defaulted parameter of a public
+    constructor in ``src/repro`` gets a non-default value from code
+    outside ``tests/``."""
+    defaults, positions = _constructors()
+    unset = [
+        f"{name}({param})"
+        for name, param in _unset(_KnobSettings(defaults, positions))
+        if f"{name}({param})" not in CONSTRUCTOR_EXEMPT
+    ]
+    assert unset == [], (
+        "constructor parameters no run sets (make them constants):\n"
+        + "\n".join(unset)
     )
 
 

@@ -65,7 +65,8 @@ class TestCycleTracer:
 
     def test_sinks_receive_completed_root(self):
         seen = []
-        tracer = CycleTracer(sinks=(seen.append,))
+        tracer = CycleTracer()
+        tracer.add_sink(seen.append)
         tracer.begin_cycle(0.0)
         tracer.end_cycle()
         assert len(seen) == 1 and seen[0].name == "cycle"

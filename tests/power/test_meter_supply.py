@@ -27,64 +27,6 @@ def test_meter_tracks_state_changes(small_cluster):
     assert after > before
 
 
-def test_noisy_meter_varies_around_truth(small_cluster):
-    model = PowerModel(small_cluster.spec)
-    rng = np.random.default_rng(1)
-    meter = SystemPowerMeter(model, small_cluster.state, 0.01, rng)
-    truth = meter.true_power()
-    samples = np.array([meter.read() for _ in range(500)])
-    assert samples.std() > 0
-    assert abs(samples.mean() - truth) / truth < 0.005
-    assert np.all(samples >= 0)
-
-
-def test_noisy_meter_requires_rng(small_cluster):
-    model = PowerModel(small_cluster.spec)
-    with pytest.raises(ConfigurationError):
-        SystemPowerMeter(model, small_cluster.state, 0.01, None)
-
-
-def test_negative_noise_rejected(small_cluster):
-    model = PowerModel(small_cluster.spec)
-    with pytest.raises(ConfigurationError):
-        SystemPowerMeter(model, small_cluster.state, -0.1)
-
-
-class _ScriptedNormal:
-    """np.random.Generator stand-in with a scripted noise stream."""
-
-    def __init__(self, draws):
-        self._draws = list(draws)
-
-    def normal(self, loc, scale):
-        return self._draws.pop(0)
-
-
-def test_noise_clamp_boundary_and_counter(small_cluster):
-    # Draws land the noise factor below, exactly at, and above zero:
-    # only a strictly negative factor is unphysical and clamped.
-    model = PowerModel(small_cluster.spec)
-    rng = _ScriptedNormal([-1.5, -1.0, 0.5])
-    meter = SystemPowerMeter(model, small_cluster.state, 0.5, rng)
-    truth = meter.true_power()
-
-    assert meter.read() == 0.0  # factor -0.5: clamped
-    assert meter.clamped_readings == 1
-    assert meter.read() == 0.0  # factor exactly 0.0: physical, no clamp
-    assert meter.clamped_readings == 1
-    assert meter.read() == pytest.approx(1.5 * truth)
-    assert meter.clamped_readings == 1
-    assert meter.readings == 3
-
-
-def test_noiseless_meter_never_clamps(small_cluster):
-    model = PowerModel(small_cluster.spec)
-    meter = SystemPowerMeter(model, small_cluster.state)
-    for _ in range(5):
-        meter.read()
-    assert meter.clamped_readings == 0
-
-
 # ----------------------------------------------------------------------
 # PowerProvision
 # ----------------------------------------------------------------------

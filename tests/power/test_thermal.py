@@ -4,22 +4,31 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.power import ReliabilityTracker, ThermalModel, failure_rate_multiplier
+from repro.power import (
+    BreakerThermalModel,
+    ReliabilityTracker,
+    ThermalModel,
+    failure_rate_multiplier,
+    thermal,
+)
 
 
-def test_starts_at_ambient():
-    model = ThermalModel(4, ambient_c=25.0)
+def test_starts_at_ambient(monkeypatch):
+    monkeypatch.setattr(thermal, "AMBIENT_C", 25.0)
+    model = ThermalModel(4)
     np.testing.assert_allclose(model.temperature_c, 25.0)
 
 
-def test_steady_state_linear_in_power():
-    model = ThermalModel(2, ambient_c=22.0, thermal_resistance_c_per_w=0.1)
+def test_steady_state_linear_in_power(monkeypatch):
+    monkeypatch.setattr(thermal, "THERMAL_RESISTANCE_C_PER_W", 0.1)
+    model = ThermalModel(2)
     ss = model.steady_state(np.array([100.0, 300.0]))
     np.testing.assert_allclose(ss, [32.0, 52.0])
 
 
-def test_relaxation_towards_steady_state():
-    model = ThermalModel(1, time_constant_s=100.0)
+def test_relaxation_towards_steady_state(monkeypatch):
+    monkeypatch.setattr(thermal, "TIME_CONSTANT_S", 100.0)
+    model = ThermalModel(1)
     power = np.array([300.0])
     t0 = model.temperature_c[0]
     model.step(power, dt=100.0)  # one time constant
@@ -29,19 +38,21 @@ def test_relaxation_towards_steady_state():
     assert model.temperature_c[0] == pytest.approx(expected)
 
 
-def test_step_converges_to_steady_state():
-    model = ThermalModel(1, time_constant_s=50.0)
+def test_step_converges_to_steady_state(monkeypatch):
+    monkeypatch.setattr(thermal, "TIME_CONSTANT_S", 50.0)
+    model = ThermalModel(1)
     power = np.array([250.0])
     for _ in range(100):
         model.step(power, dt=10.0)
     assert model.temperature_c[0] == pytest.approx(model.steady_state(power)[0], abs=0.01)
 
 
-def test_exact_update_independent_of_substepping():
+def test_exact_update_independent_of_substepping(monkeypatch):
     """The exponential update is exact: one 100 s step equals ten 10 s
     steps (a property the trapezoid-style update would not have)."""
-    a = ThermalModel(1, time_constant_s=77.0)
-    b = ThermalModel(1, time_constant_s=77.0)
+    monkeypatch.setattr(thermal, "TIME_CONSTANT_S", 77.0)
+    a = ThermalModel(1)
+    b = ThermalModel(1)
     power = np.array([310.0])
     a.step(power, 100.0)
     for _ in range(10):
@@ -68,10 +79,6 @@ def test_realistic_blade_temperatures():
 def test_thermal_validation():
     with pytest.raises(ConfigurationError):
         ThermalModel(0)
-    with pytest.raises(ConfigurationError):
-        ThermalModel(1, thermal_resistance_c_per_w=0.0)
-    with pytest.raises(ConfigurationError):
-        ThermalModel(1, time_constant_s=0.0)
     model = ThermalModel(2)
     with pytest.raises(ConfigurationError):
         model.step(np.array([100.0]), 1.0)  # shape mismatch
@@ -88,16 +95,18 @@ def test_failure_rate_doubling_law():
     np.testing.assert_allclose(arr, [1.0, 2.0])
 
 
-def test_reliability_tracker_accumulates():
-    tracker = ReliabilityTracker(base_rate_per_node_hour=1.0, reference_c=50.0)
+def test_reliability_tracker_accumulates(monkeypatch):
+    monkeypatch.setattr(thermal, "BASE_RATE_PER_NODE_HOUR", 1.0)
+    tracker = ReliabilityTracker()
     temps = np.full(10, 50.0)
     tracker.accumulate(temps, dt=3600.0)  # 10 node-hours at reference
     assert tracker.expected_failures == pytest.approx(10.0)
 
 
-def test_reliability_hotter_means_more_failures():
-    cool = ReliabilityTracker(base_rate_per_node_hour=1.0)
-    hot = ReliabilityTracker(base_rate_per_node_hour=1.0)
+def test_reliability_hotter_means_more_failures(monkeypatch):
+    monkeypatch.setattr(thermal, "BASE_RATE_PER_NODE_HOUR", 1.0)
+    cool = ReliabilityTracker()
+    hot = ReliabilityTracker()
     cool.accumulate(np.full(4, 50.0), 3600.0)
     hot.accumulate(np.full(4, 60.0), 3600.0)
     assert hot.expected_failures == pytest.approx(2 * cool.expected_failures)
@@ -105,8 +114,6 @@ def test_reliability_hotter_means_more_failures():
 
 
 def test_reliability_validation():
-    with pytest.raises(ConfigurationError):
-        ReliabilityTracker(base_rate_per_node_hour=0.0)
     tracker = ReliabilityTracker()
     with pytest.raises(ConfigurationError):
         tracker.accumulate(np.array([50.0]), 0.0)
@@ -115,17 +122,10 @@ def test_reliability_validation():
 # ----------------------------------------------------------------------
 # Branch breakers: trip-integral edge cases
 # ----------------------------------------------------------------------
-def _breaker(**overrides):
-    from repro.power import BreakerThermalModel
-
-    kwargs = dict(
-        rated_w=np.array([100.0, 100.0]),
-        trip_time_s=60.0,
-        cool_time_s=300.0,
-        cooldown_fraction=0.9,
-    )
-    kwargs.update(overrides)
-    return BreakerThermalModel(**kwargs)
+def _breaker(rated_w=(100.0, 100.0)):
+    """Breakers at the module's trip time (60 s), cool time (300 s) and
+    cooldown fraction (0.9)."""
+    return BreakerThermalModel(np.array(rated_w))
 
 
 def test_breaker_exactly_rated_load_holds_the_integral():
@@ -143,7 +143,7 @@ def test_breaker_exactly_rated_load_holds_the_integral():
 def test_breaker_no_cooling_inside_hysteresis_band():
     brk = _breaker()
     brk.step(np.array([200.0, 200.0]), 30.0)
-    # 90 W = cooldown_fraction * rated: the band is inclusive at its
+    # 90 W = COOLDOWN_FRACTION * rated: the band is inclusive at its
     # lower edge, so the integral still holds.
     brk.step(np.array([90.0, 95.0]), 600.0)
     np.testing.assert_allclose(brk.trip_integral, [0.5, 0.5])
@@ -152,7 +152,7 @@ def test_breaker_no_cooling_inside_hysteresis_band():
 def test_breaker_cools_below_the_band():
     brk = _breaker()
     brk.step(np.array([200.0, 200.0]), 30.0)
-    brk.step(np.array([50.0, 50.0]), 150.0)  # half of cool_time_s
+    brk.step(np.array([50.0, 50.0]), 150.0)  # half of COOL_TIME_S
     np.testing.assert_allclose(brk.trip_integral, [0.0, 0.0])
     # Cooling clamps at zero rather than going negative.
     brk.step(np.array([0.0, 0.0]), 10_000.0)
@@ -160,17 +160,17 @@ def test_breaker_cools_below_the_band():
 
 
 def test_breaker_inverse_time_characteristic():
-    # A 2x overload trips in trip_time_s; a 1.5x overload needs twice
+    # A 2x overload trips in TRIP_TIME_S; a 1.5x overload needs twice
     # that exposure.
-    fast = _breaker(rated_w=np.array([100.0]))
-    slow = _breaker(rated_w=np.array([100.0]))
+    fast = _breaker(rated_w=(100.0,))
+    slow = _breaker(rated_w=(100.0,))
     assert fast.step(np.array([200.0]), 60.0).any()
     assert not slow.step(np.array([150.0]), 60.0).any()
     assert slow.step(np.array([150.0]), 60.0).any()
 
 
 def test_breaker_latches_open_and_never_retrips():
-    brk = _breaker(rated_w=np.array([100.0]))
+    brk = _breaker(rated_w=(100.0,))
     first = brk.step(np.array([300.0]), 60.0)
     assert first.any() and brk.trip_count == 1
     assert brk.trip_integral[0] == 1.0  # clamped at the latch
@@ -189,15 +189,11 @@ def test_breaker_latches_open_and_never_retrips():
     [
         {"rated_w": np.array([[100.0]])},
         {"rated_w": np.array([100.0, -1.0])},
-        {"trip_time_s": 0.0},
-        {"cool_time_s": -1.0},
-        {"cooldown_fraction": 0.0},
-        {"cooldown_fraction": 1.5},
     ],
 )
 def test_breaker_invalid_config_rejected(overrides):
     with pytest.raises(ConfigurationError):
-        _breaker(**overrides)
+        BreakerThermalModel(**overrides)
 
 
 def test_breaker_step_validation():

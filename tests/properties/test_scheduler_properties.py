@@ -5,6 +5,8 @@ Random closed job lists are driven to completion under both schedulers
 hold, and at the end every job must have completed exactly once.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,17 +14,19 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.scheduler import BackfillScheduler, BatchScheduler, ListFeeder
 from repro.sim import RandomSource
-from repro.workload import Job, JobExecutor, JobState, get_application
+from repro.workload import Job, JobExecutor, JobState, executor, get_application
 
 APPS = ("EP", "CG", "LU", "BT", "SP")
+
+#: Noiseless load: the executor's jitter and node noise, patched to 0
+#: for each test that steps jobs.
+NO_LOAD_NOISE = mock.patch.multiple(executor, UTIL_JITTER_STD=0.0, NODE_NOISE_STD=0.0)
 
 
 def _executor(cluster, seed):
     return JobExecutor(
         cluster.state,
         RandomSource(seed=seed).stream("exec"),
-        util_jitter_std=0.0,
-        node_noise_std=0.0,
         modulation_std=0.0,
     )
 
@@ -56,6 +60,7 @@ def _materialise(specs, seed):
     return jobs
 
 
+@NO_LOAD_NOISE
 @given(job_specs, st.integers(min_value=0, max_value=1000), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_scheduler_invariants(specs, seed, use_backfill):
@@ -96,6 +101,7 @@ def test_scheduler_invariants(specs, seed, use_backfill):
         assert job.finish_time >= job.start_time >= job.submit_time
 
 
+@NO_LOAD_NOISE
 @given(job_specs, st.integers(min_value=0, max_value=1000))
 @settings(max_examples=15, deadline=None)
 def test_backfill_never_finishes_fewer_jobs(specs, seed):

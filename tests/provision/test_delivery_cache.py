@@ -73,7 +73,7 @@ def test_settle_reuses_the_fold_of_a_read_only_array():
     power = np.full(NUM_NODES, 150.0)  # each rack at twice its rating
     power.setflags(write=False)
     for step in range(1, 12):
-        shared.branch_overloads(power, 0.9)
+        shared.branch_overloads(power)
         tripped = shared.settle(10.0 * step, 10.0, power)
         expected = fresh.settle(10.0 * step, 10.0, power.copy())
         np.testing.assert_array_equal(tripped, expected)
@@ -86,7 +86,7 @@ def test_settle_folds_a_writable_array_again():
     settle; the settle must integrate what it is given."""
     shared, fresh = _twins()
     power = np.full(NUM_NODES, 90.0)
-    shared.branch_overloads(power, 0.9)
+    shared.branch_overloads(power)
     power[:] = 10.0
     shared.settle(10.0, 10.0, power)
     fresh.settle(10.0, 10.0, np.full(NUM_NODES, 10.0))
@@ -102,7 +102,7 @@ def test_a_read_only_view_of_a_writable_array_is_folded_again():
     base = np.full(NUM_NODES, 90.0)
     view = base.view()
     view.setflags(write=False)
-    shared.branch_overloads(view, 0.9)
+    shared.branch_overloads(view)
     base[:] = 10.0
     shared.settle(10.0, 10.0, view)
     fresh.settle(10.0, 10.0, np.full(NUM_NODES, 10.0))

@@ -19,7 +19,7 @@ from repro.provision.emergency import (
 )
 from repro.scheduler import BatchScheduler, ListFeeder
 from repro.sim import RandomSource
-from repro.workload import Job, JobExecutor, JobState, get_application
+from repro.workload import Job, JobExecutor, JobState, executor, get_application
 
 #: Procs per Tianhe-1A node (two hexacore Xeons).
 PROCS_PER_NODE = 12
@@ -36,14 +36,10 @@ def _job(job_id, nodes=1, priority=0):
 
 
 def _scheduler(cluster, jobs):
-    executor = JobExecutor(
-        cluster.state,
-        RandomSource(seed=3).stream("exec"),
-        util_jitter_std=0.0,
-        node_noise_std=0.0,
-        modulation_std=0.0,
+    jobs_executor = JobExecutor(
+        cluster.state, RandomSource(seed=3).stream("exec"), modulation_std=0.0
     )
-    sched = BatchScheduler(cluster, executor, ListFeeder(jobs))
+    sched = BatchScheduler(cluster, jobs_executor, ListFeeder(jobs))
     sched.tick(1.0, 1.0)
     return sched
 
@@ -62,6 +58,14 @@ QUICK_LADDER = {
 def _quick_ladder(monkeypatch):
     for name, value in QUICK_LADDER.items():
         monkeypatch.setattr(emergency, name, value)
+
+
+@pytest.fixture(autouse=True)
+def _noiseless_load(monkeypatch):
+    """Every test here steps jobs on noiseless load: the executor's
+    jitter and node noise are patched to 0 for the test."""
+    monkeypatch.setattr(executor, "UTIL_JITTER_STD", 0.0)
+    monkeypatch.setattr(executor, "NODE_NOISE_STD", 0.0)
 
 
 def _response(cluster, sched=None, scenario=None, candidate_mask=None):

@@ -1,12 +1,10 @@
 """Unit tests for the live power-delivery runtime."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.power.thermal import BreakerThermalModel
+from repro.power import thermal
 from repro.provision import PowerTopology, ProvisionRuntime, ProvisionScenario
 from repro.provision import runtime
 from repro.sim import RandomSource
@@ -36,9 +34,7 @@ def _drive(rt, cycles, period=10.0):
 
 def _fast_breakers(monkeypatch):
     """Breakers that trip after 30 s of 2x overload, not 60 s."""
-    monkeypatch.setattr(
-        runtime, "BreakerThermalModel", partial(BreakerThermalModel, trip_time_s=30.0)
-    )
+    monkeypatch.setattr(thermal, "TRIP_TIME_S", 30.0)
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +201,9 @@ def test_derated_pdu_heats_breaker_at_previously_safe_load(monkeypatch):
 def test_branch_overloads_reports_hot_racks_only():
     rt = _runtime(ProvisionScenario.none())
     power = np.concatenate([np.full(4, 70.0), np.full(4, 10.0)])
-    np.testing.assert_array_equal(rt.branch_overloads(power, 0.9), [0])
+    np.testing.assert_array_equal(rt.branch_overloads(power), [0])
     np.testing.assert_array_equal(
-        rt.branch_overloads(np.full(NUM_NODES, 10.0), 0.9), []
+        rt.branch_overloads(np.full(NUM_NODES, 10.0)), []
     )
 
 

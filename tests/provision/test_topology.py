@@ -54,10 +54,6 @@ def test_design_capacity_is_feed_sum():
     assert _topology().design_capacity_w == 1000.0
 
 
-def test_ups_ceiling_caps_the_feeds():
-    assert _topology(ups_capacity_w=750.0).design_capacity_w == 750.0
-
-
 def test_surviving_capacity_follows_live_mask():
     topo = _topology()
     assert topo.surviving_capacity_w(np.array([True, True])) == 1000.0
@@ -87,7 +83,6 @@ def test_branch_ratings_uniform():
         {"branch_rated_w": 0.0},
         {"nodes_per_rack": 0},
         {"num_nodes": 0},
-        {"ups_capacity_w": -5.0},
     ],
 )
 def test_invalid_topology_rejected(overrides):
@@ -99,12 +94,10 @@ def test_invalid_topology_rejected(overrides):
 # Sizing against a cluster
 # ----------------------------------------------------------------------
 def test_for_cluster_sizes_feeds_from_headroom(small_cluster):
-    topo = PowerTopology.for_cluster(
-        small_cluster, nodes_per_rack=4, feeds=2, feed_headroom=0.2
-    )
+    topo = PowerTopology.for_cluster(small_cluster, nodes_per_rack=4)
     p_thy = small_cluster.state.theoretical_max_power()
     assert topo.num_feeds == 2
-    assert topo.total_feed_capacity_w == pytest.approx(1.2 * p_thy)
+    assert topo.design_capacity_w == pytest.approx(1.2 * p_thy)
     # Losing one of two feeds leaves 60% of P_thy.
     assert topo.surviving_capacity_w(
         np.array([False, True])

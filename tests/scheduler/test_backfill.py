@@ -12,16 +12,26 @@ from repro.scheduler import (
     ListFeeder,
 )
 from repro.sim import RandomSource
-from repro.workload import Job, JobExecutor, RandomJobGenerator, get_application
+from repro.workload import (
+    Job,
+    JobExecutor,
+    RandomJobGenerator,
+    executor,
+    get_application,
+)
+
+
+@pytest.fixture(autouse=True)
+def _noiseless_load(monkeypatch):
+    """Every test here steps jobs on noiseless load: the executor's
+    jitter and node noise are patched to 0 for the test."""
+    monkeypatch.setattr(executor, "UTIL_JITTER_STD", 0.0)
+    monkeypatch.setattr(executor, "NODE_NOISE_STD", 0.0)
 
 
 def _executor(cluster):
     return JobExecutor(
-        cluster.state,
-        RandomSource(seed=3).stream("exec"),
-        util_jitter_std=0.0,
-        node_noise_std=0.0,
-        modulation_std=0.0,
+        cluster.state, RandomSource(seed=3).stream("exec"), modulation_std=0.0
     )
 
 
@@ -113,16 +123,15 @@ def test_backfill_respects_the_offline_fence(small_cluster):
     assert sched.backfilled_count == 1
 
 
-def test_backfill_scheduler_ticks_one_interval_per_block():
+def test_backfill_scheduler_ticks_one_interval_per_block(monkeypatch):
     """A backfill pass may start a later job at any tick, so the
     scheduler is never quiet and ``tick_block`` runs one interval where
     strict FCFS, blocked behind the same wide head, runs a block."""
+    monkeypatch.setattr("repro.workload.generator.PAPER_NPROCS_CHOICES", (10 * 12,))
     ticks = {}
     for cls in (BatchScheduler, BackfillScheduler):
         cluster = Cluster.tianhe_1a(num_nodes=16)
-        generator = RandomJobGenerator(
-            RandomSource(seed=3).stream("gen"), nprocs_choices=(10 * 12,)
-        )
+        generator = RandomJobGenerator(RandomSource(seed=3).stream("gen"))
         sched = cls(cluster, _executor(cluster), KeepQueueFilledFeeder(generator))
         sched.tick(1.0, 1.0)  # one 10-node job runs, the next one waits
         ticks[cls] = sched.tick_block(np.arange(2.0, 10.0), 1.0).ticks

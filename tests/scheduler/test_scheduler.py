@@ -11,17 +11,22 @@ from repro.workload import (
     JobExecutor,
     JobState,
     RandomJobGenerator,
+    executor,
     get_application,
 )
 
 
+@pytest.fixture(autouse=True)
+def _noiseless_load(monkeypatch):
+    """Every test here steps jobs on noiseless load: the executor's
+    jitter and node noise are patched to 0 for the test."""
+    monkeypatch.setattr(executor, "UTIL_JITTER_STD", 0.0)
+    monkeypatch.setattr(executor, "NODE_NOISE_STD", 0.0)
+
+
 def _executor(cluster):
     return JobExecutor(
-        cluster.state,
-        RandomSource(seed=3).stream("exec"),
-        util_jitter_std=0.0,
-        node_noise_std=0.0,
-        modulation_std=0.0,
+        cluster.state, RandomSource(seed=3).stream("exec"), modulation_std=0.0
     )
 
 
@@ -80,12 +85,10 @@ def test_finish_time_interpolated(small_cluster):
     assert finished[0].actual_runtime_s == pytest.approx(0.25)
 
 
-def test_keep_queue_filled_feeder_generates_on_empty(small_cluster):
-    gen = RandomJobGenerator(
-        RandomSource(seed=9).stream("gen"),
-        runtime_scale=0.01,
-        nprocs_choices=(8, 16, 32),  # jobs must fit the 16-node cluster
-    )
+def test_keep_queue_filled_feeder_generates_on_empty(small_cluster, monkeypatch):
+    # Jobs must fit the 16-node cluster.
+    monkeypatch.setattr("repro.workload.generator.PAPER_NPROCS_CHOICES", (8, 16, 32))
+    gen = RandomJobGenerator(RandomSource(seed=9).stream("gen"), runtime_scale=0.01)
     sched = BatchScheduler(small_cluster, _executor(small_cluster), KeepQueueFilledFeeder(gen))
     for t in range(1, 50):
         sched.tick(float(t), 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.telemetry import (
     IntegrityConfig,
     MeterIntegrityMonitor,
@@ -229,3 +230,22 @@ def test_distrusted_meter_recovers_after_clean_streak(monkeypatch):
     # Counted: the entry cycle and the first recovery-streak cycle.
     assert mon.distrusted_cycles == 2
     assert mon.filter(980.0, 1000.0, 5.0) == 980.0
+
+
+@pytest.mark.parametrize("candidate_size", [16, 8])
+def test_honest_meter_is_never_distrusted_by_a_partial_candidate_set(
+    candidate_size,
+):
+    """A partial candidate set's Formula (1) sum leaves out the other
+    nodes' draw, so an honest meter reads above it every cycle: the
+    cross-check stands down rather than distrust the meter (and freeze
+    threshold learning) for the whole run."""
+    config = ExperimentConfig.quick(
+        num_nodes=32,
+        seed=7,
+        training_duration_s=200.0,
+        run_duration_s=240.0,
+        candidate_size=candidate_size,
+        integrity=IntegrityConfig(),
+    )
+    assert run_experiment(config, "mpc").fault_stats.meter_distrusted_cycles == 0

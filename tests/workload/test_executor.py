@@ -10,15 +10,19 @@ from repro.workload import (
     Job,
     JobExecutor,
     PhaseSchedule,
+    executor,
     get_application,
 )
 
 
-def _executor(cluster, deterministic=True, **kwargs):
+def _executor(cluster, monkeypatch=None, **kwargs):
+    """An executor on the ``exec`` stream.  Given the test's
+    ``monkeypatch`` it writes deterministic load: jitter and node noise
+    patched to 0 for that test, and no modulation."""
     rng = RandomSource(seed=3).stream("exec")
-    if deterministic:
-        kwargs.setdefault("util_jitter_std", 0.0)
-        kwargs.setdefault("node_noise_std", 0.0)
+    if monkeypatch is not None:
+        monkeypatch.setattr(executor, "UTIL_JITTER_STD", 0.0)
+        monkeypatch.setattr(executor, "NODE_NOISE_STD", 0.0)
         kwargs.setdefault("modulation_std", 0.0)
     return JobExecutor(cluster.state, rng, **kwargs)
 
@@ -30,16 +34,16 @@ def _start_job(cluster, nodes, app="EP", nprocs=64, job_id=0, t=0.0):
     return job
 
 
-def test_progress_at_full_speed(small_cluster):
-    ex = _executor(small_cluster)
+def test_progress_at_full_speed(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     job = _start_job(small_cluster, np.arange(4))
     ex.advance([job], now=0.0, dt=1.0)
     assert job.progress_s == pytest.approx(1.0)
     assert job.degraded_exposure_s == 0.0
 
 
-def test_load_written_to_state(small_cluster):
-    ex = _executor(small_cluster)
+def test_load_written_to_state(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     job = _start_job(small_cluster, np.arange(4), app="EP")
     ex.advance([job], now=0.0, dt=1.0)
     phase = job.app.schedule.phase_at(job.cycle_position)
@@ -47,8 +51,8 @@ def test_load_written_to_state(small_cluster):
     np.testing.assert_allclose(small_cluster.state.nic_frac[:4], phase.nic_frac)
 
 
-def test_degraded_node_slows_whole_job(small_cluster):
-    ex = _executor(small_cluster)
+def test_degraded_node_slows_whole_job(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     job = _start_job(small_cluster, np.arange(4), app="EP")
     small_cluster.state.set_level(0, 0)  # one slow node
     ex.advance([job], now=0.0, dt=1.0)
@@ -60,8 +64,8 @@ def test_degraded_node_slows_whole_job(small_cluster):
     assert job.degraded_exposure_s == pytest.approx(1.0)
 
 
-def test_degrading_all_nodes_same_as_one(small_cluster):
-    ex = _executor(small_cluster)
+def test_degrading_all_nodes_same_as_one(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     job_a = _start_job(small_cluster, np.arange(0, 4), job_id=0)
     job_b = _start_job(small_cluster, np.arange(4, 8), job_id=1)
     small_cluster.state.set_level(0, 3)
@@ -70,9 +74,9 @@ def test_degrading_all_nodes_same_as_one(small_cluster):
     assert job_a.progress_s == pytest.approx(job_b.progress_s)
 
 
-def test_completion_interpolated_exactly(small_cluster):
+def test_completion_interpolated_exactly(small_cluster, monkeypatch):
     """An uncapped job's measured runtime equals its nominal runtime."""
-    ex = _executor(small_cluster)
+    ex = _executor(small_cluster, monkeypatch)
     job = _start_job(small_cluster, np.arange(4))
     nominal = job.nominal_runtime_s
     job.progress_s = nominal - 0.25  # quarter of a second of work left
@@ -82,8 +86,8 @@ def test_completion_interpolated_exactly(small_cluster):
     assert job.remaining_work_s == 0.0
 
 
-def test_completion_not_issued_twice(small_cluster):
-    ex = _executor(small_cluster)
+def test_completion_not_issued_twice(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     job = _start_job(small_cluster, np.arange(4))
     job.progress_s = job.nominal_runtime_s - 0.5
     notices = ex.advance([job], now=0.0, dt=1.0).finished
@@ -93,15 +97,15 @@ def test_completion_not_issued_twice(small_cluster):
     assert ex.advance([job], now=1.0, dt=1.0).finished == []
 
 
-def test_non_running_jobs_skipped(small_cluster):
-    ex = _executor(small_cluster)
+def test_non_running_jobs_skipped(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     pending = Job(job_id=5, app=get_application("EP"), nprocs=8, submit_time=0.0)
     assert ex.advance([pending], now=0.0, dt=1.0).finished == []
     assert pending.progress_s == 0.0
 
 
-def test_memory_ramp(small_cluster):
-    ex = _executor(small_cluster)
+def test_memory_ramp(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     job = _start_job(small_cluster, np.arange(4), app="CG")
     ramp = job.app.mem_ramp_s
     ex.advance([job], now=0.0, dt=1.0)
@@ -112,8 +116,8 @@ def test_memory_ramp(small_cluster):
     assert late == pytest.approx(job.app.mem_fraction)
 
 
-def test_invalid_dt_rejected(small_cluster):
-    ex = _executor(small_cluster)
+def test_invalid_dt_rejected(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     with pytest.raises(WorkloadError):
         ex.advance([], now=0.0, dt=0.0)
 
@@ -121,15 +125,13 @@ def test_invalid_dt_rejected(small_cluster):
 def test_invalid_jitter_rejected(small_cluster):
     rng = RandomSource(seed=1).stream("x")
     with pytest.raises(WorkloadError):
-        JobExecutor(small_cluster.state, rng, util_jitter_std=-0.1)
-    with pytest.raises(WorkloadError):
         JobExecutor(small_cluster.state, rng, modulation_std=-0.1)
     with pytest.raises(WorkloadError):
         JobExecutor(small_cluster.state, rng, modulation_tau_s=0.0)
 
 
 def test_modulation_factor_fluctuates_and_is_bounded(small_cluster):
-    ex = _executor(small_cluster, deterministic=False, modulation_std=0.2)
+    ex = _executor(small_cluster, modulation_std=0.2)
     job = _start_job(small_cluster, np.arange(4))
     factors = []
     for t in range(200):
@@ -140,16 +142,16 @@ def test_modulation_factor_fluctuates_and_is_bounded(small_cluster):
     assert np.all(arr >= 0.55) and np.all(arr <= 1.45)
 
 
-def test_zero_modulation_keeps_factor_one(small_cluster):
-    ex = _executor(small_cluster)
+def test_zero_modulation_keeps_factor_one(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch)
     job = _start_job(small_cluster, np.arange(4))
     ex.advance([job], now=0.0, dt=1.0)
     assert ex.modulation_factor == pytest.approx(1.0)
 
 
-def test_phase_progression_changes_load(small_cluster):
+def test_phase_progression_changes_load(small_cluster, monkeypatch):
     """As progress crosses phase boundaries the written load changes."""
-    ex = _executor(small_cluster)
+    ex = _executor(small_cluster, monkeypatch)
     job = _start_job(small_cluster, np.arange(4), app="SP", nprocs=64)
     seen_utils = set()
     total_cycles = int(job.nominal_runtime_s)
@@ -167,7 +169,7 @@ def test_steady_ticks_skip_runtime_and_phase_lookups(
     executor's cached running-job table: no ``nominal_runtime`` and no
     ``phase_at`` calls.  The object engine, which re-derives both every
     tick, shows the counter works."""
-    ex = _executor(small_cluster, deterministic=False, engine=engine)
+    ex = _executor(small_cluster, engine=engine)
     jobs = [
         _start_job(small_cluster, np.arange(0, 4), app="EP", job_id=0),
         _start_job(small_cluster, np.arange(4, 10), app="CG", job_id=1),
@@ -195,8 +197,8 @@ def _block_starts(first: float, ticks: int) -> np.ndarray:
     return np.add.accumulate(np.r_[first, np.ones(ticks - 1)])
 
 
-def test_block_ends_with_the_first_finish(small_cluster):
-    ex = _executor(small_cluster, engine="vector")
+def test_block_ends_with_the_first_finish(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch, engine="vector")
     job = _start_job(small_cluster, np.arange(4))
     job.progress_s = job.nominal_runtime_s - 10.5
     block = ex.advance([job], now=_block_starts(0.0, 64), dt=1.0)
@@ -206,8 +208,8 @@ def test_block_ends_with_the_first_finish(small_cluster):
     assert block.cpu_util.shape == (11, 4)
 
 
-def test_block_runs_to_its_last_tick_without_a_finish(small_cluster):
-    ex = _executor(small_cluster, engine="vector")
+def test_block_runs_to_its_last_tick_without_a_finish(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch, engine="vector")
     job = _start_job(small_cluster, np.arange(4))
     block = ex.advance([job], now=_block_starts(0.0, 20), dt=1.0)
     assert (block.ticks, block.finished) == (20, [])
@@ -215,10 +217,10 @@ def test_block_runs_to_its_last_tick_without_a_finish(small_cluster):
     np.testing.assert_array_equal(small_cluster.state.cpu_util[:4], block.cpu_util[-1])
 
 
-def test_block_ends_before_the_rate_changes(small_cluster):
+def test_block_ends_before_the_rate_changes(small_cluster, monkeypatch):
     """Below the top level a job's rate depends on its phase's
     compute-boundness, so a phase change ends the block early."""
-    ex = _executor(small_cluster, engine="vector")
+    ex = _executor(small_cluster, monkeypatch, engine="vector")
     job = _start_job(small_cluster, np.arange(4), app="SP", nprocs=64)
     small_cluster.state.set_levels(np.arange(4), 2)
     done = 0
@@ -232,8 +234,8 @@ def test_block_ends_before_the_rate_changes(small_cluster):
     assert job.degraded_exposure_s == float(done)
 
 
-def test_object_engine_steps_one_tick_per_call(small_cluster):
-    ex = _executor(small_cluster, engine="object")
+def test_object_engine_steps_one_tick_per_call(small_cluster, monkeypatch):
+    ex = _executor(small_cluster, monkeypatch, engine="object")
     job = _start_job(small_cluster, np.arange(4))
     block = ex.advance([job], now=_block_starts(0.0, 8), dt=1.0)
     assert block.ticks == 1

@@ -58,9 +58,3 @@ def test_invalid_configuration():
     rng = RandomSource(seed=0).stream("x")
     with pytest.raises(ConfigurationError):
         RandomJobGenerator(rng, runtime_scale=0.0)
-    with pytest.raises(ConfigurationError):
-        RandomJobGenerator(rng, nprocs_choices=())
-    with pytest.raises(ConfigurationError):
-        RandomJobGenerator(rng, nprocs_choices=(0,))
-    with pytest.raises(ConfigurationError):
-        RandomJobGenerator(rng, applications=[])
